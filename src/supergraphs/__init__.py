@@ -77,7 +77,6 @@ from .universality import (
     EmbeddingCertificate,
     class_adjacency,
     embed_graph,
-    enhanced_embed,
     primes_first,
     step3_embedding,
     strong_product_identity_check,

@@ -72,10 +72,10 @@ def _dump_json(data, out: str | None) -> None:
 
 
 def _load_spec(raw: str) -> dict:
-    path = Path(raw)
-    if path.exists():
-        return json.loads(path.read_text())
-    return json.loads(raw)
+    """An inline JSON object, or the path of a file holding one."""
+    if raw.lstrip().startswith("{"):
+        return json.loads(raw)
+    return json.loads(Path(raw).read_text())
 
 
 def _parse_range(raw: str) -> range:
@@ -202,18 +202,10 @@ def _catalog_specs(args, default=None) -> list[dict]:
 
 def cmd_embed(args) -> int:
     target = Graph.from_json_dict(json.loads(Path(args.graph).read_text()))
-    downgraded = False
-    if args.kind == "enhanced":
-        certificate = universality.enhanced_embed(target)
-        # disjoint prime sets push later factors past the scan cap by design;
-        # a downgrade means not even the first factor could be scanned
-        downgraded = all(f.checked == "arithmetic" for f in certificate.factors)
-    else:
-        try:
-            certificate = universality.embed_graph(target, args.kind)
-        except SizeCapError:
-            certificate = universality.embed_graph(target, args.kind, arithmetic_fallback=True)
-            downgraded = True
+    certificate = universality.embed_graph(target, args.kind, arithmetic_fallback=True)
+    # enhanced factors pass the scan cap by design; a downgrade means not
+    # even the first factor could be scanned
+    downgraded = all(f.checked == "arithmetic" for f in certificate.factors)
     payload = certificate.to_json_dict()
     payload["downgraded"] = downgraded
     _dump_json(payload, args.out)
@@ -241,8 +233,7 @@ def cmd_igg(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    specs = json.loads(Path(args.catalog).read_text()) if args.catalog != "default" else CONTAINMENT_CATALOG
-    report = generation.equality_scan(specs)
+    report = generation.equality_scan(_catalog_specs(args, CONTAINMENT_CATALOG))
     _emit(report.to_json_dict(), args, report.records)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 
 def identity_perm(n: int) -> tuple[int, ...]:

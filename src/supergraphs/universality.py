@@ -9,8 +9,11 @@ per-nonedge graphs recovers the target; the strong-product identity for
 compressed graphs of direct products justifies combining factors.
 
 Scans are exhaustive over one conjugacy class with the other side pinned to a
-canonical cycle (adjacency is conjugation-invariant). Non-solvability at
-degrees past closure reach is certified by stabilizer-chain orders.
+canonical cycle x (adjacency is conjugation-invariant), classifying one
+candidate per orbit of the centralizer of x. At every degree a pair is first
+sized by a stabilizer chain: alternating or symmetric orders on its support
+certify non-solvability, and only smaller groups are closed and run through
+their derived or lower central series.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .groups import (
 )
 
 DEGREE_CAP = 13
-CLOSURE_DEGREE_CAP = 9
 FALLBACK_ORDER_CAP = 10**6
 
 EMBED_KINDS = ("commuting", "nilpotent", "solvable")
@@ -53,88 +55,58 @@ def primes_first(n: int) -> list[int]:
     return found
 
 
-# --- pair classification caches ---
+def _orbit_key(x_len: int, y: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical conjugate of the cycle y under the centralizer of
+    x = (0 1 ... x_len-1), which is <x> times the symmetric group on x's
+    fixed points. y must move a point of x's cycle.
 
-_centralizer_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-_pair_cache: dict[tuple, tuple[bool, bool]] = {}
-_order_cache: dict[tuple, int] = {}
-_members_flags_cache: dict[frozenset, tuple[bool, bool]] = {}
-
-
-def _cycle_centralizer(degree: int, length: int) -> list[tuple[int, ...]]:
-    """Centralizer of the canonical length-cycle in the symmetric group:
-    powers of the cycle times arbitrary permutations of the fixed points."""
-    key = (degree, length)
-    cached = _centralizer_cache.get(key)
-    if cached is not None:
-        return cached
-    out = []
-    rest = list(range(length, degree))
-    for k in range(length):
-        head = [(i + k) % length for i in range(length)]
-        for tail in itertools.permutations(rest):
-            out.append(tuple(head) + tail)
-    _centralizer_cache[key] = out
-    return out
-
-
-def _canonical_conjugate(y: tuple[int, ...], centralizer: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return min(perms.conjugate(y, c) for c in centralizer)
-
-
-def _closure_flags(degree: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[bool, bool]:
-    """(nilpotent, solvable) for <x, y> by full closure and series."""
-    members = frozenset(closure_set(perms.compose, perms.identity_perm(degree), (x, y)))
-    cached = _members_flags_cache.get(members)
-    if cached is None:
-        ident = perms.identity_perm(degree)
-        solvable = is_solvable_gens(perms.compose, perms.invert, ident, (x, y))
-        nilpotent = solvable and is_nilpotent_gens(
-            perms.compose, perms.invert, ident, (x, y)
-        )
-        cached = (nilpotent, solvable)
-        _members_flags_cache[members] = cached
-    return cached
+    A conjugator in the centralizer rotates x's points and permutes its fixed
+    points. Walk y's cycle from each point a it shares with x, labelling x's
+    points by their offset from a and x's fixed points in order of first
+    appearance; the least walk is the same for every conjugate of y, and the
+    key is the cycle it spells, itself a conjugate of y by such a relabelling.
+    """
+    start = next(a for a in range(x_len) if y[a] != a)
+    cycle = [start]
+    b = y[start]
+    while b != start:
+        cycle.append(b)
+        b = y[b]
+    # x's fixed points all read x_len here: the walk's pattern fixes their labels
+    walk = min(
+        tuple((b - a) % x_len if b < x_len else x_len for b in cycle[i:] + cycle[:i])
+        for i, a in enumerate(cycle)
+        if a < x_len
+    )
+    fresh = itertools.count(x_len)
+    labels = [v if v < x_len else next(fresh) for v in walk]
+    key = list(range(len(y)))
+    for u, v in zip(labels, labels[1:] + labels[:1]):
+        key[u] = v
+    return tuple(key)
 
 
-def _certified_flags(degree: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[bool, bool]:
-    """(nilpotent, solvable) for a non-commuting pair at degrees where full
-    closure is infeasible.
+def _pair_adjacent(degree: int, x: tuple[int, ...], y: tuple[int, ...], kind: str) -> bool:
+    """Whether the non-commuting pair x, y generates a nilpotent or solvable
+    group, as kind says.
 
     The order of <x, y> comes from a stabilizer chain. If it equals s!/2 or s!
     on a support of size s >= 5 the group is the alternating or symmetric
-    group of its support, hence non-solvable. Small orders fall back to
-    closure; anything else is a loud failure, never a silent pass.
+    group of its support, hence neither. Other orders up to
+    FALLBACK_ORDER_CAP are decided by the series of the closure; larger ones
+    raise, never pass silently.
     """
-    supp = sorted(perms.support(x) | perms.support(y))
-    s = len(supp)
-    cent = _cycle_centralizer(degree, len(perms.support(x)))
-    key = (degree, x, _canonical_conjugate(y, cent))
-    order = _order_cache.get(key)
-    if order is None:
-        order = perms.perm_group_order(degree, [x, key[2]])
-        _order_cache[key] = order
+    s = len(perms.support(x) | perms.support(y))
+    order = perms.perm_group_order(degree, [x, y])
     if s >= 5 and order in (math.factorial(s) // 2, math.factorial(s)):
-        return (False, False)
-    if order <= FALLBACK_ORDER_CAP:
-        return _closure_flags(degree, x, y)
-    raise RuntimeError(
-        f"cannot certify pair with order {order} on support {s}; "
-        "closure fallback is out of reach"
-    )
-
-
-def _pair_flags(degree: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[bool, bool]:
-    """(nilpotent, solvable) for a non-commuting candidate pair."""
-    key = (degree, x, y)
-    cached = _pair_cache.get(key)
-    if cached is None:
-        if degree <= CLOSURE_DEGREE_CAP:
-            cached = _closure_flags(degree, x, y)
-        else:
-            cached = _certified_flags(degree, x, y)
-        _pair_cache[key] = cached
-    return cached
+        return False
+    if order > FALLBACK_ORDER_CAP:
+        raise SizeCapError(
+            f"cannot certify pair with order {order} on support {s}; "
+            f"closure fallback is capped at order {FALLBACK_ORDER_CAP}"
+        )
+    series_test = is_nilpotent_gens if kind == "nilpotent" else is_solvable_gens
+    return series_test(perms.compose, perms.invert, perms.identity_perm(degree), (x, y))
 
 
 def _cyclic_pair(degree: int, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
@@ -149,8 +121,11 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     """Adjacency of the p-cycle and q-cycle conjugacy classes in the compressed
     conjugacy supergraph of the given kind over the symmetric group.
 
-    One class is pinned to a canonical cycle and the smaller class is scanned
-    exhaustively; conjugation invariance makes the restriction lossless.
+    One class is pinned to a canonical cycle x and the smaller class is
+    scanned exhaustively; conjugation invariance makes the restriction
+    lossless. Non-commuting candidates are classified once per orbit of the
+    centralizer of x: the scan stops at its first hit, so a candidate whose
+    orbit key was already classified cannot be one.
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"unknown scan kind {kind!r}; known {SCAN_KINDS}")
@@ -167,22 +142,20 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
         scan_len, fixed_len = q, p
     x = perms.canonical_cycle(degree, fixed_len)
 
+    classified: set[tuple[int, ...]] = set()
     for y in perms.all_cycles(degree, scan_len):
-        commutes = perms.compose(x, y) == perms.compose(y, x)
-        if kind == "commuting":
-            if commutes:
+        if perms.compose(x, y) == perms.compose(y, x):
+            # abelian, hence nilpotent and solvable; enhanced also needs cyclic
+            if kind != "enhanced" or _cyclic_pair(degree, x, y):
                 return True
             continue
-        if kind == "enhanced":
-            if commutes and _cyclic_pair(degree, x, y):
-                return True
+        if kind in ("commuting", "enhanced"):
             continue
-        if commutes:
-            return True  # abelian, hence nilpotent and solvable
-        nilpotent, solvable = _pair_flags(degree, x, y)
-        if kind == "solvable" and solvable:
-            return True
-        if kind == "nilpotent" and nilpotent:
+        key = _orbit_key(fixed_len, y)
+        if key in classified:
+            continue
+        classified.add(key)
+        if _pair_adjacent(degree, x, key, kind):
             return True
     return False
 
@@ -323,80 +296,40 @@ def embed_graph(target: Graph, kind: str, arithmetic_fallback: bool = False) -> 
     Complete targets get a single trivial factor. Factor degrees beyond the
     scan cap raise unless the arithmetic fallback is allowed, in which case the
     factor is certified by the disjointness criterion only.
+
+    The enhanced kind gives each factor its own n primes, pairwise disjoint
+    across factors: diagonal representatives then have coordinates of distinct
+    prime orders, so commuting coordinates generate a cyclic group of product
+    order. Its later factors pass the scan cap by design, so it always allows
+    the fallback (disjoint cycles of coprime prime lengths generate cyclic
+    groups, and intersecting ones cannot commute).
     """
-    if kind not in EMBED_KINDS:
-        raise ValueError(f"embedding kinds are {EMBED_KINDS}; got {kind!r}")
-    if target.n < 3:
+    if kind not in SCAN_KINDS:
+        raise ValueError(f"embedding kinds are {SCAN_KINDS}; got {kind!r}")
+    n = target.n
+    if n < 3:
         raise ValueError("embedding needs at least 3 vertices")
-    nonedges = target.complement().edges()
-    primes = primes_first(target.n)
-    if not nonedges:
-        factors = [
-            _factor_for_nonedge(target, None, primes, kind, arithmetic_fallback)
-        ]
+    nonedges = target.complement().edges() or [None]
+    if kind == "enhanced":
+        pool = primes_first(n * len(nonedges))
+        prime_sets = [pool[f * n : (f + 1) * n] for f in range(len(nonedges))]
+        arithmetic_fallback = True
     else:
-        factors = [
-            _factor_for_nonedge(target, ne, primes, kind, arithmetic_fallback)
-            for ne in nonedges
-        ]
+        prime_sets = [primes_first(n)] * len(nonedges)
+    factors = [
+        _factor_for_nonedge(target, ne, ps, kind, arithmetic_fallback)
+        for ne, ps in zip(nonedges, prime_sets)
+    ]
     final = factors[0].graph
     for fac in factors[1:]:
         final = intersection(final, fac.graph)
-    verified = final == target
     return EmbeddingCertificate(
         target,
         kind,
         tuple(factors),
         final,
-        tuple(range(target.n)),
-        verified,
-        any(f.checked == "arithmetic" for f in factors),
-    )
-
-
-def enhanced_embed(target: Graph, prime_sets: list[list[int]] | None = None) -> EmbeddingCertificate:
-    """Enhanced-power variant of the intersection embedding.
-
-    Each factor uses its own set of n primes and the sets must be pairwise
-    disjoint: diagonal representatives then have coordinates of distinct prime
-    orders, so commuting coordinates generate a cyclic group of product order.
-    Factors whose degree exceeds the scan cap are certified arithmetically
-    (disjoint cycles of coprime prime lengths generate cyclic groups, and
-    intersecting ones cannot commute).
-    """
-    n = target.n
-    if n < 3:
-        raise ValueError("embedding needs at least 3 vertices")
-    nonedges = target.complement().edges()
-    count = max(1, len(nonedges))
-    if prime_sets is None:
-        pool = primes_first(n * count)
-        prime_sets = [pool[f * n : (f + 1) * n] for f in range(count)]
-    else:
-        if len(prime_sets) != count:
-            raise ValueError(f"need one prime set per nonedge ({count})")
-        if any(len(ps) != n for ps in prime_sets):
-            raise ValueError(f"each prime set must hold {n} primes")
-        everything = [p for ps in prime_sets for p in ps]
-        if len(set(everything)) != len(everything):
-            raise ValueError("prime sets must be pairwise disjoint")
-    factors = []
-    if not nonedges:
-        factors.append(_factor_for_nonedge(target, None, prime_sets[0], "enhanced", True))
-    else:
-        for ne, ps in zip(nonedges, prime_sets):
-            factors.append(_factor_for_nonedge(target, ne, ps, "enhanced", True))
-    final = factors[0].graph
-    for fac in factors[1:]:
-        final = intersection(final, fac.graph)
-    verified = final == target
-    return EmbeddingCertificate(
-        target,
-        "enhanced",
-        tuple(factors),
-        final,
         tuple(range(n)),
-        verified,
+        final == target,
         any(f.checked == "arithmetic" for f in factors),
     )
 

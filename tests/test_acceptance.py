@@ -194,7 +194,8 @@ def test_criterion_5_strong_product_identity():
 def test_criterion_6_universality():
     with Budget("criterion 6 (universality)", 120):
         # (a) n=3, N=7: all four kinds induce K3 minus the (3,5) edge, with the
-        # (3,5) non-adjacency established by full closure at every position.
+        # (3,5) non-adjacency established at every centralizer orbit of
+        # positions.
         for kind in ("commuting", "nilpotent", "solvable", "enhanced"):
             res = step3_embedding(3, kind, with_nonedge=True)
             assert res.degree == 7

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from supergraphs import universality
 from supergraphs.cli import main
+from supergraphs.graphs import Graph
+from supergraphs.groups import SizeCapError
 
 D3 = '{"kind":"dihedral","n":3}'
 S3 = '{"kind":"symmetric","n":3}'
@@ -81,6 +84,19 @@ def test_invalid_spec_exit_2(capsys):
     code, _, err = run_cli(capsys, "graph", "--group", '{"kind":"bogus"}', "--kind", "power")
     assert code == 2
     assert "error" in err
+
+
+def test_graph_long_inline_spec_and_spec_file(tmp_path, capsys):
+    rows = [[(i + j) % 12 for j in range(12)] for i in range(12)]
+    spec = json.dumps({"kind": "table", "rows": rows})
+    assert len(spec) > 255  # longer than a file name may be
+    code, out, _ = run_cli(capsys, "graph", "--group", spec, "--kind", "commuting")
+    assert code == 0
+    assert len(json.loads(out)["labels"]) == 12
+    path = tmp_path / "c12.json"
+    path.write_text(spec)
+    code, from_file, _ = run_cli(capsys, "graph", "--group", str(path), "--kind", "commuting")
+    assert code == 0 and from_file == out
 
 
 def test_cap_exit_3(capsys):
@@ -160,6 +176,23 @@ def test_embed_large_target_downgrades_exit_3(tmp_path, capsys):
     assert cert["downgraded"] is True
     assert cert["arithmetic_only"] is True
     assert cert["verified"] is True
+
+
+def test_uncertifiable_pair_exit_3(tmp_path, capsys, monkeypatch):
+    """A pair the order test cannot decide, with a closure over the fallback
+    cap, is a resource cap: SizeCapError in the library, exit 3 in the CLI."""
+    monkeypatch.setattr(universality, "FALLBACK_ORDER_CAP", 1)
+    universality.class_adjacency.cache_clear()
+    try:
+        with pytest.raises(SizeCapError):
+            universality.class_adjacency(7, 2, 3, "solvable")
+        target = tmp_path / "p3.json"
+        target.write_text(json.dumps(Graph.path(3).to_json_dict()))
+        code, _, err = run_cli(capsys, "embed", "--graph", str(target), "--kind", "solvable")
+        assert code == 3
+        assert "cannot certify" in err
+    finally:
+        universality.class_adjacency.cache_clear()
 
 
 def test_embed_enhanced(tmp_path, capsys):

@@ -3,17 +3,19 @@ intersection embeddings, and the strong product identity."""
 
 import itertools
 import json
+import random
 
 import pytest
 
 import supergraphs as sg
+from supergraphs import perms
 from supergraphs.graphs import Graph
 from supergraphs.groups import SizeCapError
 from supergraphs.universality import (
+    _orbit_key,
     arithmetic_adjacency,
     class_adjacency,
     embed_graph,
-    enhanced_embed,
     primes_first,
     step3_embedding,
     strong_product_identity_check,
@@ -64,6 +66,136 @@ def test_enhanced_implies_commuting_and_coincides_here():
             commuting = class_adjacency(degree, p, q, "commuting")
             assert not enhanced or commuting
             assert enhanced == commuting
+
+
+def _close(gens, degree):
+    members = {tuple(range(degree))}
+    frontier = list(members)
+    for a in frontier:
+        for g in gens:
+            b = tuple(map(g.__getitem__, a))
+            if b not in members:
+                members.add(b)
+                frontier.append(b)
+    return members
+
+
+def _bracket(members, gens, degree):
+    """[N, H] for a subgroup N (given by its members) normalized by
+    H = <gens>: the subgroup generated by the H-conjugates of the
+    commutators [n, t], n in N, t in gens."""
+    sub_gens, sub = [], {tuple(range(degree))}
+    pending = [
+        perms.compose(perms.compose(perms.invert(n), perms.invert(t)), perms.compose(n, t))
+        for n in members
+        for t in gens
+    ]
+    while pending:
+        c = pending.pop()
+        if c in sub:
+            continue
+        sub_gens.append(c)
+        sub = _close(sub_gens, degree)
+        pending += [perms.conjugate(c, t) for t in gens]
+    return sub_gens, sub
+
+
+def _series_flags(x, y):
+    """(nilpotent, solvable) of <x, y>: its closed lower central and derived
+    series, each run until it reaches e or stops shrinking."""
+    degree = len(x)
+    top = [x, y]
+    group = _close(top, degree)
+    flags = []
+    for lower_central in (True, False):
+        gens, members = top, group
+        while len(members) > 1:
+            next_gens, next_members = _bracket(members, top if lower_central else gens, degree)
+            if len(next_members) == len(members):
+                break
+            gens, members = next_gens, next_members
+        flags.append(len(members) == 1)
+    return tuple(flags)
+
+
+def _brute_adjacency(degree, p, q):
+    """(nilpotent, solvable) class adjacency from the closure of every pair
+    of the pinned cycle with a cycle of the smaller class; the series run
+    once per distinct generated group."""
+    if perms.cycle_count(degree, p) > perms.cycle_count(degree, q):
+        p, q = q, p
+    x = perms.canonical_cycle(degree, q)
+    flags_of = {}
+    found = (False, False)
+    for y in perms.all_cycles(degree, p):
+        members = frozenset(_close([x, y], degree))
+        if members not in flags_of:
+            flags_of[members] = _series_flags(x, y)
+        found = tuple(f or g for f, g in zip(found, flags_of[members]))
+        if all(found):
+            break
+    return found
+
+
+# candidates generate A7 or S7 hundreds of times, or A8 or S8: seconds each
+BRUTE_FORCE_SKIPPED = {(7, 5, 7), (8, 2, 7), (8, 3, 7), (8, 5, 7)}
+
+
+def test_scan_matches_brute_force_closures():
+    for p, q in itertools.combinations((2, 3, 5, 7), 2):
+        for degree in range(q, 9):
+            if (degree, p, q) in BRUTE_FORCE_SKIPPED:
+                continue
+            nilpotent, solvable = _brute_adjacency(degree, p, q)
+            assert class_adjacency(degree, p, q, "nilpotent") == nilpotent, (degree, p, q)
+            assert class_adjacency(degree, p, q, "solvable") == solvable, (degree, p, q)
+
+
+def _centralizer_conjugator(x_len, y, key):
+    """Some c commuting with x = (0 ... x_len-1) with key = y^c, or None.
+    c carries y's cycle onto key's cycle and rotates x's points."""
+    degree = len(y)
+    x = perms.canonical_cycle(degree, x_len)
+    a = next(i for i in range(x_len) if y[i] != i)
+    for r in range(x_len):
+        image = {}
+        u, v = a, (a + r) % x_len
+        while u not in image:
+            image[u] = v
+            u, v = y[u], key[v]
+        for i in range(x_len):
+            image.setdefault(i, (i + r) % x_len)
+        spare = iter(sorted(set(range(degree)) - set(image.values())))
+        c = tuple(image[i] if i in image else next(spare) for i in range(degree))
+        if (
+            sorted(c) == list(range(degree))
+            and perms.compose(c, x) == perms.compose(x, c)
+            and perms.conjugate(y, c) == key
+        ):
+            return c
+    return None
+
+
+def test_orbit_key_is_a_centralizer_invariant_conjugate():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        degree = rng.randint(7, 11)
+        x_len = rng.randint(2, degree)
+        x = perms.canonical_cycle(degree, x_len)
+        y = perms.perm_from_cycles(
+            degree, [rng.sample(range(degree), rng.randint(2, degree))], one_based=False
+        )
+        if perms.compose(x, y) == perms.compose(y, x):
+            continue  # the scan never keys commuting candidates
+        checked += 1
+        r = rng.randrange(x_len)
+        c = tuple((i + r) % x_len for i in range(x_len)) + tuple(
+            rng.sample(range(x_len, degree), degree - x_len)
+        )
+        key = _orbit_key(x_len, y)
+        assert _orbit_key(x_len, perms.conjugate(y, c)) == key, (x_len, y, c)
+        assert _centralizer_conjugator(x_len, y, key) is not None, (x_len, y)
 
 
 def test_step3_with_nonedge_n3():
@@ -141,7 +273,7 @@ def test_embed_arithmetic_fallback():
 
 
 def test_enhanced_embed_p3():
-    cert = enhanced_embed(Graph.path(3))
+    cert = embed_graph(Graph.path(3), "enhanced")
     assert len(cert.factors) == 1
     assert cert.factors[0].primes == (2, 3, 5)
     assert cert.factors[0].degree == 7
@@ -151,17 +283,11 @@ def test_enhanced_embed_p3():
 
 def test_enhanced_embed_two_nonedges():
     target = Graph("abcd", [(0, 1), (0, 2), (0, 3), (1, 2)])  # nonedges (1,3),(2,3)
-    cert = enhanced_embed(target)
+    cert = embed_graph(target, "enhanced")
     assert [f.primes for f in cert.factors] == [(2, 3, 5, 7), (11, 13, 17, 19)]
     assert [f.degree for f in cert.factors] == [11, 35]
     assert [f.checked for f in cert.factors] == ["scan", "arithmetic"]
     assert cert.verified and cert.arithmetic_only
-
-
-def test_enhanced_embed_rejects_overlapping_prime_sets():
-    target = Graph("abcd", [(0, 1), (0, 2), (0, 3), (1, 2)])
-    with pytest.raises(ValueError):
-        enhanced_embed(target, prime_sets=[[2, 3, 5, 7], [7, 11, 13, 17]])
 
 
 def _all_graphs(n):
@@ -179,7 +305,7 @@ def test_embed_every_three_vertex_graph_every_kind():
             cert = embed_graph(target, kind)
             assert cert.verified, (target.edges(), kind)
             assert cert.final_graph == target
-        cert = enhanced_embed(target)
+        cert = embed_graph(target, "enhanced")
         assert cert.verified, target.edges()
 
 
