@@ -8,10 +8,10 @@ from .constructions import (
     PARTITIONS,
     Partition,
     base_adjacent,
-    build_base_graph,
     build_compressed,
     build_partition,
     build_supergraph,
+    expand_quotient,
     hierarchy_report,
     quotient_supergraph,
 )
@@ -43,7 +43,6 @@ from .graphs import (
     compose_graphs,
     distance_matrix,
     eval_expr,
-    induced_subgraph,
     intersection,
     is_comparability,
     is_isomorphic,
@@ -60,19 +59,15 @@ from .groups import (
     Subgroup,
     SubgroupFlags,
     alternating,
-    centralizer,
     classify_subgroup,
-    conjugacy_classes,
     cyclic,
     dihedral,
-    element_order,
-    generated_subgroup,
     make_group,
-    perm_group_order,
     product,
     quaternion,
     symmetric,
 )
+from .perms import perm_group_order
 from .universality import (
     EmbeddingCertificate,
     class_adjacency,

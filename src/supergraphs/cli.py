@@ -22,6 +22,7 @@ from .constructions import (
     PARTITIONS,
     build_compressed,
     build_supergraph,
+    expand_quotient,
     hierarchy_report,
     normalize_partition,
     quotient_supergraph,
@@ -240,8 +241,8 @@ def cmd_scan(args) -> int:
 
 def cmd_wiener(args) -> int:
     group = make_group(_load_spec(args.group))
-    graph = build_supergraph(group, args.kind, args.partition)
     decomposition = quotient_supergraph(group, args.kind, args.partition)
+    graph = expand_quotient(group, decomposition)
     w_bfs = wiener_index(graph)
     w_formula = wiener_supergraph_formula(decomposition.delta, decomposition.sizes)
     record = {

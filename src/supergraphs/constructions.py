@@ -4,8 +4,14 @@ Five base adjacencies (power, enhanced power, commuting, nilpotent, solvable)
 and three coarsenings (equality, conjugacy, same order) combine into the
 supergraphs: two elements are joined when some members of their classes are
 adjacent in the base graph, and classes themselves induce complete subgraphs.
-Also provides the class-compressed conjugacy graph, the quotient decomposition
-into a composition of complete factors, and the containment hierarchy report.
+
+Every supergraph is built from one form, its quotient decomposition
+delta[K_n1, ..., K_nk]: a composition of complete factors, one per class, over
+the graph delta of class adjacency. `quotient_supergraph` is the only code that
+partitions a group and decides class adjacency; `expand_quotient` turns the
+quotient into the element-level graph, and the class-compressed conjugacy
+graph is the delta of the conjugacy quotient. The base graph of a kind is its
+equality supergraph. Also provides the containment hierarchy report.
 """
 
 from __future__ import annotations
@@ -70,18 +76,6 @@ def base_adjacent(group: FiniteGroup, kind: str, g: int, h: int) -> bool:
     return flags.is_nilpotent if kind == "nilpotent" else flags.is_solvable
 
 
-def build_base_graph(group: FiniteGroup, kind: str) -> Graph:
-    """Graph on all elements with the chosen base adjacency."""
-    kind = normalize_kind(kind)
-    group.require_enumerable()
-    edges = [
-        (g, h)
-        for g, h in itertools.combinations(range(group.order), 2)
-        if base_adjacent(group, kind, g, h)
-    ]
-    return Graph(group.labels(), edges)
-
-
 def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     """Equality, conjugacy, or same-order partition.
 
@@ -128,43 +122,15 @@ def class_pair_adjacent(
     )
 
 
-def _class_adjacency(group: FiniteGroup, kind: str, partition: Partition) -> list[list[bool]]:
-    k = len(partition.classes)
+def _class_adjacency(group: FiniteGroup, kind: str, partition: Partition) -> list[tuple[int, int]]:
+    """Pairs of class indices i < j whose classes contain a base-adjacent pair."""
     invariant = partition.kind == "conjugacy"
-    adj = [[False] * k for _ in range(k)]
-    for i, j in itertools.combinations(range(k), 2):
-        hit = class_pair_adjacent(
-            group, kind, partition.classes[i], partition.classes[j], invariant
-        )
-        adj[i][j] = adj[j][i] = hit
-    return adj
-
-
-def build_supergraph(group: FiniteGroup, kind: str, pkind: str) -> Graph:
-    """Supergraph: g ~ h iff they share a class or their classes contain an
-    adjacent pair. Same-class vertices are joined by convention."""
-    kind = normalize_kind(kind)
-    partition = build_partition(group, pkind)
-    cls_adj = _class_adjacency(group, kind, partition)
-    class_of = partition.class_of
-    edges = []
-    for g, h in itertools.combinations(range(group.order), 2):
-        ci, cj = class_of[g], class_of[h]
-        if ci == cj or cls_adj[ci][cj]:
-            edges.append((g, h))
-    return Graph(group.labels(), edges)
-
-
-def build_compressed(group: FiniteGroup, kind: str) -> Graph:
-    """One vertex per conjugacy class; classes joined when some representatives
-    are adjacent in the base graph. No convention edges and no loops."""
-    kind = normalize_kind(kind)
-    partition = build_partition(group, "conjugacy")
-    cls_adj = _class_adjacency(group, kind, partition)
-    labels = [group.element_label(rep) for rep in partition.representatives]
-    k = len(partition.classes)
-    edges = [(i, j) for i, j in itertools.combinations(range(k), 2) if cls_adj[i][j]]
-    return Graph(labels, edges)
+    classes = partition.classes
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(classes)), 2)
+        if class_pair_adjacent(group, kind, classes[i], classes[j], invariant)
+    ]
 
 
 @dataclass(frozen=True)
@@ -180,21 +146,43 @@ def quotient_supergraph(group: FiniteGroup, kind: str, pkind: str) -> QuotientDe
 
     delta is the induced subgraph of the supergraph on class representatives,
     the sizes are the class sizes in class order, and the witness maps each
-    complete factor onto the members of its class.
+    complete factor onto the members of its class. This is the one place that
+    partitions a group and decides which classes are adjacent.
     """
     kind = normalize_kind(kind)
     partition = build_partition(group, pkind)
-    cls_adj = _class_adjacency(group, kind, partition)
-    k = len(partition.classes)
     labels = [group.element_label(rep) for rep in partition.representatives]
-    delta = Graph(
-        labels,
-        [(i, j) for i, j in itertools.combinations(range(k), 2) if cls_adj[i][j]],
-    )
+    delta = Graph(labels, _class_adjacency(group, kind, partition))
     sizes = partition.sizes
-    witness = witness_for_composition(delta, sizes, ("complete",) * k)
+    witness = witness_for_composition(delta, sizes, ("complete",) * len(sizes))
     element_map = tuple(g for members in partition.classes for g in members)
     return QuotientDecomposition(delta, sizes, witness, element_map)
+
+
+def expand_quotient(group: FiniteGroup, q: QuotientDecomposition) -> Graph:
+    """The composition delta[K_n1, ..., K_nk] on the group's elements.
+
+    Members of one class are pairwise joined, and every member of a class is
+    joined to every member of each class adjacent to it in delta.
+    """
+    ends = itertools.accumulate(q.sizes)
+    classes = [q.element_map[end - size:end] for size, end in zip(q.sizes, ends)]
+    inside = (itertools.combinations(members, 2) for members in classes)
+    across = (itertools.product(classes[i], classes[j]) for i, j in q.delta.edges())
+    return Graph(group.labels(), itertools.chain.from_iterable(itertools.chain(inside, across)))
+
+
+def build_supergraph(group: FiniteGroup, kind: str, pkind: str) -> Graph:
+    """Supergraph: g ~ h iff they share a class or their classes contain an
+    adjacent pair. Same-class vertices are joined by convention. The equality
+    supergraph is the base graph itself."""
+    return expand_quotient(group, quotient_supergraph(group, kind, pkind))
+
+
+def build_compressed(group: FiniteGroup, kind: str) -> Graph:
+    """One vertex per conjugacy class; classes joined when some representatives
+    are adjacent in the base graph. No convention edges and no loops."""
+    return quotient_supergraph(group, kind, "conjugacy").delta
 
 
 @dataclass

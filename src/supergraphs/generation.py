@@ -7,6 +7,10 @@ For a group that is not abelian/nilpotent/solvable, the generating graph sits
 inside the complement of the matching base graph (equality exactly for the
 minimal non-A groups), and the invariable generating graph sits inside the
 complement of the conjugacy supergraph of the same kind.
+
+The invariable generating graph is decided once per pair of conjugacy classes.
+The base graph is the equality supergraph and, like the conjugacy supergraph,
+is expanded from its quotient (see `constructions`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constructions import build_base_graph, build_supergraph
+from .constructions import build_supergraph
 from .graphs import Graph
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
@@ -35,25 +39,23 @@ def generating_graph(group: FiniteGroup) -> Graph:
     return Graph(group.labels(), edges)
 
 
-def _conjugates(group: FiniteGroup, g: int) -> tuple[int, ...]:
-    return tuple(sorted({group.conjugate(g, x) for x in range(group.order)}))
-
-
 def invariable_generating_graph(group: FiniteGroup) -> Graph:
     """x ~ y iff every conjugate pair generates the group.
 
-    The condition is invariant under simultaneous conjugation, so x stays
-    fixed while y runs over its conjugacy class.
+    The condition is invariant under simultaneous conjugation, so it holds
+    for whole pairs of conjugacy classes: one member of one class is pinned
+    while the other class is scanned, and an adjacent pair of classes is
+    joined completely. A class never joins itself: the conjugate pairs of x
+    include (x, x), and a class with two or more members rules out a cyclic
+    group.
     """
-    group.require_enumerable()
     order = group.order
-    classes = {g: _conjugates(group, g) for g in range(order)}
     edges = []
-    for x, y in itertools.combinations(range(order), 2):
-        if all(
-            len(group.pair_subgroup_members(x, y2)) == order for y2 in classes[y]
-        ):
-            edges.append((x, y))
+    for first, second in itertools.combinations(group.conjugacy_classes(), 2):
+        scan, fixed = (first, second) if first.size <= second.size else (second, first)
+        pinned = fixed.representative
+        if all(len(group.pair_subgroup_members(pinned, y)) == order for y in scan.members):
+            edges.extend(itertools.product(first.members, second.members))
     return Graph(group.labels(), edges)
 
 
@@ -114,7 +116,9 @@ def containment_checks(group: FiniteGroup) -> list[ContainmentReport]:
         if gen is None:
             gen = generating_graph(group)
             igg = invariable_generating_graph(group)
-        base_complement = build_base_graph(group, _BASE_FOR_KIND[kind]).complement()
+        base_complement = build_supergraph(
+            group, _BASE_FOR_KIND[kind], "equality"
+        ).complement()
         contained, equal, violations = _containment(gen, base_complement)
         reports.append(
             ContainmentReport(

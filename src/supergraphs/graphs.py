@@ -170,10 +170,6 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
-def induced_subgraph(graph: Graph, vertices) -> Graph:
-    return graph.induced(vertices)
-
-
 def distance_matrix(graph: Graph) -> list[list[int]]:
     """All-pairs hop counts via BFS; -1 marks unreachable pairs."""
     return [graph.bfs_distances(v) for v in range(graph.n)]

@@ -74,29 +74,15 @@ class FiniteGroup:
         self._pair_members: dict[tuple[int, int], tuple[int, ...]] = {}
         self._flags_cache: dict[frozenset[int], SubgroupFlags] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
-        self._order_cache: dict[int, int] = {}
-        self._inv_cache: dict[int, int] = {}
 
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
 
-    def element_label(self, i: int) -> str:
+    def inv(self, i: int) -> int:
         raise NotImplementedError
 
-    def inv(self, i: int) -> int:
-        cached = self._inv_cache.get(i)
-        if cached is None:
-            cached = self._find_inverse(i)
-            self._inv_cache[i] = cached
-        return cached
-
-    def _find_inverse(self, i: int) -> int:
-        acc = i
-        prev = 0
-        while acc != 0:
-            prev = acc
-            acc = self.mul(acc, i)
-        return prev if i != 0 else 0
+    def element_label(self, i: int) -> str:
+        raise NotImplementedError
 
     def elements(self) -> range:
         self.require_enumerable()
@@ -115,16 +101,7 @@ class FiniteGroup:
     # --- element-level structure ---
 
     def element_order(self, g: int) -> int:
-        cached = self._order_cache.get(g)
-        if cached is not None:
-            return cached
-        k = 1
-        acc = g
-        while acc != 0:
-            acc = self.mul(acc, g)
-            k += 1
-        self._order_cache[g] = k
-        return k
+        return len(self.cyclic_subgroup(g))
 
     def cyclic_subgroup(self, g: int) -> frozenset[int]:
         cached = self._cyclic_cache.get(g)
@@ -235,25 +212,6 @@ def classify_subgroup(sub: Subgroup) -> SubgroupFlags:
     commutators.
     """
     return sub.parent.subgroup_flags(sub.members, sub.generators)
-
-
-def element_order(group: FiniteGroup, g: int) -> int:
-    return group.element_order(g)
-
-
-def centralizer(group: FiniteGroup, g: int) -> Subgroup:
-    return group.centralizer(g)
-
-
-def conjugacy_classes(group: FiniteGroup) -> list[ConjugacyClass]:
-    return group.conjugacy_classes()
-
-
-def generated_subgroup(group: FiniteGroup, gens) -> Subgroup:
-    return group.generated_subgroup(gens)
-
-
-perm_group_order = perms.perm_group_order
 
 
 # --- generic closure / series machinery (elements may be ints or tuples) ---
@@ -456,9 +414,13 @@ class CayleyTableGroup(FiniteGroup):
                 raise InvalidGroupSpec("table is not associative")
         super().__init__(n, label)
         self.rows = rows
+        self._inverses = [row.index(0) for row in rows]
 
     def mul(self, i, j):
         return self.rows[i][j]
+
+    def inv(self, i):
+        return self._inverses[i]
 
     def element_label(self, i):
         return "e" if i == 0 else f"g{i}"

@@ -29,7 +29,6 @@ from .graphs import Graph, intersection, strong_product
 from .groups import (
     FiniteGroup,
     SizeCapError,
-    closure_set,
     is_nilpotent_gens,
     is_solvable_gens,
     product,
@@ -109,13 +108,6 @@ def _pair_adjacent(degree: int, x: tuple[int, ...], y: tuple[int, ...], kind: st
     return series_test(perms.compose, perms.invert, perms.identity_perm(degree), (x, y))
 
 
-def _cyclic_pair(degree: int, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    """Whether two commuting permutations generate a cyclic group."""
-    members = closure_set(perms.compose, perms.identity_perm(degree), (x, y))
-    size = len(members)
-    return any(perms.perm_order(p) == size for p in members)
-
-
 @lru_cache(maxsize=None)
 def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     """Adjacency of the p-cycle and q-cycle conjugacy classes in the compressed
@@ -145,8 +137,10 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     classified: set[tuple[int, ...]] = set()
     for y in perms.all_cycles(degree, scan_len):
         if perms.compose(x, y) == perms.compose(y, x):
-            # abelian, hence nilpotent and solvable; enhanced also needs cyclic
-            if kind != "enhanced" or _cyclic_pair(degree, x, y):
+            # abelian, hence nilpotent and solvable. Commuting cycles of
+            # distinct lengths are disjoint, so <x, y> is C_p x C_q, which is
+            # cyclic (as enhanced needs) iff gcd(p, q) = 1.
+            if kind != "enhanced" or math.gcd(p, q) == 1:
                 return True
             continue
         if kind in ("commuting", "enhanced"):

@@ -13,7 +13,6 @@ import pytest
 import supergraphs as sg
 from supergraphs.constructions import (
     KINDS,
-    build_base_graph,
     build_partition,
     build_supergraph,
     class_pair_adjacent,
@@ -224,7 +223,7 @@ def test_criterion_6_universality():
 def test_criterion_7_comparability():
     with Budget("criterion 7 (comparability of power graphs)", None):
         for group in catalog():
-            assert is_comparability(build_base_graph(group, "power")), group.label
+            assert is_comparability(build_supergraph(group, "power", "equality")), group.label
             assert is_comparability(
                 build_supergraph(group, "power", "conjugacy")
             ), group.label

@@ -9,7 +9,6 @@ import supergraphs as sg
 from supergraphs.constructions import (
     KINDS,
     base_adjacent,
-    build_base_graph,
     build_compressed,
     build_partition,
     build_supergraph,
@@ -72,15 +71,15 @@ def test_base_adjacent_rejects_equal_elements():
 
 def test_commuting_graph_of_abelian_is_complete():
     g = sg.cyclic(6)
-    assert build_base_graph(g, "commuting").num_edges == 15
+    assert build_supergraph(g, "commuting", "equality").num_edges == 15
 
 
 def test_power_graph_cyclic6():
-    assert build_base_graph(sg.cyclic(6), "power").num_edges == 13
+    assert build_supergraph(sg.cyclic(6), "power", "equality").num_edges == 13
 
 
 def test_solvable_graph_dihedral3_complete():
-    assert build_base_graph(sg.dihedral(3), "solvable").num_edges == 15
+    assert build_supergraph(sg.dihedral(3), "solvable", "equality").num_edges == 15
 
 
 # --- partitions ---
@@ -123,10 +122,12 @@ def test_partition_refinement_chain():
 
 def test_equality_supercommuting_is_commuting_graph():
     for group in small_catalog():
-        assert (
-            build_supergraph(group, "commuting", "equality").edges()
-            == build_base_graph(group, "commuting").edges()
-        )
+        commuting = [
+            (g, h)
+            for g, h in itertools.combinations(range(group.order), 2)
+            if group.commutes(g, h)
+        ]
+        assert build_supergraph(group, "commuting", "equality").edges() == commuting
 
 
 def test_conjugacy_supercommuting_d6():
@@ -217,7 +218,7 @@ def test_compressed_commuting_q8():
 def test_compressed_of_abelian_equals_base_graph():
     g = sg.cyclic(6)
     compressed = build_compressed(g, "power")
-    base = build_base_graph(g, "power")
+    base = build_supergraph(g, "power", "equality")
     assert compressed.edges() == base.edges()
 
 
@@ -262,7 +263,10 @@ def test_quotient_equality_is_base_graph():
     group = sg.symmetric(3)
     q = quotient_supergraph(group, "commuting", "equality")
     assert q.sizes == (1,) * 6
-    assert q.delta.edges() == build_base_graph(group, "commuting").edges()
+    commuting = [
+        (g, h) for g, h in itertools.combinations(range(group.order), 2) if group.commutes(g, h)
+    ]
+    assert q.delta.edges() == commuting
 
 
 def test_quotient_q8():
@@ -314,9 +318,9 @@ def test_kind_chain_strict_in_s4():
     """Each base-graph inclusion is strict somewhere in S4 except
     power=enhanced; the solvable graph there is complete."""
     s4 = sg.symmetric(4)
-    commuting = build_base_graph(s4, "commuting")
-    nilpotent = build_base_graph(s4, "nilpotent")
-    solvable = build_base_graph(s4, "solvable")
+    commuting = build_supergraph(s4, "commuting", "equality")
+    nilpotent = build_supergraph(s4, "nilpotent", "equality")
+    solvable = build_supergraph(s4, "solvable", "equality")
     assert set(commuting.edges()) < set(nilpotent.edges())
     assert set(nilpotent.edges()) < set(solvable.edges())
     assert solvable.num_edges == 24 * 23 // 2  # S4 itself is solvable
@@ -337,6 +341,6 @@ def test_power_enhanced_distinct_where_an_order_is_not_prime_power():
     # S4 only has prime-power element orders, so there the two coincide
     s4 = sg.symmetric(4)
     assert (
-        build_base_graph(s4, "power").edges()
-        == build_base_graph(s4, "enhanced").edges()
+        build_supergraph(s4, "power", "equality").edges()
+        == build_supergraph(s4, "enhanced", "equality").edges()
     )

@@ -115,6 +115,16 @@ def test_table_group_validation():
         make_group({"kind": "table", "rows": NON_ASSOCIATIVE_LOOP})
 
 
+def test_table_group_inverses_and_classes():
+    """A Cayley table copy of S4 has the inverses and classes of S4."""
+    s4 = sg.symmetric(4)
+    table = make_group({"kind": "table", "rows": [s4.multiplication_row(i) for i in range(24)]})
+    assert [table.inv(i) for i in range(24)] == [s4.inv(i) for i in range(24)]
+    assert [c.members for c in table.conjugacy_classes()] == [
+        c.members for c in s4.conjugacy_classes()
+    ]
+
+
 def test_element_cap_and_env_override(monkeypatch):
     with pytest.raises(SizeCapError):
         sg.cyclic(30000)
@@ -140,18 +150,18 @@ def test_symmetric_beyond_cap_supports_small_closures():
 def test_element_orders():
     d = sg.dihedral(5)
     assert d.element_order(0) == 1
-    assert sg.element_order(d, 1) == 5
+    assert d.element_order(1) == 5
     q = sg.quaternion(2)
     assert all(q.element_order(i) == 4 for i in (4, 5, 6, 7))
 
 
 def test_centralizers_dihedral():
     d5 = sg.dihedral(5)
-    c_b = sg.centralizer(d5, 5)
+    c_b = d5.centralizer(5)
     assert c_b.members == (0, 5)
     d4 = sg.dihedral(4)
-    assert len(sg.centralizer(d4, 2).members) == 8  # a^2 is central
-    assert len(sg.centralizer(d4, 0).members) == 8
+    assert len(d4.centralizer(2).members) == 8  # a^2 is central
+    assert len(d4.centralizer(0).members) == 8
 
 
 def test_conjugacy_class_sizes():
@@ -168,11 +178,11 @@ def test_class_ordering_and_representatives():
 
 def test_generated_subgroups():
     d5 = sg.dihedral(5)
-    assert sg.generated_subgroup(d5, [1]).order == 5
+    assert d5.generated_subgroup([1]).order == 5
     s3 = sg.symmetric(3)
     t = s3.index_of((1, 0, 2))
     r = s3.index_of((1, 2, 0))
-    assert sg.generated_subgroup(s3, [t, r]).order == 6
+    assert s3.generated_subgroup([t, r]).order == 6
 
 
 def test_classify_subgroup_flags():

@@ -3,6 +3,7 @@ intersection embeddings, and the strong product identity."""
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -66,6 +67,26 @@ def test_enhanced_implies_commuting_and_coincides_here():
             commuting = class_adjacency(degree, p, q, "commuting")
             assert not enhanced or commuting
             assert enhanced == commuting
+
+
+def test_enhanced_needs_coprime_cycle_lengths():
+    # disjoint 2- and 4-cycles commute but generate C2 x C4, which is not cyclic
+    assert class_adjacency(6, 2, 4, "commuting") is True
+    assert class_adjacency(6, 2, 4, "enhanced") is False
+    assert class_adjacency(7, 3, 4, "enhanced") is True
+
+
+def test_commuting_cycles_generate_a_cyclic_group_iff_coprime():
+    """The arithmetic rule behind enhanced scans, against closures."""
+    for degree in range(2, 7):
+        for p, q in itertools.combinations(range(1, degree + 1), 2):
+            x = perms.canonical_cycle(degree, p)
+            for y in perms.all_cycles(degree, q):
+                if perms.compose(x, y) != perms.compose(y, x):
+                    continue
+                members = _close((x, y), degree)
+                cyclic = any(perms.perm_order(m) == len(members) for m in members)
+                assert cyclic == (math.gcd(p, q) == 1), (degree, x, y)
 
 
 def _close(gens, degree):
