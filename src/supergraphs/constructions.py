@@ -12,11 +12,23 @@ partitions a group and decides class adjacency; `expand_quotient` turns the
 quotient into the element-level graph, and the class-compressed conjugacy
 graph is the delta of the conjugacy quotient. The base graph of a kind is its
 equality supergraph. Also provides the containment hierarchy report.
+
+Every base adjacency is invariant under simultaneous conjugation, so element
+pairs are decided per orbit: `pair_orbit_edges` pins each conjugacy class
+representative r, decides (r, h) once per orbit of the centralizer C(r), and
+expands the edges through the conjugators the class records. It is the one
+element-pair path: it gives the equality delta and the generating graph,
+conjugacy classes are compared by the same pinned scan, and order classes,
+which are unions of conjugacy classes, through their conjugacy class pairs.
+Two shortcuts skip closures: if the whole group is abelian (commuting),
+cyclic (enhanced), nilpotent or solvable, that kind's delta is complete, and
+a commuting pair is nilpotent- and solvable-adjacent.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .graphs import CompositionWitness, Graph, witness_for_composition
@@ -57,23 +69,106 @@ class Partition:
         return tuple(c[0] for c in self.classes)
 
 
+def _pair_test(group: FiniteGroup, kind: str):
+    """The base adjacency of kind as a test on two distinct elements.
+
+    Only nilpotent and solvable tests close the subgroup a pair generates, and
+    only for a pair that does not commute: a commuting pair generates an
+    abelian group, which is both. Commuting g and h generate a group of order
+    |<g>||<h>| / |<g> & <h>|, which is cyclic exactly when that is
+    lcm(|g|, |h|), that is when |<g> & <h>| = gcd(|g|, |h|).
+    """
+    commutes, cyclic = group.commutes, group.cyclic_subgroup
+    if kind == "commuting":
+        return commutes
+    if kind == "power":
+        return lambda g, h: h in cyclic(g) or g in cyclic(h)
+    if kind == "enhanced":
+        return lambda g, h: commutes(g, h) and len(cyclic(g) & cyclic(h)) == math.gcd(
+            len(cyclic(g)), len(cyclic(h))
+        )
+
+    def closes(g, h):
+        if commutes(g, h):
+            return True
+        flags = group.subgroup_flags(group.pair_subgroup_members(g, h), (g, h))
+        return flags.is_nilpotent if kind == "nilpotent" else flags.is_solvable
+
+    return closes
+
+
+# kinds whose test closes a subgroup: worth one test per centralizer orbit;
+# the others cost less than the conjugations that find the orbits
+_CLOSURE_KINDS = ("nilpotent", "solvable")
+
+
 def base_adjacent(group: FiniteGroup, kind: str, g: int, h: int) -> bool:
     """Adjacency of two distinct elements in the chosen base graph."""
     kind = normalize_kind(kind)
     if g == h:
         raise ValueError("base adjacency is defined for distinct elements")
-    if kind == "commuting":
-        return group.commutes(g, h)
-    if kind == "power":
-        return h in group.cyclic_subgroup(g) or g in group.cyclic_subgroup(h)
-    if kind == "enhanced":
-        if not group.commutes(g, h):
-            return False
-        members = group.pair_subgroup_members(g, h)
-        return group.subgroup_flags(members, (g, h)).is_cyclic
-    members = group.pair_subgroup_members(g, h)
-    flags = group.subgroup_flags(members, (g, h))
-    return flags.is_nilpotent if kind == "nilpotent" else flags.is_solvable
+    return _pair_test(group, kind)(g, h)
+
+
+def _complete_on(group: FiniteGroup, kind: str) -> bool:
+    """Whether the whole group has the property that makes every pair
+    adjacent: abelian for commuting, cyclic for enhanced, nilpotent or
+    solvable for those kinds. Then every supergraph of kind is complete."""
+    if kind == "power" or (kind in ("commuting", "enhanced") and not group.is_abelian()):
+        return False
+    flags = group.whole_group_flags()
+    return {
+        "commuting": flags.is_abelian,
+        "enhanced": flags.is_cyclic,
+        "nilpotent": flags.is_nilpotent,
+        "solvable": flags.is_solvable,
+    }[kind]
+
+
+def _scan_orbits(group: FiniteGroup, pinned: int, members: tuple[int, ...], per_orbit: bool):
+    """The parts of one conjugacy class that a test with `pinned` decides at
+    once: orbits of the centralizer of `pinned`, or single members."""
+    if per_orbit:
+        return group.centralizer_orbits(pinned, members)
+    return [(h,) for h in members]
+
+
+def pair_orbit_edges(group: FiniteGroup, test, per_orbit: bool):
+    """Every pair {g, h} of distinct elements for which test(g, h) holds, where
+    the test is invariant under simultaneous conjugation.
+
+    Each conjugacy class representative r is pinned, and (r, h) is decided for
+    h in r's class and the classes after it: once per orbit of the centralizer
+    C(r) on each class (its least member stands for it) if per_orbit is set,
+    else once per member. Since test(r, h) = test(r^x, h^x), the edges of a
+    member m = r^x are the conjugates by x of r's, found through the
+    conjugators the class records; the representative itself needs none.
+    Every edge comes out once: across classes from the earlier class, inside a
+    class from its smaller end.
+    """
+    mul, inv = group.mul, group.inv
+    classes = group.conjugacy_classes()
+    for i, cls in enumerate(classes):
+        r = cls.representative
+        inside: list[int] = []
+        later: list[int] = []
+        for j in range(i, len(classes)):
+            hits = inside if j == i else later
+            for orbit in _scan_orbits(group, r, classes[j].members, per_orbit):
+                if orbit[0] != r and test(r, orbit[0]):
+                    hits.extend(orbit)
+        for m, x in zip(cls.members, cls.conjugators):
+            if x == 0:
+                yield from ((m, h) for h in inside if h > m)
+                yield from ((m, h) for h in later)
+                continue
+            x_inv = inv(x)
+            for h in inside:
+                t = mul(mul(x_inv, h), x)
+                if t > m:
+                    yield (m, t)
+            for h in later:
+                yield (m, mul(mul(x_inv, h), x))
 
 
 def build_partition(group: FiniteGroup, pkind: str) -> Partition:
@@ -101,35 +196,58 @@ def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     return Partition(group, pkind, tuple(classes), tuple(class_of))
 
 
-def class_pair_adjacent(
-    group: FiniteGroup, kind: str, first: tuple[int, ...], second: tuple[int, ...],
-    conjugation_invariant: bool,
-) -> bool:
-    """Whether some member of `first` is base-adjacent to some member of `second`.
+def _classes_adjacent(group, test, per_orbit, first, second) -> bool:
+    # the larger class is pinned to its representative, the smaller scanned
+    scan, fixed = (first, second) if len(first) <= len(second) else (second, first)
+    pinned = fixed[0]
+    return any(test(pinned, orbit[0]) for orbit in _scan_orbits(group, pinned, scan, per_orbit))
 
-    For conjugacy classes the search is class-restricted: adjacency is
-    invariant under simultaneous conjugation, so one side may be pinned to a
-    single representative while the other class is scanned in full.
+
+def class_pair_adjacent(
+    group: FiniteGroup, kind: str, first: tuple[int, ...], second: tuple[int, ...]
+) -> bool:
+    """Whether some member of one conjugacy class is base-adjacent to some
+    member of another; each class lists its members in increasing order.
+
+    Adjacency is invariant under simultaneous conjugation, so the larger
+    class is pinned to its representative r and the smaller one is scanned,
+    once per orbit of the centralizer C(r) for the nilpotent and solvable
+    kinds, stopping at the first hit.
     """
-    if conjugation_invariant:
-        if len(first) <= len(second):
-            scan, fixed = first, second[0]
-        else:
-            scan, fixed = second, first[0]
-        return any(base_adjacent(group, kind, fixed, y) for y in scan)
-    return any(
-        base_adjacent(group, kind, x, y) for x in first for y in second
+    kind = normalize_kind(kind)
+    return _classes_adjacent(
+        group, _pair_test(group, kind), kind in _CLOSURE_KINDS, first, second
     )
 
 
 def _class_adjacency(group: FiniteGroup, kind: str, partition: Partition) -> list[tuple[int, int]]:
-    """Pairs of class indices i < j whose classes contain a base-adjacent pair."""
-    invariant = partition.kind == "conjugacy"
-    classes = partition.classes
+    """Pairs of class indices i < j whose classes contain a base-adjacent pair.
+
+    The equality partition's classes are the elements, so its pairs are the
+    pair-orbit edges. Conjugacy classes are tested pairwise, and a pair of
+    order classes is adjacent when some pair of the conjugacy classes they
+    are unions of is.
+    """
+    k = len(partition.classes)
+    if _complete_on(group, kind):
+        return list(itertools.combinations(range(k), 2))
+    test, per_orbit = _pair_test(group, kind), kind in _CLOSURE_KINDS
+    if partition.kind == "equality":
+        return list(pair_orbit_edges(group, test, per_orbit))
+    if partition.kind == "conjugacy":
+        parts = [[members] for members in partition.classes]
+    else:
+        parts = [[] for _ in range(k)]
+        for cls in group.conjugacy_classes():
+            parts[partition.class_of[cls.representative]].append(cls.members)
     return [
         (i, j)
-        for i, j in itertools.combinations(range(len(classes)), 2)
-        if class_pair_adjacent(group, kind, classes[i], classes[j], invariant)
+        for i, j in itertools.combinations(range(k), 2)
+        if any(
+            _classes_adjacent(group, test, per_orbit, a, b)
+            for a in parts[i]
+            for b in parts[j]
+        )
     ]
 
 

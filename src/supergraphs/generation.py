@@ -8,8 +8,11 @@ inside the complement of the matching base graph (equality exactly for the
 minimal non-A groups), and the invariable generating graph sits inside the
 complement of the conjugacy supergraph of the same kind.
 
-The invariable generating graph is decided once per pair of conjugacy classes.
-The base graph is the equality supergraph and, like the conjugacy supergraph,
+Generation is invariant under simultaneous conjugation. The generating graph
+is decided once per orbit of pairs and expanded through conjugators (see
+`constructions.pair_orbit_edges`); the invariable generating graph once per
+pair of conjugacy classes, scanning one class by centralizer orbits. The
+base graph is the equality supergraph and, like the conjugacy supergraph,
 is expanded from its quotient (see `constructions`).
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constructions import build_supergraph
+from .constructions import build_supergraph, pair_orbit_edges
 from .graphs import Graph
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
@@ -27,34 +30,44 @@ GENERATION_KINDS = ("abelian", "nilpotent", "solvable")
 _BASE_FOR_KIND = {"abelian": "commuting", "nilpotent": "nilpotent", "solvable": "solvable"}
 
 
+def _generates(group: FiniteGroup):
+    """Test of whether two elements generate the whole group. In a
+    non-abelian group a commuting pair never does, and needs no closure."""
+    order, commutes = group.order, group.commutes
+    abelian = group.is_abelian()
+
+    def generates(g: int, h: int) -> bool:
+        if not abelian and commutes(g, h):
+            return False
+        return len(group.pair_subgroup_members(g, h)) == order
+
+    return generates
+
+
 def generating_graph(group: FiniteGroup) -> Graph:
-    """g ~ h iff the pair generates the whole group."""
+    """g ~ h iff the pair generates the whole group, decided once per orbit of
+    pairs under simultaneous conjugation (see `pair_orbit_edges`)."""
     group.require_enumerable()
-    order = group.order
-    edges = [
-        (g, h)
-        for g, h in itertools.combinations(range(order), 2)
-        if len(group.pair_subgroup_members(g, h)) == order
-    ]
-    return Graph(group.labels(), edges)
+    return Graph(group.labels(), pair_orbit_edges(group, _generates(group), per_orbit=True))
 
 
 def invariable_generating_graph(group: FiniteGroup) -> Graph:
     """x ~ y iff every conjugate pair generates the group.
 
     The condition is invariant under simultaneous conjugation, so it holds
-    for whole pairs of conjugacy classes: one member of one class is pinned
-    while the other class is scanned, and an adjacent pair of classes is
-    joined completely. A class never joins itself: the conjugate pairs of x
-    include (x, x), and a class with two or more members rules out a cyclic
-    group.
+    for whole pairs of conjugacy classes: the representative r of one class
+    is pinned, the other class is scanned once per orbit of the centralizer
+    C(r), and an adjacent pair of classes is joined completely. A class never
+    joins itself: the conjugate pairs of x include (x, x), and a class with
+    two or more members rules out a cyclic group.
     """
-    order = group.order
+    generates = _generates(group)
     edges = []
     for first, second in itertools.combinations(group.conjugacy_classes(), 2):
         scan, fixed = (first, second) if first.size <= second.size else (second, first)
         pinned = fixed.representative
-        if all(len(group.pair_subgroup_members(pinned, y)) == order for y in scan.members):
+        orbits = group.centralizer_orbits(pinned, scan.members)
+        if all(generates(pinned, orbit[0]) for orbit in orbits):
             edges.extend(itertools.product(first.members, second.members))
     return Graph(group.labels(), edges)
 

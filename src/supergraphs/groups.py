@@ -6,12 +6,21 @@ symmetric/alternating groups, direct products, explicit Cayley tables, or
 permutation generators. Symmetric groups of any degree are supported through
 lexicographic ranking; everything that must enumerate elements is guarded by
 the element cap (env var SUPERGRAPH_CAP, default 20000).
+
+Conjugation is orbit-based. Conjugacy classes are orbits of a breadth-first
+search under conjugation by a small generating set of the group, which
+records one conjugator per class member; `centralizer_orbits` splits a class
+into the orbits of one element's centralizer. Together they let a relation
+that is invariant under simultaneous conjugation be decided once per orbit of
+pairs (see `constructions.pair_orbit_edges`). Abelian groups and central
+elements cost no conjugation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -48,6 +57,8 @@ class Subgroup:
 class ConjugacyClass:
     representative: int
     members: tuple[int, ...]
+    # conjugators[i] = x with members[i] = x^-1 * representative * x
+    conjugators: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -71,6 +82,9 @@ class FiniteGroup:
         self.order = order
         self.label = label
         self._classes: list[ConjugacyClass] | None = None
+        self._class_of: list[int] = []
+        self._generators: tuple[int, ...] | None = None
+        self._centralizer_gens: dict[int, tuple[int, ...]] = {}
         self._pair_members: dict[tuple[int, int], tuple[int, ...]] = {}
         self._flags_cache: dict[frozenset[int], SubgroupFlags] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
@@ -125,26 +139,89 @@ class FiniteGroup:
 
     def centralizer(self, g: int) -> Subgroup:
         members = tuple(h for h in self.elements() if self.commutes(g, h))
-        return Subgroup(self, members, self._reduce_generators(members))
+        return Subgroup(self, members, _greedy_generators(self.mul, members))
+
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set of the whole group."""
+        if self._generators is None:
+            self._generators = _greedy_generators(self.mul, tuple(self.elements()))
+        return self._generators
+
+    def is_abelian(self) -> bool:
+        return all(self.commutes(a, b) for a, b in itertools.combinations(self.generators(), 2))
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
-        """Classes sorted by (size, least member); representative = least member."""
+        """Classes sorted by (size, least member); representative = least member.
+
+        Each class is the orbit of its least member under conjugation by the
+        group's generators, found breadth first; the search records for every
+        member m a conjugator x with m = x^-1 r x. An abelian group has one
+        class per element and costs no conjugation.
+        """
         if self._classes is not None:
             return self._classes
         self.require_enumerable()
-        seen = [False] * self.order
-        classes = []
-        for g in range(self.order):
-            if seen[g]:
-                continue
-            orbit = {self.conjugate(g, x) for x in range(self.order)}
-            for h in orbit:
-                seen[h] = True
-            members = tuple(sorted(orbit))
-            classes.append(ConjugacyClass(members[0], members))
-        classes.sort(key=lambda c: (c.size, c.representative))
+        if self.is_abelian():
+            classes = [ConjugacyClass(g, (g,), (0,)) for g in range(self.order)]
+        else:
+            classes = []
+            mul = self.mul
+            gens = [(self.inv(s), s) for s in self.generators()]
+            seen = [False] * self.order
+            for g in range(self.order):
+                if seen[g]:
+                    continue
+                conjugator = {g: 0}
+                orbit = [g]
+                for y in orbit:  # grows while it is walked
+                    x = conjugator[y]
+                    for s_inv, s in gens:
+                        z = mul(mul(s_inv, y), s)
+                        if z not in conjugator:
+                            conjugator[z] = mul(x, s)
+                            orbit.append(z)
+                members = tuple(sorted(conjugator))
+                for m in members:
+                    seen[m] = True
+                classes.append(ConjugacyClass(g, members, tuple(conjugator[m] for m in members)))
+            classes.sort(key=lambda c: (c.size, c.representative))
+        self._class_of = [0] * self.order
+        for idx, cls in enumerate(classes):
+            for m in cls.members:
+                self._class_of[m] = idx
         self._classes = classes
         return classes
+
+    def centralizer_orbits(self, g: int, members: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Orbits of the centralizer C(g), acting by conjugation, on the sorted
+        members of one conjugacy class; each orbit sorted, in order of least
+        member. A central g has C(g) = G, whose one orbit is the whole class,
+        so it costs no conjugation; otherwise C(g) is generated by a small set
+        found once per g.
+        """
+        classes = self.conjugacy_classes()
+        if classes[self._class_of[g]].size == 1 or len(members) == 1:
+            return [members]
+        gens = self._centralizer_gens.get(g)
+        if gens is None:
+            gens = self._centralizer_gens[g] = self.centralizer(g).generators
+        mul = self.mul
+        gens = [(self.inv(c), c) for c in gens]
+        unseen = set(members)
+        orbits = []
+        for h in members:
+            if h not in unseen:
+                continue
+            unseen.discard(h)
+            orbit = [h]
+            for y in orbit:  # grows while it is walked
+                for c_inv, c in gens:
+                    z = mul(mul(c_inv, y), c)
+                    if z in unseen:
+                        unseen.discard(z)
+                        orbit.append(z)
+            orbits.append(tuple(sorted(orbit)))
+        return orbits
 
     def generated_subgroup(self, gens) -> Subgroup:
         gens = tuple(dict.fromkeys(g for g in gens if g != 0))
@@ -172,30 +249,17 @@ class FiniteGroup:
         size = len(members)
         if size == 1:
             return SubgroupFlags(True, True, True, True)
-        abelian = all(
-            self.commutes(a, b) for a, b in itertools.combinations(members, 2)
-        )
+        gens = gens or members
+        abelian = all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2))
         cyclic = abelian and any(self.element_order(g) == size for g in members)
         if abelian:
             return SubgroupFlags(cyclic, True, True, True)
-        gens = gens or members
         solvable = is_solvable_gens(self.mul, self.inv, 0, gens)
         nilpotent = solvable and is_nilpotent_gens(self.mul, self.inv, 0, gens)
         return SubgroupFlags(False, False, nilpotent, solvable)
 
     def whole_group_flags(self) -> SubgroupFlags:
-        members = tuple(self.elements())
-        return self.subgroup_flags(members, self._reduce_generators(members))
-
-    def _reduce_generators(self, members: tuple[int, ...]) -> tuple[int, ...]:
-        """Greedy small generating set for a subgroup given by its members."""
-        gens: list[int] = []
-        have = {0}
-        for g in members:
-            if g not in have:
-                gens.append(g)
-                have = closure_set(self.mul, 0, gens)
-        return tuple(gens)
+        return self.subgroup_flags(tuple(self.elements()), self.generators())
 
     def multiplication_row(self, i: int) -> list[int]:
         return [self.mul(i, j) for j in range(self.order)]
@@ -237,6 +301,20 @@ def closure_set(mul, identity, gens, limit=None):
             raise SizeCapError(f"closure exceeds {limit} elements")
         frontier = fresh
     return members
+
+
+def _greedy_generators(mul, members) -> tuple[int, ...]:
+    """Small generating set of the closure of members under mul (identity 0):
+    each member not yet generated joins, until all of them are."""
+    gens: list[int] = []
+    have = {0}
+    for g in members:
+        if len(have) == len(members):
+            break
+        if g not in have:
+            gens.append(g)
+            have = closure_set(mul, 0, gens)
+    return tuple(gens)
 
 
 def _commutator(mul, inv, a, b):
@@ -408,10 +486,7 @@ class CayleyTableGroup(FiniteGroup):
                 raise InvalidGroupSpec("element 0 must be a two-sided identity")
             if sorted(rows[i][j] for i in range(n)) != list(range(n)):
                 raise InvalidGroupSpec("table columns must form a Latin square")
-        # Latin square + identity does not imply associativity; verify.
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                raise InvalidGroupSpec("table is not associative")
+        _check_associative(rows)
         super().__init__(n, label)
         self.rows = rows
         self._inverses = [row.index(0) for row in rows]
@@ -424,6 +499,19 @@ class CayleyTableGroup(FiniteGroup):
 
     def element_label(self, i):
         return "e" if i == 0 else f"g{i}"
+
+
+def _check_associative(rows: list[list[int]]) -> None:
+    """Light's test: a Latin square with identity (a loop) is associative iff
+    (x a) y = x (a y) for every x, y and every a of a set S whose closure
+    under multiplication is the whole table. The a that pass are closed
+    under multiplication, so testing S suffices: O(n^2 |S|) lookups in place
+    of O(n^3)."""
+    for a in _greedy_generators(lambda i, j: rows[i][j], range(len(rows))):
+        row_a = rows[a]
+        for x, row_x in enumerate(rows):
+            if rows[row_x[a]] != [row_x[v] for v in row_a]:
+                raise InvalidGroupSpec("table is not associative")
 
 
 class PermutationGroup(FiniteGroup):
@@ -441,12 +529,19 @@ class PermutationGroup(FiniteGroup):
         self._index = {p: i for i, p in enumerate(elements)}
         if len(self._index) != len(elements):
             raise InvalidGroupSpec("duplicate permutations in element list")
+        # perms.compose(p, q) is itemgetter(*p)(q); an itemgetter of a single
+        # index returns a bare item, so degree 1 copies the whole tuple instead
+        self._compose_with = [
+            operator.itemgetter(*p) if degree > 1 else operator.itemgetter(slice(None))
+            for p in elements
+        ]
+        self._inverses = [self._index[perms.invert(p)] for p in elements]
 
     def mul(self, i, j):
-        return self._index[perms.compose(self.perm_elements[i], self.perm_elements[j])]
+        return self._index[self._compose_with[i](self.perm_elements[j])]
 
     def inv(self, i):
-        return self._index[perms.invert(self.perm_elements[i])]
+        return self._inverses[i]
 
     def element_label(self, i):
         return perms.cycle_notation(self.perm_elements[i])
@@ -591,6 +686,15 @@ def _check_order(order: int, kind: str) -> None:
         )
 
 
+def _integer(spec: dict, field: str) -> int:
+    """An integer field of a spec; a bool or a number with a fractional part
+    is refused rather than truncated."""
+    value = spec[field]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidGroupSpec(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_group(spec) -> FiniteGroup:
     """Build a group from a JSON-style spec dict.
 
@@ -605,22 +709,24 @@ def make_group(spec) -> FiniteGroup:
     kind = spec["kind"]
     try:
         if kind == "cyclic":
-            return cyclic(int(spec["n"]))
+            return cyclic(_integer(spec, "n"))
         if kind == "dihedral":
-            return dihedral(int(spec["n"]))
+            return dihedral(_integer(spec, "n"))
         if kind == "quaternion":
-            return quaternion(int(spec["n"]))
+            return quaternion(_integer(spec, "n"))
         if kind == "symmetric":
-            return symmetric(int(spec["n"]))
+            return symmetric(_integer(spec, "n"))
         if kind == "alternating":
-            return alternating(int(spec["n"]))
+            return alternating(_integer(spec, "n"))
         if kind == "product":
             parts = spec["of"]
             if not isinstance(parts, list) or len(parts) != 2:
                 raise InvalidGroupSpec("product spec needs exactly two factors")
             return product(make_group(parts[0]), make_group(parts[1]))
         if kind == "permgens":
-            degree = int(spec["degree"])
+            degree = _integer(spec, "degree")
+            if degree < 1:
+                raise InvalidGroupSpec("permgens needs degree >= 1")
             gens = [
                 perms.perm_from_cycles(degree, cyc_list) for cyc_list in spec["gens"]
             ]

@@ -113,11 +113,18 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     """Adjacency of the p-cycle and q-cycle conjugacy classes in the compressed
     conjugacy supergraph of the given kind over the symmetric group.
 
-    One class is pinned to a canonical cycle x and the smaller class is
-    scanned exhaustively; conjugation invariance makes the restriction
-    lossless. Non-commuting candidates are classified once per orbit of the
-    centralizer of x: the scan stops at its first hit, so a candidate whose
-    orbit key was already classified cannot be one.
+    The commuting and enhanced kinds are decided by arithmetic. Commuting
+    cycles of distinct lengths are disjoint, so the classes hold a commuting
+    pair iff p + q <= N (`arithmetic_adjacency`), and such a pair generates
+    C_p x C_q, which is cyclic iff gcd(p, q) = 1; a 1-cycle is the identity
+    and commutes with everything.
+
+    For the nilpotent and solvable kinds one class is pinned to a canonical
+    cycle x and the smaller class is scanned exhaustively; conjugation
+    invariance makes the restriction lossless. Non-commuting candidates are
+    classified once per orbit of the centralizer of x: the scan stops at its
+    first hit, so a candidate whose orbit key was already classified cannot
+    be one.
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"unknown scan kind {kind!r}; known {SCAN_KINDS}")
@@ -127,6 +134,12 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
         raise ValueError("classes must have distinct cycle lengths")
     if p > degree or q > degree:
         raise ValueError("cycle length exceeds degree")
+    if min(p, q) < 1:
+        raise ValueError("cycle length must be positive")
+    if kind in ("commuting", "enhanced"):
+        if min(p, q) == 1:
+            return True
+        return arithmetic_adjacency(degree, p, q) and (kind == "commuting" or math.gcd(p, q) == 1)
 
     if perms.cycle_count(degree, p) <= perms.cycle_count(degree, q):
         scan_len, fixed_len = p, q
@@ -137,14 +150,7 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     classified: set[tuple[int, ...]] = set()
     for y in perms.all_cycles(degree, scan_len):
         if perms.compose(x, y) == perms.compose(y, x):
-            # abelian, hence nilpotent and solvable. Commuting cycles of
-            # distinct lengths are disjoint, so <x, y> is C_p x C_q, which is
-            # cyclic (as enhanced needs) iff gcd(p, q) = 1.
-            if kind != "enhanced" or math.gcd(p, q) == 1:
-                return True
-            continue
-        if kind in ("commuting", "enhanced"):
-            continue
+            return True  # abelian, hence nilpotent and solvable
         key = _orbit_key(fixed_len, y)
         if key in classified:
             continue

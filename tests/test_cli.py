@@ -86,6 +86,28 @@ def test_invalid_spec_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind":"cyclic","n":2.5}',
+        '{"kind":"cyclic","n":true}',
+        '{"kind":"permgens","degree":-1,"gens":[]}',
+    ],
+)
+def test_malformed_integer_fields_exit_2(capsys, spec):
+    code, out, err = run_cli(capsys, "graph", "--group", spec, "--kind", "power")
+    assert code == 2 and not out
+    assert "error" in err
+
+
+def test_non_associative_table_exit_2(capsys):
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    spec = json.dumps({"kind": "table", "rows": loop})
+    code, out, err = run_cli(capsys, "graph", "--group", spec, "--kind", "commuting")
+    assert code == 2 and not out
+    assert "not associative" in err
+
+
 def test_graph_long_inline_spec_and_spec_file(tmp_path, capsys):
     rows = [[(i + j) % 12 for j in range(12)] for i in range(12)]
     spec = json.dumps({"kind": "table", "rows": rows})

@@ -192,9 +192,7 @@ def test_supergraph_edges_are_class_determined():
         if ci == cj:
             assert graph.has_edge(g, h)
         else:
-            expected = class_pair_adjacent(
-                group, "nilpotent", part.classes[ci], part.classes[cj], True
-            )
+            expected = class_pair_adjacent(group, "nilpotent", part.classes[ci], part.classes[cj])
             assert graph.has_edge(g, h) == expected
 
 
@@ -241,12 +239,9 @@ def test_class_restricted_scan_equals_full_scan():
         part = build_partition(group, "conjugacy")
         for kind in KINDS:
             for a, b in itertools.combinations(range(len(part.classes)), 2):
-                restricted = class_pair_adjacent(
-                    group, kind, part.classes[a], part.classes[b], True
-                )
-                full = class_pair_adjacent(
-                    group, kind, part.classes[a], part.classes[b], False
-                )
+                first, second = part.classes[a], part.classes[b]
+                restricted = class_pair_adjacent(group, kind, first, second)
+                full = any(base_adjacent(group, kind, x, y) for x in first for y in second)
                 assert restricted == full, (group.label, kind, a, b)
 
 

@@ -115,6 +115,74 @@ def test_table_group_validation():
         make_group({"kind": "table", "rows": NON_ASSOCIATIVE_LOOP})
 
 
+def _loops(n):
+    """Every Latin square of order n with 0 as a two-sided identity."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row.copy() for row in rows]
+            return
+        i, j = divmod(cell, n)
+        if rows[i][j] is not None:
+            yield from fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in rows[i] and all(rows[k][j] != v for k in range(n)):
+                rows[i][j] = v
+                yield from fill(cell + 1)
+                rows[i][j] = None
+
+    yield from fill(0)
+
+
+# element 1 generates {0, 1} and associates with every pair; only the
+# second generator, 2, shows that the loop is not associative
+LOOP_FAILING_AT_SECOND_GENERATOR = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0],
+    [4, 5, 0, 1, 3, 2],
+    [5, 4, 1, 0, 2, 3],
+]
+
+
+def test_table_associativity_check_matches_brute_force():
+    """Light's test over a generating set against all n^3 triples, on every
+    loop of order 4 and 5 (the smallest non-associative loops have order 5)
+    and on one of order 6 that needs two generators."""
+    seen = {True: 0, False: 0}
+    for rows in itertools.chain(_loops(4), _loops(5), [LOOP_FAILING_AT_SECOND_GENERATOR]):
+        associative = all(
+            rows[rows[a][b]][c] == rows[a][rows[b][c]]
+            for a, b, c in itertools.product(range(len(rows)), repeat=3)
+        )
+        try:
+            make_group({"kind": "table", "rows": rows})
+            accepted = True
+        except InvalidGroupSpec:
+            accepted = False
+        assert accepted == associative, rows
+        seen[associative] += 1
+    assert seen[True] and seen[False]
+
+
+def test_integer_fields_are_checked():
+    for spec in (
+        {"kind": "cyclic", "n": 2.5},
+        {"kind": "cyclic", "n": True},
+        {"kind": "dihedral", "n": False},
+        {"kind": "permgens", "degree": -1, "gens": []},
+        {"kind": "permgens", "degree": 0, "gens": []},
+        {"kind": "permgens", "degree": 2.5, "gens": []},
+    ):
+        with pytest.raises(InvalidGroupSpec):
+            make_group(spec)
+    assert make_group({"kind": "cyclic", "n": 4.0}).order == 4
+    assert make_group({"kind": "permgens", "degree": 1, "gens": [[[1]]]}).order == 1
+
+
 def test_table_group_inverses_and_classes():
     """A Cayley table copy of S4 has the inverses and classes of S4."""
     s4 = sg.symmetric(4)

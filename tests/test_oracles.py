@@ -1,13 +1,36 @@
-"""The quotient construction path against test-local references written
-straight from the definitions, with no pinning and no shared partition code."""
+"""The orbit-based construction path against test-local references written
+straight from the definitions: closures, commutator series and conjugates are
+computed here from the group's multiplication alone, with no pinning, no
+orbits and no shared partition or classification code."""
 
 import itertools
 
 import pytest
 
 import supergraphs as sg
-from supergraphs.constructions import KINDS, PARTITIONS, base_adjacent, build_supergraph
-from supergraphs.generation import invariable_generating_graph
+from supergraphs import perms
+from supergraphs.constructions import KINDS, PARTITIONS, build_supergraph
+from supergraphs.generation import generating_graph, invariable_generating_graph
+from supergraphs.groups import PermutationGroup, make_group
+
+
+def _sl23_rows():
+    """Cayley table of SL(2, 3): 24 matrices over F_3, identity first."""
+    mats = [
+        m for m in itertools.product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1
+    ]
+    mats.sort(key=lambda m: m != (1, 0, 0, 1))
+    index = {m: i for i, m in enumerate(mats)}
+
+    def mul(a, b):
+        return (
+            (a[0] * b[0] + a[1] * b[2]) % 3,
+            (a[0] * b[1] + a[1] * b[3]) % 3,
+            (a[2] * b[0] + a[3] * b[2]) % 3,
+            (a[2] * b[1] + a[3] * b[3]) % 3,
+        )
+
+    return [[index[mul(a, b)] for b in mats] for a in mats]
 
 
 def catalog():
@@ -24,15 +47,109 @@ def catalog():
     ]
 
 
+def wide_catalog():
+    """Every constructor at order <= 24, trivial groups and nested products."""
+    return catalog() + [
+        sg.symmetric(1),
+        make_group({"kind": "permgens", "degree": 1, "gens": [[[1]]]}),
+        sg.cyclic(1),
+        sg.symmetric(2),
+        sg.dihedral(6),
+        sg.dihedral(8),
+        sg.quaternion(3),
+        sg.quaternion(6),
+        sg.alternating(3),
+        make_group({"kind": "permgens", "degree": 5, "gens": [[[1, 2, 3, 4, 5]], [[2, 5], [3, 4]]]}),
+        make_group({"kind": "permgens", "degree": 7, "gens": [[[1, 2, 3]], [[1, 2], [3, 4]]]}),
+        make_group({"kind": "table", "rows": _sl23_rows()}),
+        sg.product(sg.cyclic(2), sg.product(sg.cyclic(2), sg.symmetric(3))),
+        sg.product(sg.product(sg.symmetric(3), sg.cyclic(1)), sg.cyclic(3)),
+    ]
+
+
+def _ids(group):
+    return group.label
+
+
+# --- test-local group theory ---
+
+
+def _close(group, gens):
+    members = {0}
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for m in frontier:
+            for g in gens:
+                t = group.mul(m, g)
+                if t not in members:
+                    members.add(t)
+                    fresh.append(t)
+        frontier = fresh
+    return frozenset(members)
+
+
+def _conj(group, g, x):
+    return group.mul(group.mul(group.inv(x), g), x)
+
+
+def _commutators(group, left, right):
+    return _close(
+        group,
+        {group.mul(group.mul(group.inv(a), group.inv(b)), group.mul(a, b)) for a in left for b in right},
+    )
+
+
+def _is_solvable(group, members):
+    while len(members) > 1:
+        derived = _commutators(group, members, members)
+        if derived == members:
+            return False
+        members = derived
+    return True
+
+
+def _is_nilpotent(group, members):
+    term = members
+    while len(term) > 1:
+        nxt = _commutators(group, term, members)
+        if nxt == term:
+            return False
+        term = nxt
+    return True
+
+
+def _is_cyclic(group, members):
+    return any(len(_close(group, [g])) == len(members) for g in members)
+
+
+def _is_abelian(group, members):
+    return all(group.mul(a, b) == group.mul(b, a) for a in members for b in members)
+
+
+PROPERTY = {
+    "commuting": _is_abelian,
+    "enhanced": _is_cyclic,
+    "nilpotent": _is_nilpotent,
+    "solvable": _is_solvable,
+}
+
+
+def reference_base_adjacency(group, kind):
+    """Set of base-adjacent pairs (g, h), g < h, from the definitions."""
+    pairs = set()
+    for g, h in itertools.combinations(range(group.order), 2):
+        if kind == "power":
+            hit = h in _close(group, [g]) or g in _close(group, [h])
+        else:
+            hit = PROPERTY[kind](group, _close(group, [g, h]))
+        if hit:
+            pairs.add((g, h))
+    return pairs
+
+
 def _conjugates(group, g):
-    return frozenset(group.mul(group.mul(group.inv(x), g), x) for x in range(group.order))
-
-
-def _order(group, g):
-    k, acc = 1, g
-    while acc != 0:
-        acc, k = group.mul(acc, g), k + 1
-    return k
+    return frozenset(_conj(group, g, x) for x in range(group.order))
 
 
 def _class_of(group, pkind):
@@ -41,49 +158,126 @@ def _class_of(group, pkind):
         return [frozenset((g,)) for g in range(group.order)]
     if pkind == "conjugacy":
         return [_conjugates(group, g) for g in range(group.order)]
-    orders = [_order(group, g) for g in range(group.order)]
+    orders = [len(_close(group, [g])) for g in range(group.order)]
     return [frozenset(h for h in range(group.order) if orders[h] == orders[g])
             for g in range(group.order)]
 
 
-def reference_supergraph_edges(group, kind, pkind):
+def reference_supergraph_edges(group, base, pkind):
     """g ~ h iff they share a class, or some x in C(g) and some y in C(h) are
-    base-adjacent. Every cross pair is tested; each class pair once."""
+    base-adjacent. Every cross pair is tested."""
     class_of = _class_of(group, pkind)
-    adjacent = {}
     edges = set()
     for g, h in itertools.combinations(range(group.order), 2):
         cg, ch = class_of[g], class_of[h]
-        if cg == ch:
-            edges.add((g, h))
-            continue
-        key = frozenset((cg, ch))
-        if key not in adjacent:
-            adjacent[key] = any(
-                base_adjacent(group, kind, x, y) for x in cg for y in ch if x != y
-            )
-        if adjacent[key]:
+        if cg == ch or any((min(x, y), max(x, y)) in base for x in cg for y in ch):
             edges.add((g, h))
     return edges
 
 
 def reference_igg_edges(group):
     """x ~ y iff <x, y'> is the whole group for every conjugate y' of y."""
-    order = group.order
-    edges = set()
-    for x, y in itertools.combinations(range(order), 2):
-        if all(len(group.pair_subgroup_members(x, y2)) == order for y2 in _conjugates(group, y)):
-            edges.add((x, y))
-    return edges
+    return {
+        (x, y)
+        for x, y in itertools.combinations(range(group.order), 2)
+        if all(len(_close(group, [x, y2])) == group.order for y2 in _conjugates(group, y))
+    }
 
 
-@pytest.mark.parametrize("group", catalog(), ids=lambda g: g.label)
+# --- the library against the references ---
+
+
+@pytest.mark.parametrize("group", wide_catalog(), ids=_ids)
 def test_supergraphs_match_the_definition(group):
-    for kind, pkind in itertools.product(KINDS, PARTITIONS):
-        got = set(build_supergraph(group, kind, pkind).edges())
-        assert got == reference_supergraph_edges(group, kind, pkind), (kind, pkind)
+    for kind in KINDS:
+        base = reference_base_adjacency(group, kind)
+        for pkind in PARTITIONS:
+            got = set(build_supergraph(group, kind, pkind).edges())
+            assert got == reference_supergraph_edges(group, base, pkind), (kind, pkind)
 
 
-@pytest.mark.parametrize("group", catalog() + [sg.alternating(5)], ids=lambda g: g.label)
+@pytest.mark.parametrize("group", wide_catalog() + [sg.alternating(5)], ids=_ids)
 def test_invariable_generating_graph_matches_the_definition(group):
     assert set(invariable_generating_graph(group).edges()) == reference_igg_edges(group)
+
+
+@pytest.mark.parametrize("group", wide_catalog() + [sg.alternating(5)], ids=_ids)
+def test_generating_graph_matches_the_definition(group):
+    expected = {
+        (g, h)
+        for g, h in itertools.combinations(range(group.order), 2)
+        if len(_close(group, [g, h])) == group.order
+    }
+    assert set(generating_graph(group).edges()) == expected
+
+
+@pytest.mark.parametrize("group", wide_catalog(), ids=_ids)
+def test_conjugacy_classes_and_conjugators(group):
+    classes = group.conjugacy_classes()
+    assert {frozenset(c.members) for c in classes} == {
+        _conjugates(group, g) for g in range(group.order)
+    }
+    assert [(c.size, c.representative) for c in classes] == sorted(
+        (c.size, c.representative) for c in classes
+    )
+    for cls in classes:
+        assert cls.members == tuple(sorted(cls.members))
+        assert cls.representative == cls.members[0]
+        assert [_conj(group, cls.representative, x) for x in cls.conjugators] == list(cls.members)
+
+
+@pytest.mark.parametrize("group", wide_catalog(), ids=_ids)
+def test_centralizer_orbits_partition_each_class(group):
+    classes = group.conjugacy_classes()
+    for pinned, scanned in itertools.product(classes, repeat=2):
+        r = pinned.representative
+        centralizer = [x for x in range(group.order) if group.mul(r, x) == group.mul(x, r)]
+        expected = {frozenset(_conj(group, h, c) for c in centralizer) for h in scanned.members}
+        orbits = group.centralizer_orbits(r, scanned.members)
+        assert {frozenset(o) for o in orbits} == expected
+        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+        assert all(o == tuple(sorted(o)) for o in orbits)
+
+
+@pytest.mark.parametrize(
+    "group", [g for g in wide_catalog() if isinstance(g, PermutationGroup)], ids=_ids
+)
+def test_permutation_multiplication_matches_perms(group):
+    for i in range(group.order):
+        p = group.perm(i)
+        assert group.perm(group.inv(i)) == perms.invert(p)
+        for j in range(group.order):
+            assert group.perm(group.mul(i, j)) == perms.compose(p, group.perm(j))
+
+
+@pytest.mark.parametrize("group", wide_catalog(), ids=_ids)
+def test_whole_group_shortcut_fires_only_when_the_property_holds(group, monkeypatch):
+    """Every supergraph is complete when the whole group has the kind's
+    property, and the nilpotent and solvable base graphs close no pair
+    exactly then."""
+    closed = []
+    close_pair = group.pair_subgroup_members
+    monkeypatch.setattr(
+        group, "pair_subgroup_members", lambda g, h: closed.append((g, h)) or close_pair(g, h)
+    )
+    whole = frozenset(range(group.order))
+    for kind, holds in PROPERTY.items():
+        has_property = holds(group, whole)
+        for pkind in PARTITIONS:
+            closed.clear()
+            graph = build_supergraph(group, kind, pkind)
+            if has_property:
+                assert graph.num_edges == group.order * (group.order - 1) // 2, (kind, pkind)
+            if kind in ("nilpotent", "solvable") and pkind == "equality":
+                assert (not closed) == has_property, kind
+
+
+def test_shortcut_separates_solvable_from_nilpotent():
+    s4 = sg.symmetric(4)
+    closed = []
+    close_pair = s4.pair_subgroup_members
+    s4.pair_subgroup_members = lambda g, h: closed.append((g, h)) or close_pair(g, h)
+    assert build_supergraph(s4, "solvable", "equality").num_edges == 24 * 23 // 2
+    assert not closed
+    nilpotent = build_supergraph(s4, "nilpotent", "equality")
+    assert closed and nilpotent.num_edges < 24 * 23 // 2

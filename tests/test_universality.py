@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -52,12 +53,34 @@ def test_class_adjacency_validation():
 
 
 def test_commuting_scan_equals_disjointness_criterion():
-    """The exhaustive scan confirms p + q <= N exactly, never assumes it."""
+    """p + q <= N, which decides commuting scans, against an exhaustive
+    search of the smaller class for a cycle commuting with a pinned one."""
     for p, q in itertools.combinations((2, 3, 5, 7), 2):
         for degree in range(max(p, q), 14):
-            assert class_adjacency(degree, p, q, "commuting") == arithmetic_adjacency(
-                degree, p, q
-            ), (degree, p, q)
+            small, large = sorted((p, q), key=lambda n: perms.cycle_count(degree, n))
+            x = perms.canonical_cycle(degree, large)
+            exists = any(
+                perms.compose(x, y) == perms.compose(y, x) for y in perms.all_cycles(degree, small)
+            )
+            assert class_adjacency(degree, p, q, "commuting") == exists, (degree, p, q)
+            assert arithmetic_adjacency(degree, p, q) == exists, (degree, p, q)
+
+
+def test_commuting_and_enhanced_scans_are_arithmetic():
+    """Up to 283 M candidate 11-cycles at (13, 11, 13); decided at once."""
+    class_adjacency.cache_clear()
+    start = time.perf_counter()
+    assert class_adjacency(13, 11, 13, "commuting") is False
+    assert class_adjacency(13, 11, 13, "enhanced") is False
+    assert class_adjacency(13, 2, 11, "enhanced") is True
+    assert time.perf_counter() - start < 0.5
+    assert class_adjacency(5, 1, 5, "commuting") is True  # a 1-cycle is the identity
+    with pytest.raises(SizeCapError):
+        class_adjacency(14, 11, 13, "commuting")
+    with pytest.raises(ValueError):
+        class_adjacency(13, 0, 5, "enhanced")
+    with pytest.raises(ValueError):
+        class_adjacency(13, 5, 14, "commuting")
 
 
 def test_enhanced_implies_commuting_and_coincides_here():
