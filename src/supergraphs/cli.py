@@ -82,7 +82,10 @@ def _load_spec(raw: str) -> dict:
 def _parse_range(raw: str) -> range:
     if ".." in raw:
         lo, hi = raw.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        ns = range(int(lo), int(hi) + 1)
+        if not ns:
+            raise UsageError(f"empty range {raw!r}: the lower end exceeds the upper")
+        return ns
     value = int(raw)
     return range(value, value + 1)
 

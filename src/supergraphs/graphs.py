@@ -5,6 +5,11 @@ distances, Wiener index, isomorphism with witness, and comparability testing.
 Graphs are immutable, vertices carry unique string labels, and every operation
 defines a deterministic output order (factors in base order, products in
 row-major pair order).
+
+The Wiener index and both composition formulas share one all-sources distance
+sum over radius balls held as int bitmasks: at most diameter * 2m big-int ORs,
+so the supergraphs (diameter at most 2) are cheap and long paths are the
+slow case. `bfs_distances` and `distance_matrix` remain for single queries.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .groups import SizeCapError
 
@@ -158,7 +165,18 @@ class Graph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":
-        return Graph(data["labels"], [tuple(e) for e in data["edges"]])
+        """Inverse of to_json_dict; malformed input raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("labels"), list):
+            raise ValueError("a graph is an object with a 'labels' list and an 'edges' list")
+        edges = data.get("edges")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+            for e in edges
+        ):
+            raise ValueError("graph edges must be pairs of integer vertex indices")
+        return Graph(data["labels"], [tuple(e) for e in edges])
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -175,15 +193,45 @@ def distance_matrix(graph: Graph) -> list[list[int]]:
     return [graph.bfs_distances(v) for v in range(graph.n)]
 
 
+def _distance_sum(graph: Graph, weights, message: str) -> int:
+    """Sum of w_u * w_v * d(u, v) over unordered vertex pairs, all sources at once.
+
+    d(u, v) counts the radii k >= 0 whose ball R_k(u) misses v, so the sum is
+    half of sum_u w_u * sum_k (weight outside R_k(u)). Each ball is an int
+    bitmask grown by one radius per step as the OR of its neighbours' balls;
+    the weight inside a ball is a few bit counts, one per distinct weight.
+    One step per radius up to the diameter, each at most 2m big-int ORs: cheap
+    for the supergraphs (diameter at most 2), slowest on long paths. A ball
+    that stops growing before it is full marks a disconnected graph and
+    raises with `message`.
+    """
+    masks: dict[int, int] = {}
+    for v, w in enumerate(weights):
+        masks[w] = masks.get(w, 0) | 1 << v
+    total_weight = sum(weights)
+    full = (1 << graph.n) - 1
+    balls = [1 << v for v in range(graph.n)]
+    frontier = [v for v in range(graph.n) if balls[v] != full]
+    total = 0
+    while frontier:
+        total += total_weight * sum(weights[v] for v in frontier)
+        for w, mask in masks.items():
+            total -= w * sum(weights[v] * (balls[v] & mask).bit_count() for v in frontier)
+        grown = [
+            reduce(or_, map(balls.__getitem__, graph.neighbors[v]), balls[v])
+            for v in frontier
+        ]
+        for v, ball in zip(frontier, grown):
+            if ball == balls[v]:
+                raise DisconnectedGraphError(message)
+            balls[v] = ball
+        frontier = [v for v in frontier if balls[v] != full]
+    return total // 2
+
+
 def wiener_index(graph: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs."""
-    total = 0
-    for v in range(graph.n):
-        dist = graph.bfs_distances(v)
-        if -1 in dist:
-            raise DisconnectedGraphError("Wiener index needs a connected graph")
-        total += sum(dist)
-    return total // 2
+    return _distance_sum(graph, [1] * graph.n, "Wiener index needs a connected graph")
 
 
 # --- expressions ---
@@ -422,22 +470,17 @@ def wiener_via_composition(witness: CompositionWitness) -> int:
     at distance 1, inside an empty factor at distance 2 (through a neighbouring
     factor), and pairs in distinct factors at the base distance."""
     base = witness.base
-    if not base.is_connected():
-        raise DisconnectedGraphError("composition base must be connected")
+    # distances first: an isolated base vertex beside others is a disconnection
+    total = _distance_sum(base, witness.factor_sizes, "composition base must be connected")
     for i, (size, kind) in enumerate(zip(witness.factor_sizes, witness.factor_kinds)):
         if kind == "empty" and size >= 2 and base.degree(i) == 0:
             raise ValueError(
                 "empty factor of size >= 2 on an isolated base vertex has no "
                 "length-two path between its vertices"
             )
-    total = 0
     for size, kind in zip(witness.factor_sizes, witness.factor_kinds):
         inner = math.comb(size, 2)
         total += inner if kind == "complete" else 2 * inner
-    dist = distance_matrix(base)
-    sizes = witness.factor_sizes
-    for i, j in itertools.combinations(range(base.n), 2):
-        total += sizes[i] * sizes[j] * dist[i][j]
     return total
 
 
@@ -448,13 +491,8 @@ def wiener_supergraph_formula(delta: Graph, sizes) -> int:
         raise ValueError("one size per delta vertex required")
     if any(s < 1 for s in sizes):
         raise ValueError("sizes must be positive")
-    if not delta.is_connected():
-        raise DisconnectedGraphError("delta must be connected")
-    total = sum(math.comb(s, 2) for s in sizes if s > 1)
-    dist = distance_matrix(delta)
-    for i, j in itertools.combinations(range(delta.n), 2):
-        total += sizes[i] * sizes[j] * dist[i][j]
-    return total
+    inner = sum(math.comb(s, 2) for s in sizes if s > 1)
+    return inner + _distance_sum(delta, sizes, "delta must be connected")
 
 
 # --- isomorphism ---

@@ -148,6 +148,13 @@ def test_verify_structure_small_range(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("suite", ["structure", "wiener"])
+def test_verify_empty_range_exit_2(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--family", "escom-d", "--n", "10..3")
+    assert code == 2 and not out
+    assert "empty range" in err
+
+
 def test_verify_hierarchy_custom_catalog(tmp_path, capsys):
     cat = tmp_path / "cat.json"
     cat.write_text(json.dumps([{"kind": "dihedral", "n": 3}, {"kind": "cyclic", "n": 5}]))
@@ -234,6 +241,22 @@ def test_embed_enhanced_large_target_downgrades(tmp_path, capsys):
     assert code == 3
     cert = json.loads(out)
     assert cert["downgraded"] is True and cert["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        {"labels": ["a", "b", "c"], "edges": [[0, 1.0]]},
+        {"labels": ["a", "b", "c"], "edges": [["0", "1"]]},
+        [1, 2],
+    ],
+)
+def test_embed_malformed_graph_exit_2(tmp_path, capsys, target):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(target))
+    code, out, err = run_cli(capsys, "embed", "--graph", str(path), "--kind", "solvable")
+    assert code == 2 and not out
+    assert "error" in err
 
 
 def test_verify_strong_product_default(capsys):
