@@ -146,6 +146,8 @@ def verify_family(family: str, ns) -> FamilyReport:
     partition = "equality" if family.startswith("escom") else "conjugacy"
     for n in ns:
         group = family_group(family, n)
+        # the element graph has |G| vertices: refuse before building it
+        graphs.check_isomorphism_cap(group.order)
         quotient = quotient_supergraph(group, "commuting", partition)
         actual = expand_quotient(group, quotient)
         expected = graphs.eval_expr(structure_expr(family, n))

@@ -508,14 +508,19 @@ def _signatures(graph: Graph) -> list[tuple]:
     ]
 
 
+def check_isomorphism_cap(n: int) -> None:
+    """Raise SizeCapError if an n-vertex graph is beyond the isomorphism search."""
+    if n > ISO_VERTEX_CAP:
+        raise SizeCapError(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
+
+
 def is_isomorphic(left: Graph, right: Graph) -> tuple[bool, list[int] | None]:
     """Backtracking isomorphism test with degree-signature pruning.
 
     Returns (answer, witness); the witness maps left vertex i to right vertex
     witness[i]. Capped at 64 vertices per side.
     """
-    if left.n > ISO_VERTEX_CAP or right.n > ISO_VERTEX_CAP:
-        raise SizeCapError(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
+    check_isomorphism_cap(max(left.n, right.n))
     if left.n != right.n or left.num_edges != right.num_edges:
         return False, None
     sig_l = _signatures(left)

@@ -30,12 +30,18 @@ DEFAULT_ELEMENT_CAP = 20000
 
 
 def element_cap() -> int:
+    """SUPERGRAPH_CAP if set and non-empty, else DEFAULT_ELEMENT_CAP."""
     raw = os.environ.get("SUPERGRAPH_CAP")
-    return int(raw) if raw else DEFAULT_ELEMENT_CAP
+    if not raw:
+        return DEFAULT_ELEMENT_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidGroupSpec(f"SUPERGRAPH_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 class InvalidGroupSpec(ValueError):
-    """Raised for malformed group specifications or non-group tables."""
+    """Raised for malformed group specifications or non-group tables, and
+    for a SUPERGRAPH_CAP that is not a positive integer."""
 
 
 class SizeCapError(RuntimeError):

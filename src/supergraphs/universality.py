@@ -8,12 +8,15 @@ generate alternating groups, cutting exactly one edge. Intersecting the
 per-nonedge graphs recovers the target; the strong-product identity for
 compressed graphs of direct products justifies combining factors.
 
-Scans are exhaustive over one conjugacy class with the other side pinned to a
-canonical cycle x (adjacency is conjugation-invariant), classifying one
-candidate per orbit of the centralizer of x. At every degree a pair is first
-sized by a stabilizer chain: alternating or symmetric orders on its support
-certify non-solvability, and only smaller groups are closed and run through
-their derived or lower central series.
+Class adjacency of two prime lengths is decided by arithmetic for every kind:
+p + q <= N, with (2, 3) also solvable-adjacent below degree 5. Jordan's
+theorem and Burnside's theorem on groups of prime degree prove the cut (see
+`class_adjacency`). Other lengths are scanned exhaustively over one conjugacy
+class with the other side pinned to a canonical cycle x (adjacency is
+conjugation-invariant), classifying one candidate per orbit of the
+centralizer of x. A pair is first sized by a stabilizer chain: alternating or
+symmetric orders on its support certify non-solvability, and only smaller
+groups are closed and run through their derived or lower central series.
 """
 
 from __future__ import annotations
@@ -108,10 +111,12 @@ def _pair_adjacent(degree: int, x: tuple[int, ...], y: tuple[int, ...], kind: st
     return series_test(perms.compose, perms.invert, perms.identity_perm(degree), (x, y))
 
 
-@lru_cache(maxsize=None)
+# Bounded: prime pairs cost O(1) and no caller repeats a composite scan. The
+# wrapper stays because perfbench's tracer reads its cache_info().
+@lru_cache(maxsize=128)
 def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     """Adjacency of the p-cycle and q-cycle conjugacy classes in the compressed
-    conjugacy supergraph of the given kind over the symmetric group.
+    conjugacy supergraph of the given kind over the symmetric group S_N.
 
     The commuting and enhanced kinds are decided by arithmetic. Commuting
     cycles of distinct lengths are disjoint, so the classes hold a commuting
@@ -119,12 +124,27 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     C_p x C_q, which is cyclic iff gcd(p, q) = 1; a 1-cycle is the identity
     and commutes with everything.
 
-    For the nilpotent and solvable kinds one class is pinned to a canonical
-    cycle x and the smaller class is scanned exhaustively; conjugation
-    invariance makes the restriction lossless. Non-commuting candidates are
-    classified once per orbit of the centralizer of x: the scan stops at its
-    first hit, so a candidate whose orbit key was already classified cannot
-    be one.
+    For two distinct primes p < q the nilpotent and solvable kinds are
+    decided by arithmetic too: the classes are adjacent iff p + q <= N, save
+    that (2, 3) is always solvable-adjacent. Proof:
+
+    - If p + q <= N, a disjoint pair exists; it commutes, so it is adjacent.
+    - Otherwise every x (p-cycle) and y (q-cycle) meet, so G = <x, y> is
+      transitive on S = supp(x) | supp(y), and |S| <= N < p + q < 2q.
+    - G is primitive on S: y has prime order, so on a block system it either
+      moves blocks in orbits of q, or fixes every block, and then one block
+      holds supp(y). Either way a proper block system needs |S| >= 2q.
+    - If |S| >= p + 3, Jordan's theorem (a primitive group containing a
+      p-cycle, p prime, p <= |S| - 3, contains Alt(S); Wielandt, Finite
+      Permutation Groups, Thm 13.9; Dixon-Mortimer, Permutation Groups,
+      Thm 3.3E) gives Alt(S) with |S| >= 5: neither solvable nor nilpotent.
+    - Otherwise q <= |S| <= p + 2. Either (p, q) = (2, 3), where G is S_3 or
+      S_4 (solvable, not nilpotent), or q = p + 2 = |S| and x fixes 2 of the
+      q points. A solvable transitive group of prime degree q lies in
+      AGL(1, q) (Burnside; Dixon-Mortimer, Section 3.5), whose non-identity
+      elements fix at most one point, so G is not solvable.
+
+    Other lengths are scanned exhaustively (`_scan_adjacency`).
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"unknown scan kind {kind!r}; known {SCAN_KINDS}")
@@ -140,7 +160,24 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
         if min(p, q) == 1:
             return True
         return arithmetic_adjacency(degree, p, q) and (kind == "commuting" or math.gcd(p, q) == 1)
+    if _is_prime(p) and _is_prime(q):
+        return arithmetic_adjacency(degree, p, q) or (kind == "solvable" and {p, q} == {2, 3})
+    return _scan_adjacency(degree, p, q, kind)
 
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _scan_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
+    """Nilpotent or solvable class adjacency by exhaustive scan.
+
+    One class is pinned to a canonical cycle x and the smaller class is
+    scanned; conjugation invariance makes the restriction lossless.
+    Non-commuting candidates are classified once per orbit of the
+    centralizer of x: the scan stops at its first hit, so a candidate whose
+    orbit key was already classified cannot be one.
+    """
     if perms.cycle_count(degree, p) <= perms.cycle_count(degree, q):
         scan_len, fixed_len = p, q
     else:
@@ -248,7 +285,8 @@ def _factor_for_nonedge(
     allow_arithmetic: bool,
 ) -> FactorCertificate:
     """One intersection factor: primes assigned so the nonedge carries the two
-    largest, adjacency decided per prime pair by scan when the degree permits."""
+    largest, adjacency decided per prime pair by `class_adjacency` when the
+    degree permits ("scan") and by the disjointness criterion otherwise."""
     n = target.n
     ps = sorted(prime_set)
     degree = ps[-1] + ps[-2] - (1 if nonedge else 0)

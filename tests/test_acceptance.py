@@ -193,15 +193,14 @@ def test_criterion_5_strong_product_identity():
 
 def test_criterion_6_universality():
     with Budget("criterion 6 (universality)", 120):
-        # (a) n=3, N=7: all four kinds induce K3 minus the (3,5) edge, with the
-        # (3,5) non-adjacency established at every centralizer orbit of
-        # positions.
+        # (a) n=3, N=7: all four kinds induce K3 minus the (3,5) edge; the
+        # (3,5) non-adjacency follows from Jordan's theorem (3 + 5 > 7).
         for kind in ("commuting", "nilpotent", "solvable", "enhanced"):
             res = step3_embedding(3, kind, with_nonedge=True)
             assert res.degree == 7
             assert set(res.graph.edges()) == {(0, 1), (0, 2)}, kind
-        # (b) n=4, N=11: commuting via the exhaustive commutation scan and the
-        # solvable nonedge via stabilizer-chain order certification.
+        # (b) n=4, N=11: commuting by the disjointness criterion and the
+        # solvable (5,7) nonedge by Jordan's theorem.
         res = step3_embedding(4, "commuting")
         assert res.degree == 11
         assert set(res.graph.edges()) == set(

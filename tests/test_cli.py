@@ -3,12 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from supergraphs import universality
 from supergraphs.cli import main
-from supergraphs.graphs import Graph
 from supergraphs.groups import SizeCapError
 
 D3 = '{"kind":"dihedral","n":3}'
@@ -155,6 +155,25 @@ def test_verify_empty_range_exit_2(capsys, suite):
     assert "empty range" in err
 
 
+@pytest.mark.parametrize("suite", ["structure", "wiener"])
+def test_verify_beyond_isomorphism_cap_exits_before_building(capsys, suite):
+    """D_1600 has 1600 vertices; building its commuting graph first took
+    over 2 s and 250 MB before the same exit 3."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", suite, "--family", "escom-d", "--n", "800..801")
+    assert code == 3 and not out
+    assert "isomorphism search capped at 64 vertices" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("cap", ["abc", "-5", "0", "1.5"])
+def test_bad_element_cap_exit_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("SUPERGRAPH_CAP", cap)
+    code, out, err = run_cli(capsys, "graph", "--group", D3, "--kind", "commuting")
+    assert code == 2 and not out
+    assert "SUPERGRAPH_CAP must be a positive integer" in err
+
+
 def test_verify_hierarchy_custom_catalog(tmp_path, capsys):
     cat = tmp_path / "cat.json"
     cat.write_text(json.dumps([{"kind": "dihedral", "n": 3}, {"kind": "cyclic", "n": 5}]))
@@ -207,19 +226,16 @@ def test_embed_large_target_downgrades_exit_3(tmp_path, capsys):
     assert cert["verified"] is True
 
 
-def test_uncertifiable_pair_exit_3(tmp_path, capsys, monkeypatch):
+def test_uncertifiable_pair_exit_3(monkeypatch):
     """A pair the order test cannot decide, with a closure over the fallback
-    cap, is a resource cap: SizeCapError in the library, exit 3 in the CLI."""
+    cap, is a resource cap: SizeCapError, which the CLI maps to exit 3. Prime
+    pairs never reach the fallback, so a composite pair stands in (no embed
+    target has one): a transposition and a 4-cycle on five points."""
     monkeypatch.setattr(universality, "FALLBACK_ORDER_CAP", 1)
     universality.class_adjacency.cache_clear()
     try:
-        with pytest.raises(SizeCapError):
-            universality.class_adjacency(7, 2, 3, "solvable")
-        target = tmp_path / "p3.json"
-        target.write_text(json.dumps(Graph.path(3).to_json_dict()))
-        code, _, err = run_cli(capsys, "embed", "--graph", str(target), "--kind", "solvable")
-        assert code == 3
-        assert "cannot certify" in err
+        with pytest.raises(SizeCapError, match="cannot certify pair with order 24"):
+            universality.class_adjacency(5, 2, 4, "solvable")
     finally:
         universality.class_adjacency.cache_clear()
 

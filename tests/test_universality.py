@@ -15,6 +15,7 @@ from supergraphs.graphs import Graph
 from supergraphs.groups import SizeCapError
 from supergraphs.universality import (
     _orbit_key,
+    _scan_adjacency,
     arithmetic_adjacency,
     class_adjacency,
     embed_graph,
@@ -193,6 +194,43 @@ def test_scan_matches_brute_force_closures():
             nilpotent, solvable = _brute_adjacency(degree, p, q)
             assert class_adjacency(degree, p, q, "nilpotent") == nilpotent, (degree, p, q)
             assert class_adjacency(degree, p, q, "solvable") == solvable, (degree, p, q)
+
+
+def test_prime_rule_matches_exhaustive_scan():
+    """Jordan's and Burnside's rule against the centralizer-orbit scan, for
+    every prime pair and both kinds at degrees 3-10."""
+    for degree in range(3, 11):
+        primes = [p for p in (2, 3, 5, 7) if p <= degree]
+        for p, q in itertools.combinations(primes, 2):
+            for kind in ("nilpotent", "solvable"):
+                scanned = _scan_adjacency(degree, p, q, kind)
+                assert class_adjacency(degree, p, q, kind) == scanned, (degree, p, q, kind)
+                assert class_adjacency(degree, q, p, kind) == scanned, (degree, q, p, kind)
+
+
+def test_composite_lengths_match_brute_force_closures():
+    """Lengths that are not both prime are scanned, not ruled: 2 + 4 > 5, yet
+    a transposition inside a 4-cycle's support generates S4 with it."""
+    assert class_adjacency(5, 2, 4, "solvable") is True
+    for degree in range(3, 7):
+        for p, q in itertools.combinations(range(2, degree + 1), 2):
+            if p in (2, 3, 5) and q in (2, 3, 5):
+                continue
+            nilpotent, solvable = _brute_adjacency(degree, p, q)
+            assert class_adjacency(degree, p, q, "nilpotent") == nilpotent, (degree, p, q)
+            assert class_adjacency(degree, p, q, "solvable") == solvable, (degree, p, q)
+
+
+def test_prime_pairs_are_decided_at_once_below_the_cap():
+    """Pairs whose scans took from 12 s to over 180 s."""
+    start = time.perf_counter()
+    for degree, p, q in ((11, 5, 11), (12, 7, 11), (13, 7, 13), (13, 11, 13)):
+        for kind in ("nilpotent", "solvable"):
+            assert class_adjacency(degree, p, q, kind) is False
+    assert class_adjacency(13, 2, 11, "nilpotent") is True
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(SizeCapError):
+        class_adjacency(14, 3, 5, "solvable")
 
 
 def _centralizer_conjugator(x_len, y, key):
