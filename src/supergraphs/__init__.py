@@ -59,7 +59,6 @@ from .groups import (
     Subgroup,
     SubgroupFlags,
     alternating,
-    classify_subgroup,
     cyclic,
     dihedral,
     make_group,

@@ -200,7 +200,10 @@ def cmd_verify(args) -> int:
 
 def _catalog_specs(args, default=None) -> list[dict]:
     if getattr(args, "catalog", None) and args.catalog != "default":
-        return json.loads(Path(args.catalog).read_text())
+        specs = json.loads(Path(args.catalog).read_text())
+        if not isinstance(specs, list):
+            raise UsageError(f"catalog {args.catalog} must hold a JSON list of group specs")
+        return specs
     return default if default is not None else DEFAULT_CATALOG
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .constructions import build_supergraph, pair_orbit_edges
-from .graphs import Graph
+from .graphs import Graph, edge_difference
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
 GENERATION_KINDS = ("abelian", "nilpotent", "solvable")
@@ -95,10 +95,8 @@ class ContainmentReport:
 
 
 def _containment(small: Graph, big: Graph) -> tuple[bool, bool, tuple]:
-    small_edges = set(small.edges())
-    big_edges = set(big.edges())
-    violations = tuple(sorted(small_edges - big_edges))
-    return (not violations, small_edges == big_edges, violations)
+    violations = tuple(edge_difference(small, big).edges())
+    return (not violations, small == big, violations)
 
 
 def _group_has_property(group: FiniteGroup, kind: str) -> bool:

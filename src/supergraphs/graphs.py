@@ -1,10 +1,17 @@
 """Finite simple graphs and the operations the supergraph constructions need:
 join, disjoint union, intersection, strong product, generalized composition,
-distances, Wiener index, isomorphism with witness, and comparability testing.
+the complete-factor blow-up of a quotient, distances, Wiener index,
+isomorphism with witness, and comparability testing.
 
 Graphs are immutable, vertices carry unique string labels, and every operation
 defines a deterministic output order (factors in base order, products in
 row-major pair order).
+
+A graph holds its adjacency as one int bitmask per vertex: bit v of
+`masks[u]` is set iff u and v are adjacent. This module is the only one that
+knows that layout. Complement, intersection, the subgraph test, the edge
+difference, compositions, strong products and the blow-up are a few big-int
+operations per vertex, and `edges()` reads the bits back in sorted order.
 
 The Wiener index and both composition formulas share one all-sources distance
 sum over radius balls held as int bitmasks: at most diameter * 2m big-int ORs,
@@ -18,11 +25,39 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 from .groups import SizeCapError
 
 ISO_VERTEX_CAP = 64
+
+# bytes.translate table turning the digits of bin() into 0/1 selectors
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int, offset: int = 0) -> list[int]:
+    """Positions of the set bits of mask, increasing, each plus offset.
+
+    Sparse masks are walked by str.find over the binary digits, dense ones
+    selected in one itertools.compress pass over them.
+    """
+    digits = bin(mask)[:1:-1]  # least significant first
+    if mask.bit_count() * 6 >= len(digits):
+        selectors = digits.encode().translate(_BIT_SELECTORS)
+        return list(itertools.compress(range(offset, offset + len(digits)), selectors))
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(offset + i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _checked_labels(labels) -> tuple[str, ...]:
+    labels = tuple(str(x) for x in labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("vertex labels must be unique")
+    return labels
 
 
 class DisconnectedGraphError(ValueError):
@@ -30,31 +65,38 @@ class DisconnectedGraphError(ValueError):
 
 
 class Graph:
-    __slots__ = ("n", "labels", "neighbors")
+    __slots__ = ("n", "labels", "masks")
 
     def __init__(self, labels, edges):
-        labels = tuple(str(x) for x in labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("vertex labels must be unique")
+        labels = _checked_labels(labels)
         n = len(labels)
-        nbrs = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError("loops are not allowed")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
         self.labels = labels
-        self.neighbors = tuple(frozenset(s) for s in nbrs)
+        self.masks = tuple(masks)
+
+    @classmethod
+    def _from_masks(cls, labels, masks) -> "Graph":
+        """The graph with these vertex masks, which must be symmetric and
+        loop-free; the one constructor that skips the edge list."""
+        graph = cls.__new__(cls)
+        graph.labels = _checked_labels(labels)
+        graph.n = len(graph.labels)
+        graph.masks = tuple(masks)
+        return graph
 
     # --- constructors ---
 
     @staticmethod
     def complete(n: int, labels=None) -> "Graph":
-        labels = labels if labels is not None else [str(i) for i in range(n)]
-        return Graph(labels, itertools.combinations(range(n), 2))
+        return Graph.empty(n, labels).complement()
 
     @staticmethod
     def empty(n: int, labels=None) -> "Graph":
@@ -75,51 +117,41 @@ class Graph:
     # --- basic queries ---
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
+        return self.masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
+        """Edges (u, v) with u < v, in increasing order."""
         return [
-            (u, v)
-            for u in range(self.n)
-            for v in sorted(self.neighbors[u])
-            if u < v
+            (u, v) for u, mask in enumerate(self.masks) for v in _bits(mask >> u + 1, u + 1)
         ]
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self.neighbors) // 2
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self.masks[v].bit_count()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.labels == other.labels
-            and self.neighbors == other.neighbors
+            and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((self.labels, self.neighbors))
+        return hash((self.labels, self.masks))
 
     def __repr__(self) -> str:
         return f"<Graph n={self.n} m={self.num_edges}>"
 
     # --- derived graphs ---
 
-    def relabeled(self, labels) -> "Graph":
-        labels = list(labels)
-        if len(labels) != self.n:
-            raise ValueError("label count mismatch")
-        return Graph(labels, self.edges())
-
     def complement(self) -> "Graph":
-        edges = [
-            (u, v)
-            for u, v in itertools.combinations(range(self.n), 2)
-            if v not in self.neighbors[u]
-        ]
-        return Graph(self.labels, edges)
+        full = (1 << self.n) - 1
+        return Graph._from_masks(
+            self.labels, [full ^ mask ^ 1 << v for v, mask in enumerate(self.masks)]
+        )
 
     def induced(self, vertices) -> "Graph":
         vertices = list(vertices)
@@ -128,35 +160,27 @@ class Graph:
         for v in vertices:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range")
-        pos = {v: i for i, v in enumerate(vertices)}
-        edges = [
-            (pos[u], pos[v])
-            for u, v in itertools.combinations(vertices, 2)
-            if v in self.neighbors[u]
+        masks = [
+            sum(1 << i for i, w in enumerate(vertices) if self.masks[v] >> w & 1)
+            for v in vertices
         ]
-        return Graph([self.labels[v] for v in vertices], edges)
+        return Graph._from_masks(tuple(self.labels[v] for v in vertices), masks)
 
     # --- distances ---
 
     def bfs_distances(self, source: int) -> list[int]:
         """Hop counts from source; -1 marks unreachable vertices."""
         dist = [-1] * self.n
-        dist[source] = 0
-        queue = [source]
-        while queue:
-            fresh = []
-            for u in queue:
-                for v in self.neighbors[u]:
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        fresh.append(v)
-            queue = fresh
+        seen = layer = 1 << source
+        d = 0
+        while layer:
+            members = _bits(layer)
+            for v in members:
+                dist[v] = d
+            layer = reduce(or_, map(self.masks.__getitem__, members)) & ~seen
+            seen |= layer
+            d += 1
         return dist
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return -1 not in self.bfs_distances(0)
 
     # --- serialization ---
 
@@ -197,30 +221,33 @@ def _distance_sum(graph: Graph, weights, message: str) -> int:
     """Sum of w_u * w_v * d(u, v) over unordered vertex pairs, all sources at once.
 
     d(u, v) counts the radii k >= 0 whose ball R_k(u) misses v, so the sum is
-    half of sum_u w_u * sum_k (weight outside R_k(u)). Each ball is an int
-    bitmask grown by one radius per step as the OR of its neighbours' balls;
-    the weight inside a ball is a few bit counts, one per distinct weight.
-    One step per radius up to the diameter, each at most 2m big-int ORs: cheap
-    for the supergraphs (diameter at most 2), slowest on long paths. A ball
-    that stops growing before it is full marks a disconnected graph and
-    raises with `message`.
+    half of sum_u w_u * sum_k (weight outside R_k(u)). Radius 0 misses all
+    but u, and the radius-1 ball is u's mask plus u. Each later ball is the
+    OR of its neighbours' balls one radius down; a vertex's neighbours are
+    read from its mask at most once. The weight inside a ball is a few bit
+    counts, one per distinct weight. One step per radius up to the diameter,
+    each at most 2m big-int ORs: cheap for the supergraphs (diameter at most
+    2), slowest on long paths. A ball that stops growing before it is full
+    marks a disconnected graph and raises with `message`.
     """
-    masks: dict[int, int] = {}
+    by_weight: dict[int, int] = {}
     for v, w in enumerate(weights):
-        masks[w] = masks.get(w, 0) | 1 << v
+        by_weight[w] = by_weight.get(w, 0) | 1 << v
     total_weight = sum(weights)
     full = (1 << graph.n) - 1
-    balls = [1 << v for v in range(graph.n)]
+    total = sum(w * (total_weight - w) for w in weights)
+    balls = [mask | 1 << v for v, mask in enumerate(graph.masks)]
     frontier = [v for v in range(graph.n) if balls[v] != full]
-    total = 0
+    neighbours: dict[int, list[int]] = {}
     while frontier:
         total += total_weight * sum(weights[v] for v in frontier)
-        for w, mask in masks.items():
+        for w, mask in by_weight.items():
             total -= w * sum(weights[v] * (balls[v] & mask).bit_count() for v in frontier)
-        grown = [
-            reduce(or_, map(balls.__getitem__, graph.neighbors[v]), balls[v])
-            for v in frontier
-        ]
+        grown = []
+        for v in frontier:
+            if v not in neighbours:
+                neighbours[v] = _bits(graph.masks[v])
+            grown.append(reduce(or_, map(balls.__getitem__, neighbours[v]), balls[v]))
         for v, ball in zip(frontier, grown):
             if ball == balls[v]:
                 raise DisconnectedGraphError(message)
@@ -345,21 +372,11 @@ def expr_from_json(data: dict) -> GraphExpr:
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:
-    labels = []
-    edges = []
-    offset = 0
-    for i, part in enumerate(parts):
-        labels.extend(f"{i}:{lbl}" for lbl in part.labels)
-        edges.extend((offset + u, offset + v) for u, v in part.edges())
-        offset += part.n
-    return Graph(labels, edges)
+    return compose_graphs(Graph.empty(len(parts)), parts)
 
 
 def join(left: Graph, right: Graph) -> Graph:
-    out = disjoint_union([left, right])
-    edges = out.edges()
-    edges.extend((u, left.n + v) for u in range(left.n) for v in range(right.n))
-    return Graph(out.labels, edges)
+    return compose_graphs(Graph.complete(2), [left, right])
 
 
 def compose_graphs(base: Graph, factors: list[Graph]) -> Graph:
@@ -367,54 +384,86 @@ def compose_graphs(base: Graph, factors: list[Graph]) -> Graph:
 
     Vertices inside one factor are joined per that factor; vertices in two
     different factors are joined exactly when the base vertices are adjacent.
+    Each vertex's mask is its factor mask, shifted into place, ORed with the
+    blocks of the factors adjacent to its own in the base.
     """
     if len(factors) != base.n:
         raise ValueError(
             f"composition needs one factor per base vertex "
             f"({base.n} base vertices, {len(factors)} factors)"
         )
-    labels = []
-    offsets = []
-    offset = 0
+    labels = [f"{i}:{lbl}" for i, factor in enumerate(factors) for lbl in factor.labels]
+    offsets = list(itertools.accumulate((factor.n for factor in factors), initial=0))
+    blocks = [((1 << factor.n) - 1) << offset for factor, offset in zip(factors, offsets)]
+    masks = []
     for i, factor in enumerate(factors):
-        offsets.append(offset)
-        labels.extend(f"{i}:{lbl}" for lbl in factor.labels)
-        offset += factor.n
-    edges = []
-    for i, factor in enumerate(factors):
-        edges.extend((offsets[i] + u, offsets[i] + v) for u, v in factor.edges())
-    for i, j in base.edges():
-        edges.extend(
-            (offsets[i] + p, offsets[j] + q)
-            for p in range(factors[i].n)
-            for q in range(factors[j].n)
-        )
-    return Graph(labels, edges)
+        across = reduce(or_, map(blocks.__getitem__, _bits(base.masks[i])), 0)
+        masks.extend(across | mask << offsets[i] for mask in factor.masks)
+    return Graph._from_masks(labels, masks)
+
+
+def blow_up(delta: Graph, classes, labels) -> Graph:
+    """delta[K_n1, ..., K_nk] on vertices listed by class: classes[i] holds
+    the vertices of factor i, and the classes partition range(len(labels)).
+
+    Each vertex is joined to the rest of its class and to every vertex of the
+    classes adjacent to its own in delta, so its mask is the OR of its class
+    mask and those classes' masks, less its own bit.
+    """
+    class_masks = [sum(1 << v for v in members) for members in classes]
+    if (
+        len(classes) != delta.n
+        or sum(map(len, classes)) != len(labels)
+        or reduce(or_, class_masks, 0) != (1 << len(labels)) - 1
+    ):
+        raise ValueError("blow-up needs one class per delta vertex, partitioning the vertices")
+    masks = [0] * len(labels)
+    for i, members in enumerate(classes):
+        row = reduce(or_, map(class_masks.__getitem__, _bits(delta.masks[i])), class_masks[i])
+        for v in members:
+            masks[v] = row ^ 1 << v
+    return Graph._from_masks(labels, masks)
 
 
 def strong_product(left: Graph, right: Graph) -> Graph:
-    """Pairs adjacent iff each coordinate is equal or adjacent, but not both equal."""
-    labels = [
-        f"({a},{b})" for a in left.labels for b in right.labels
-    ]
-    edges = []
+    """Pairs adjacent iff each coordinate is equal or adjacent, but not both equal.
+
+    Pair (u, u') is vertex u * |right| + u'; its mask is the closed
+    neighbourhood of u' in right, copied into the block of each member of the
+    closed neighbourhood of u in left, less its own bit.
+    """
+    labels = [f"({a},{b})" for a in left.labels for b in right.labels]
     rn = right.n
-    pairs = list(itertools.product(range(left.n), range(rn)))
-    for a, (u, up) in enumerate(pairs):
-        for v, vp in pairs[a + 1 :]:
-            adj_l = u != v and left.has_edge(u, v)
-            adj_r = up != vp and right.has_edge(up, vp)
-            if (u == v and adj_r) or (up == vp and adj_l) or (adj_l and adj_r):
-                edges.append((u * rn + up, v * rn + vp))
-    return Graph(labels, edges)
+    closed_right = [mask | 1 << v for v, mask in enumerate(right.masks)]
+    masks = []
+    for u, mask in enumerate(left.masks):
+        shifts = [v * rn for v in _bits(mask | 1 << u)]
+        for up, closed in enumerate(closed_right):
+            row = reduce(or_, (closed << shift for shift in shifts))
+            masks.append(row ^ 1 << u * rn + up)
+    return Graph._from_masks(labels, masks)
+
+
+def _check_same_vertices(left: Graph, right: Graph, operation: str) -> None:
+    if left.labels != right.labels:
+        raise ValueError(f"{operation} needs identical label sets in identical order")
 
 
 def intersection(left: Graph, right: Graph) -> Graph:
     """Common edges of two graphs on the same labelled vertex set."""
-    if left.labels != right.labels:
-        raise ValueError("intersection needs identical label sets in identical order")
-    edges = [e for e in left.edges() if right.has_edge(*e)]
-    return Graph(left.labels, edges)
+    _check_same_vertices(left, right, "intersection")
+    return Graph._from_masks(left.labels, map(and_, left.masks, right.masks))
+
+
+def edge_difference(left: Graph, right: Graph) -> Graph:
+    """Edges of left that are not edges of right, on the same labelled vertex set."""
+    _check_same_vertices(left, right, "edge difference")
+    return Graph._from_masks(left.labels, [a & ~b for a, b in zip(left.masks, right.masks)])
+
+
+def is_subgraph(small: Graph, big: Graph) -> bool:
+    """Whether every edge of small is an edge of big, on the same labelled vertex set."""
+    return edge_difference(small, big).num_edges == 0
 
 
 # --- composition-based Wiener identities ---
@@ -456,14 +505,6 @@ def witness_for_composition(base: Graph, sizes, kinds) -> CompositionWitness:
     return CompositionWitness(base, sizes, kinds, vmap)
 
 
-def witness_graph(witness: CompositionWitness) -> Graph:
-    factors = [
-        Graph.complete(s) if k == "complete" else Graph.empty(s)
-        for s, k in zip(witness.factor_sizes, witness.factor_kinds)
-    ]
-    return compose_graphs(witness.base, factors)
-
-
 def wiener_via_composition(witness: CompositionWitness) -> int:
     """Wiener index of a composition with complete/empty factors, computed from
     factor sizes and base distances alone: pairs inside a complete factor are
@@ -502,7 +543,7 @@ def _signatures(graph: Graph) -> list[tuple]:
     return [
         (
             graph.degree(v),
-            tuple(sorted(graph.degree(u) for u in graph.neighbors[v])),
+            tuple(sorted(graph.degree(u) for u in _bits(graph.masks[v]))),
         )
         for v in range(graph.n)
     ]
@@ -574,6 +615,7 @@ def is_comparability(graph: Graph) -> bool:
     if graph.n > ISO_VERTEX_CAP:
         raise SizeCapError(f"comparability search capped at {ISO_VERTEX_CAP} vertices")
     edges = graph.edges()
+    neighbours = [_bits(mask) for mask in graph.masks]
     direction: dict[tuple[int, int], int] = {}
 
     def orient(u: int, v: int, trail: list) -> bool:
@@ -586,7 +628,7 @@ def is_comparability(graph: Graph) -> bool:
         direction[key] = want
         trail.append(key)
         # u -> v with v -> w forces u -> w; x -> u with u -> v forces x -> v.
-        for w in graph.neighbors[v]:
+        for w in neighbours[v]:
             if w == u:
                 continue
             kvw = (v, w) if v < w else (w, v)
@@ -596,7 +638,7 @@ def is_comparability(graph: Graph) -> bool:
                     return False
                 if not orient(u, w, trail):
                     return False
-        for x in graph.neighbors[u]:
+        for x in neighbours[u]:
             if x == v:
                 continue
             kxu = (x, u) if x < u else (u, x)

@@ -3,9 +3,10 @@
 Elements are indices 0..order-1 and index 0 is always the identity. Groups
 come from built-in presentations (cyclic, dihedral, generalized quaternion),
 symmetric/alternating groups, direct products, explicit Cayley tables, or
-permutation generators. Symmetric groups of any degree are supported through
-lexicographic ranking; everything that must enumerate elements is guarded by
-the element cap (env var SUPERGRAPH_CAP, default 20000).
+permutation generators. Every group is enumerable up to the element cap (env
+var SUPERGRAPH_CAP, default 20000): a constructor refuses a larger order with
+SizeCapError before it enumerates anything, and the symmetric and alternating
+constructors stop multiplying out n! as soon as it passes the cap.
 
 Conjugation is orbit-based. Conjugacy classes are orbits of a breadth-first
 search under conjugation by a small generating set of the group, which
@@ -19,7 +20,6 @@ elements cost no conjugation.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -229,11 +229,6 @@ class FiniteGroup:
             orbits.append(tuple(sorted(orbit)))
         return orbits
 
-    def generated_subgroup(self, gens) -> Subgroup:
-        gens = tuple(dict.fromkeys(g for g in gens if g != 0))
-        members = closure_set(self.mul, 0, gens, limit=element_cap())
-        return Subgroup(self, tuple(sorted(members)), gens)
-
     def pair_subgroup_members(self, g: int, h: int) -> tuple[int, ...]:
         """Members of the subgroup generated by {g, h}, cached per pair."""
         key = (g, h) if g <= h else (h, g)
@@ -267,21 +262,8 @@ class FiniteGroup:
     def whole_group_flags(self) -> SubgroupFlags:
         return self.subgroup_flags(tuple(self.elements()), self.generators())
 
-    def multiplication_row(self, i: int) -> list[int]:
-        return [self.mul(i, j) for j in range(self.order)]
-
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.label} order={self.order} rep={self.rep}>"
-
-
-def classify_subgroup(sub: Subgroup) -> SubgroupFlags:
-    """Cyclic/abelian/nilpotent/solvable flags for a subgroup.
-
-    Nilpotency is decided by the lower central series and solvability by the
-    derived series, each computed through normal closures of generator
-    commutators.
-    """
-    return sub.parent.subgroup_flags(sub.members, sub.generators)
 
 
 # --- generic closure / series machinery (elements may be ints or tuples) ---
@@ -559,37 +541,6 @@ class PermutationGroup(FiniteGroup):
         return self._index[p]
 
 
-class SymmetricGroup(FiniteGroup):
-    """Full symmetric group indexed by lexicographic rank; any degree.
-
-    Element enumeration is never required for multiplication, so degrees whose
-    factorial exceeds the cap are still usable for order and small closures.
-    """
-
-    rep = "permutation"
-
-    def __init__(self, degree: int):
-        super().__init__(math.factorial(degree), f"S{degree}")
-        self.degree = degree
-
-    def mul(self, i, j):
-        p = perms.lehmer_unrank(i, self.degree)
-        q = perms.lehmer_unrank(j, self.degree)
-        return perms.lehmer_rank(perms.compose(p, q))
-
-    def inv(self, i):
-        return perms.lehmer_rank(perms.invert(perms.lehmer_unrank(i, self.degree)))
-
-    def element_label(self, i):
-        return perms.cycle_notation(perms.lehmer_unrank(i, self.degree))
-
-    def perm(self, i) -> tuple[int, ...]:
-        return perms.lehmer_unrank(i, self.degree)
-
-    def index_of(self, p: tuple[int, ...]) -> int:
-        return perms.lehmer_rank(p)
-
-
 class ProductGroup(FiniteGroup):
     """Direct product with componentwise multiplication; index = g*|H| + h."""
 
@@ -638,21 +589,33 @@ def quaternion(n: int) -> FiniteGroup:
     return QuaternionGroup(n)
 
 
+def _check_factorial_order(n: int, label: str, halved: bool) -> None:
+    """Refuse S_n (order n!) or, halved, A_n (order n!/2) beyond the element
+    cap. The order is multiplied out only while it stays within the cap, so a
+    huge degree costs a few products and prints no huge number."""
+    cap = element_cap()
+    order = 1
+    for k in range(3 if halved else 2, n + 1):
+        order *= k
+        if order > cap:
+            raise SizeCapError(
+                f"{label}: order {n}!{'/2' if halved else ''} exceeds the element cap "
+                f"{cap}; set SUPERGRAPH_CAP to raise it"
+            )
+
+
 def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidGroupSpec("symmetric groups need n >= 1")
-    if math.factorial(n) <= element_cap():
-        elements = [tuple(p) for p in itertools.permutations(range(n))]
-        return PermutationGroup(n, elements, f"S{n}")
-    return SymmetricGroup(n)
+    _check_factorial_order(n, f"S{n}", halved=False)
+    elements = [tuple(p) for p in itertools.permutations(range(n))]
+    return PermutationGroup(n, elements, f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidGroupSpec("alternating groups need n >= 1")
-    order = max(1, math.factorial(n) // 2)
-    if order > element_cap():
-        raise SizeCapError(f"A{n}: order {order} exceeds the element cap")
+    _check_factorial_order(n, f"A{n}", halved=True)
     elements = [
         tuple(p) for p in itertools.permutations(range(n)) if perms.parity(tuple(p)) == 0
     ]

@@ -1,5 +1,5 @@
-"""Permutation utilities: composition, cycles, lexicographic ranking, and
-stabilizer-chain group orders.
+"""Permutation utilities: composition, cycles, and stabilizer-chain group
+orders.
 
 A permutation on n points is a tuple p of length n with p[i] the image of i.
 Points are 0-based internally; cycle notation is printed and parsed 1-based.
@@ -33,13 +33,6 @@ def conjugate(p: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, ...]:
     for i in range(len(p)):
         out[c[i]] = c[p[i]]
     return tuple(out)
-
-
-def perm_order(p: tuple[int, ...]) -> int:
-    order = 1
-    for cyc in cycle_decomposition(p):
-        order = math.lcm(order, len(cyc))
-    return order
 
 
 def support(p: tuple[int, ...]) -> frozenset[int]:
@@ -129,27 +122,6 @@ def all_cycles(n: int, length: int):
 
 def cycle_count(n: int, length: int) -> int:
     return math.comb(n, length) * math.factorial(length - 1)
-
-
-def lehmer_rank(p: tuple[int, ...]) -> int:
-    """Rank of p among all permutations of its degree in lexicographic order."""
-    n = len(p)
-    rank = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if p[j] < p[i])
-        rank += smaller * math.factorial(n - 1 - i)
-    return rank
-
-
-def lehmer_unrank(rank: int, n: int) -> tuple[int, ...]:
-    """Inverse of lehmer_rank for degree n."""
-    avail = list(range(n))
-    out = []
-    for i in range(n):
-        f = math.factorial(n - 1 - i)
-        idx, rank = divmod(rank, f)
-        out.append(avail.pop(idx))
-    return tuple(out)
 
 
 def perm_group_order(degree: int, gens: list[tuple[int, ...]]) -> int:

@@ -240,7 +240,9 @@ class FactorCertificate:
     degree: int
     vertex_primes: tuple[int, ...]
     graph: Graph
-    checked: str  # "scan" | "arithmetic"
+    # "scan": decided by class_adjacency below DEGREE_CAP, which settles prime
+    # pairs by theorem and scans no candidate; "arithmetic": by disjointness
+    checked: str
 
     def to_json_dict(self) -> dict:
         matrix = [

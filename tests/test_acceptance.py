@@ -16,7 +16,6 @@ from supergraphs.constructions import (
     base_adjacent,
     build_partition,
     build_supergraph,
-    class_pair_adjacent,
     hierarchy_report,
     quotient_supergraph,
 )
@@ -54,6 +53,14 @@ def catalog():
         sg.symmetric(4),
         sg.product(sg.cyclic(2), sg.cyclic(4)),
     ]
+
+
+def multiplication_rows(group):
+    return [[group.mul(i, j) for j in range(group.order)] for i in range(group.order)]
+
+
+def is_connected(graph):
+    return -1 not in graph.bfs_distances(0)
 
 
 class Budget:
@@ -133,7 +140,7 @@ def test_criterion_3_composition_formulas():
                     if rng.random() < 0.6
                 ]
                 base = Graph([str(i) for i in range(k)], edges)
-                if base.is_connected():
+                if is_connected(base):
                     break
             sizes = tuple(rng.randint(1, 5) for _ in range(k))
             kinds = tuple(
@@ -260,7 +267,7 @@ def test_criterion_9_property_suites():
         for group in catalog():
             # group axioms, exhaustively (catalog orders are all <= 200)
             n = group.order
-            rows = [group.multiplication_row(i) for i in range(n)]
+            rows = multiplication_rows(group)
             for i in range(n):
                 assert rows[0][i] == i and rows[i][0] == i
                 assert rows[i][group.inv(i)] == 0
@@ -277,7 +284,7 @@ def test_criterion_9_property_suites():
             # classification flags are monotone
             pairs = list(itertools.combinations(range(n), 2))
             for g, h in rng.sample(pairs, min(25, len(pairs))):
-                flags = sg.classify_subgroup(group.generated_subgroup([g, h]))
+                flags = group.subgroup_flags(group.pair_subgroup_members(g, h), (g, h))
                 assert (not flags.is_cyclic or flags.is_abelian)
                 assert (not flags.is_abelian or flags.is_nilpotent)
                 assert (not flags.is_nilpotent or flags.is_solvable)
@@ -285,9 +292,10 @@ def test_criterion_9_property_suites():
             if group.order <= 24:
                 part = build_partition(group, "conjugacy")
                 for kind in KINDS:
+                    delta = quotient_supergraph(group, kind, "conjugacy").delta
                     for a, b in itertools.combinations(range(len(part.classes)), 2):
                         first, second = part.classes[a], part.classes[b]
-                        assert class_pair_adjacent(group, kind, first, second) == any(
+                        assert delta.has_edge(a, b) == any(
                             base_adjacent(group, kind, x, y) for x in first for y in second
                         )
         # composition and identity laws

@@ -129,6 +129,23 @@ def test_cap_exit_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "kind,n,order",
+    [("symmetric", 2000, "2000!"), ("alternating", 2000, "2000!/2"),
+     ("symmetric", 2_000_000, "2000000!")],
+)
+def test_huge_symmetric_and_alternating_degrees_exit_3_at_once(capsys, kind, n, order):
+    """The cap is met by a running product: no n! is formed or printed."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "graph", "--group", json.dumps({"kind": kind, "n": n}), "--kind", "power"
+    )
+    assert code == 3 and not out
+    assert f"order {order} exceeds the element cap" in err
+    assert "set SUPERGRAPH_CAP" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_wiener_small_range(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "wiener", "--family", "cscom-d", "--n", "3..8"
@@ -303,6 +320,29 @@ def test_scan(tmp_path, capsys):
     assert code == 0
     report = json.loads(out_path.read_text())
     assert {"group": "S3", "kind": "abelian"} in report["equality_groups"]
+
+
+def test_scan_skips_symmetric_group_beyond_cap(tmp_path, capsys):
+    """S8 is skipped like any group over the cap, not fatal to the catalog."""
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps([{"kind": "symmetric", "n": 8}, {"kind": "symmetric", "n": 3}]))
+    code, out, _ = run_cli(capsys, "scan", "--catalog", str(cat))
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert "8! exceeds the element cap" in records[0]["skipped"]
+    assert {r.get("group") for r in records[1:]} == {"S3"}
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "hierarchy"), ("verify", "strong-product"),
+             ("verify", "containment"), ("scan",)],
+)
+def test_catalog_that_is_not_a_list_exit_2(tmp_path, capsys, argv):
+    cat = tmp_path / "cat.json"
+    cat.write_text("5")
+    code, out, err = run_cli(capsys, *argv, "--catalog", str(cat))
+    assert code == 2 and not out
+    assert "must hold a JSON list of group specs" in err
 
 
 def test_wiener_command(capsys):

@@ -12,7 +12,6 @@ from supergraphs.constructions import (
     build_compressed,
     build_partition,
     build_supergraph,
-    class_pair_adjacent,
     hierarchy_report,
     quotient_supergraph,
 )
@@ -187,13 +186,18 @@ def test_supergraph_edges_are_class_determined():
     group = sg.dihedral(4)
     part = build_partition(group, "conjugacy")
     graph = build_supergraph(group, "nilpotent", "conjugacy")
+    delta = quotient_supergraph(group, "nilpotent", "conjugacy").delta
     for g, h in itertools.combinations(range(group.order), 2):
         ci, cj = part.class_of[g], part.class_of[h]
         if ci == cj:
             assert graph.has_edge(g, h)
         else:
-            expected = class_pair_adjacent(group, "nilpotent", part.classes[ci], part.classes[cj])
-            assert graph.has_edge(g, h) == expected
+            expected = any(
+                base_adjacent(group, "nilpotent", x, y)
+                for x in part.classes[ci]
+                for y in part.classes[cj]
+            )
+            assert graph.has_edge(g, h) == delta.has_edge(ci, cj) == expected
 
 
 # --- compressed ---
@@ -238,9 +242,10 @@ def test_class_restricted_scan_equals_full_scan():
             continue
         part = build_partition(group, "conjugacy")
         for kind in KINDS:
+            delta = quotient_supergraph(group, kind, "conjugacy").delta
             for a, b in itertools.combinations(range(len(part.classes)), 2):
                 first, second = part.classes[a], part.classes[b]
-                restricted = class_pair_adjacent(group, kind, first, second)
+                restricted = delta.has_edge(a, b)
                 full = any(base_adjacent(group, kind, x, y) for x in first for y in second)
                 assert restricted == full, (group.label, kind, a, b)
 

@@ -100,7 +100,7 @@ def test_composition_identity_factors():
     base = Graph.cycle(5)
     got = compose_graphs(base, [Graph.complete(1)] * 5)
     assert got.num_edges == base.num_edges
-    assert [sorted(s) for s in got.neighbors] == [sorted(s) for s in base.neighbors]
+    assert got.edges() == base.edges()
 
 
 def test_composition_factor_count_mismatch():
@@ -163,7 +163,7 @@ def test_intersection_basics():
     assert intersection(g, g) == g
     assert intersection(g, Graph.empty(4, g.labels)).num_edges == 0
     with pytest.raises(ValueError):
-        intersection(Graph.path(3), Graph.complete(3).relabeled("xyz"))
+        intersection(Graph.path(3), Graph.complete(3, "xyz"))
     with pytest.raises(ValueError):
         intersection(Graph.path(3), Graph.complete(4))
 
@@ -172,7 +172,7 @@ def test_diagonal_of_strong_product_is_intersection():
     """The diagonal of G x H induces the intersection, for same-labelled pairs."""
     same_size = [g for g in corpus() if g.n == 4]
     for left, right in itertools.combinations_with_replacement(same_size, 2):
-        right = right.relabeled(left.labels)
+        right = Graph(left.labels, right.edges())
         prod = strong_product(left, right)
         diag = prod.induced([i * right.n + i for i in range(left.n)])
         expected = intersection(left, right)
@@ -241,16 +241,6 @@ def test_composition_witness_validation():
         witness_for_composition(base, (1, 0), ("complete", "complete"))
 
 
-def test_witness_graph_matches_direct_composition():
-    from supergraphs.graphs import witness_graph
-
-    w = witness_for_composition(Graph.path(3), (2, 1, 3), ("complete", "complete", "empty"))
-    direct = compose_graphs(
-        Graph.path(3), [Graph.complete(2), Graph.complete(1), Graph.empty(3)]
-    )
-    assert witness_graph(w).edges() == direct.edges()
-
-
 def test_wiener_supergraph_formula_examples():
     delta = Graph("eab", [(0, 1), (0, 2)])  # centre first
     assert wiener_supergraph_formula(delta, (1, 2, 3)) == 21
@@ -264,7 +254,7 @@ def _random_connected_graph(rng, n):
     while True:
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.55]
         g = Graph([str(i) for i in range(n)], edges)
-        if g.is_connected():
+        if -1 not in g.bfs_distances(0):
             return g
 
 

@@ -183,10 +183,14 @@ def test_integer_fields_are_checked():
     assert make_group({"kind": "permgens", "degree": 1, "gens": [[[1]]]}).order == 1
 
 
+def multiplication_rows(group):
+    return [[group.mul(i, j) for j in range(group.order)] for i in range(group.order)]
+
+
 def test_table_group_inverses_and_classes():
     """A Cayley table copy of S4 has the inverses and classes of S4."""
     s4 = sg.symmetric(4)
-    table = make_group({"kind": "table", "rows": [s4.multiplication_row(i) for i in range(24)]})
+    table = make_group({"kind": "table", "rows": multiplication_rows(s4)})
     assert [table.inv(i) for i in range(24)] == [s4.inv(i) for i in range(24)]
     assert [c.members for c in table.conjugacy_classes()] == [
         c.members for c in s4.conjugacy_classes()
@@ -200,16 +204,20 @@ def test_element_cap_and_env_override(monkeypatch):
     assert sg.cyclic(30000).order == 30000
 
 
-def test_symmetric_beyond_cap_supports_small_closures():
-    s8 = sg.symmetric(8)  # order 40320 > default cap; rank-indexed
-    assert s8.rep == "permutation"
-    with pytest.raises(SizeCapError):
-        s8.conjugacy_classes()
-    sub = s8.generated_subgroup(
-        [s8.index_of((1, 2, 0, 3, 4, 5, 6, 7)), s8.index_of((0, 1, 2, 4, 5, 6, 7, 3))]
-    )
-    assert sub.order == 15
-    assert sg.classify_subgroup(sub).is_cyclic
+def test_symmetric_and_alternating_degrees_beyond_cap_are_refused(monkeypatch):
+    """The cap is checked on a running product, so no huge factorial is
+    formed or printed; A_n is held to n!/2."""
+    with pytest.raises(SizeCapError, match=r"S8: order 8! exceeds"):
+        sg.symmetric(8)  # 40320 > default cap
+    assert sg.alternating(7).order == 2520
+    with pytest.raises(SizeCapError, match=r"A8: order 8!/2 exceeds .*SUPERGRAPH_CAP"):
+        sg.alternating(8)  # 20160 > default cap
+    with pytest.raises(SizeCapError, match=r"S2000000: order 2000000! exceeds"):
+        sg.symmetric(2_000_000)
+    monkeypatch.setenv("SUPERGRAPH_CAP", "12")
+    assert sg.alternating(4).order == 12
+    with pytest.raises(SizeCapError, match=r"S4: order 4! exceeds the element cap 12"):
+        sg.symmetric(4)
 
 
 # --- element structure ---
@@ -246,11 +254,11 @@ def test_class_ordering_and_representatives():
 
 def test_generated_subgroups():
     d5 = sg.dihedral(5)
-    assert d5.generated_subgroup([1]).order == 5
+    assert len(d5.pair_subgroup_members(0, 1)) == 5
     s3 = sg.symmetric(3)
     t = s3.index_of((1, 0, 2))
     r = s3.index_of((1, 2, 0))
-    assert s3.generated_subgroup([t, r]).order == 6
+    assert len(s3.pair_subgroup_members(t, r)) == 6
 
 
 def test_classify_subgroup_flags():
@@ -260,11 +268,10 @@ def test_classify_subgroup_flags():
     q8 = sg.quaternion(2)
     assert q8.whole_group_flags().is_nilpotent
     s5 = sg.symmetric(5)
-    sub = s5.generated_subgroup(
-        [s5.index_of((1, 2, 0, 3, 4)), s5.index_of((1, 2, 3, 4, 0))]
-    )
-    assert sub.order == 60
-    flags = sg.classify_subgroup(sub)
+    pair = (s5.index_of((1, 2, 0, 3, 4)), s5.index_of((1, 2, 3, 4, 0)))
+    members = s5.pair_subgroup_members(*pair)
+    assert len(members) == 60
+    flags = s5.subgroup_flags(members, pair)
     assert not flags.is_solvable and not flags.is_nilpotent
 
 
@@ -296,8 +303,7 @@ def test_classify_flag_monotonicity():
         rng = random.Random(7)
         pairs = list(itertools.combinations(range(group.order), 2))
         for g, h in rng.sample(pairs, min(40, len(pairs))):
-            sub = group.generated_subgroup([g, h])
-            f = sg.classify_subgroup(sub)
+            f = group.subgroup_flags(group.pair_subgroup_members(g, h), (g, h))
             assert (not f.is_cyclic or f.is_abelian)
             assert (not f.is_abelian or f.is_nilpotent)
             assert (not f.is_nilpotent or f.is_solvable)
@@ -312,7 +318,7 @@ def test_orbit_stabilizer():
 
 def _axiom_check(group):
     n = group.order
-    rows = [group.multiplication_row(i) for i in range(n)]
+    rows = multiplication_rows(group)
     for i in range(n):
         assert rows[0][i] == i and rows[i][0] == i
         assert rows[i][group.inv(i)] == 0 and rows[group.inv(i)][i] == 0

@@ -109,8 +109,15 @@ def test_commuting_cycles_generate_a_cyclic_group_iff_coprime():
                 if perms.compose(x, y) != perms.compose(y, x):
                     continue
                 members = _close((x, y), degree)
-                cyclic = any(perms.perm_order(m) == len(members) for m in members)
+                cyclic = any(_order(m) == len(members) for m in members)
                 assert cyclic == (math.gcd(p, q) == 1), (degree, x, y)
+
+
+def _order(p):
+    power, order = p, 1
+    while power != tuple(range(len(p))):
+        power, order = perms.compose(power, p), order + 1
+    return order
 
 
 def _close(gens, degree):
