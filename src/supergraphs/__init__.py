@@ -33,7 +33,6 @@ from .generation import (
 from .graphs import (
     Complete,
     Composition,
-    CompositionWitness,
     DisconnectedGraphError,
     Empty,
     Graph,

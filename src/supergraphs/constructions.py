@@ -7,19 +7,24 @@ adjacent in the base graph, and classes themselves induce complete subgraphs.
 
 Every supergraph is built from one form, its quotient decomposition
 delta[K_n1, ..., K_nk]: a composition of complete factors, one per class, over
-the graph delta of class adjacency. `quotient_supergraph` is the only code that
-partitions a group and decides class adjacency; `expand_quotient` turns the
-quotient into the element-level graph, and the class-compressed conjugacy
-graph is the delta of the conjugacy quotient. The base graph of a kind is its
-equality supergraph. Also provides the containment hierarchy report.
+the graph delta of class adjacency. The decomposition is delta and the classes
+of group elements, nothing more, and it is its own witness:
+`expand_quotient` blows it up into the element-level graph (see
+`graphs.blow_up`), and the class-compressed conjugacy graph is the delta of
+the conjugacy quotient. `quotient_supergraph` is the only code that
+partitions a group and decides class adjacency. The base graph of a kind is
+its equality supergraph. Also provides the containment hierarchy report.
 
 Every base adjacency is invariant under simultaneous conjugation, so element
 pairs are decided per orbit: `pair_orbit_edges` pins each conjugacy class
 representative r, decides (r, h) once per orbit of the centralizer C(r), and
 expands the edges through the conjugators the class records. It is the one
-element-pair path: it gives the equality delta and the generating graph,
-conjugacy classes are compared by the same pinned scan, and order classes,
-which are unions of conjugacy classes, through their conjugacy class pairs.
+element-pair path: it gives the equality delta and the generating graph.
+Whole conjugacy classes are compared by one pinned scan,
+`pinned_class_pairs`: some pair adjacent for a conjugacy quotient, every pair
+generating for the invariable generating graph. Order classes, which are
+unions of conjugacy classes, are compared through their conjugacy class
+pairs.
 Two shortcuts skip closures: if the whole group is abelian (commuting),
 cyclic (enhanced), nilpotent or solvable, that kind's delta is complete, and
 a commuting pair is nilpotent- and solvable-adjacent.
@@ -31,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .graphs import CompositionWitness, Graph, blow_up, is_subgraph, witness_for_composition
+from .graphs import Graph, blow_up, is_subgraph
 from .groups import FiniteGroup
 
 KINDS = ("power", "enhanced", "commuting", "nilpotent", "solvable")
@@ -196,11 +201,18 @@ def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     return Partition(group, pkind, tuple(classes), tuple(class_of))
 
 
-def _classes_adjacent(group, test, per_orbit, first, second) -> bool:
-    # the larger class is pinned to its representative, the smaller scanned
+def pinned_class_pairs(group: FiniteGroup, first, second, per_orbit: bool):
+    """The pairs (r, h) that decide a relation invariant under simultaneous
+    conjugation between two conjugacy classes, given as sorted member tuples.
+
+    The larger class is pinned to its representative r, and h stands for one
+    orbit of the centralizer C(r) on the smaller class if per_orbit is set,
+    else for one member: every pair across the classes is conjugate to one
+    of these.
+    """
     scan, fixed = (first, second) if len(first) <= len(second) else (second, first)
     pinned = fixed[0]
-    return any(test(pinned, orbit[0]) for orbit in _scan_orbits(group, pinned, scan, per_orbit))
+    return [(pinned, orbit[0]) for orbit in _scan_orbits(group, pinned, scan, per_orbit)]
 
 
 def _class_adjacency(group: FiniteGroup, kind: str, partition: Partition) -> list[tuple[int, int]]:
@@ -227,37 +239,39 @@ def _class_adjacency(group: FiniteGroup, kind: str, partition: Partition) -> lis
         (i, j)
         for i, j in itertools.combinations(range(k), 2)
         if any(
-            _classes_adjacent(group, test, per_orbit, a, b)
+            test(r, h)
             for a in parts[i]
             for b in parts[j]
+            for r, h in pinned_class_pairs(group, a, b, per_orbit)
         )
     ]
 
 
 @dataclass(frozen=True)
 class QuotientDecomposition:
+    """delta[K_n1, ..., K_nk]: classes[i] is the sorted tuple of the group
+    elements in factor i, which stands on vertex i of delta."""
+
     delta: Graph
-    sizes: tuple[int, ...]
-    witness: CompositionWitness
-    element_map: tuple[int, ...]  # composed vertex position -> group element
+    classes: tuple[tuple[int, ...], ...]
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.classes))
 
 
 def quotient_supergraph(group: FiniteGroup, kind: str, pkind: str) -> QuotientDecomposition:
     """Decompose the supergraph as delta[K_n1, ..., K_nk].
 
     delta is the induced subgraph of the supergraph on class representatives,
-    the sizes are the class sizes in class order, and the witness maps each
-    complete factor onto the members of its class. This is the one place that
-    partitions a group and decides which classes are adjacent.
+    and the classes are the partition's, in its order. This is the one place
+    that partitions a group and decides which classes are adjacent.
     """
     kind = normalize_kind(kind)
     partition = build_partition(group, pkind)
     labels = [group.element_label(rep) for rep in partition.representatives]
     delta = Graph(labels, _class_adjacency(group, kind, partition))
-    sizes = partition.sizes
-    witness = witness_for_composition(delta, sizes, ("complete",) * len(sizes))
-    element_map = tuple(g for members in partition.classes for g in members)
-    return QuotientDecomposition(delta, sizes, witness, element_map)
+    return QuotientDecomposition(delta, partition.classes)
 
 
 def expand_quotient(group: FiniteGroup, q: QuotientDecomposition) -> Graph:
@@ -266,9 +280,7 @@ def expand_quotient(group: FiniteGroup, q: QuotientDecomposition) -> Graph:
     Members of one class are pairwise joined, and every member of a class is
     joined to every member of each class adjacent to it in delta.
     """
-    ends = itertools.accumulate(q.sizes)
-    classes = [q.element_map[end - size:end] for size, end in zip(q.sizes, ends)]
-    return blow_up(q.delta, classes, group.labels())
+    return blow_up(q.delta, q.classes, group.labels(), "complete")
 
 
 def build_supergraph(group: FiniteGroup, kind: str, pkind: str) -> Graph:

@@ -153,7 +153,9 @@ def verify_family(family: str, ns) -> FamilyReport:
         expected = graphs.eval_expr(structure_expr(family, n))
         isomorphic, witness = graphs.is_isomorphic(actual, expected)
         w_bfs = graphs.wiener_index(actual)
-        w_comp = graphs.wiener_via_composition(quotient.witness)
+        w_comp = graphs.wiener_via_composition(
+            quotient.delta, quotient.sizes, ("complete",) * quotient.delta.n
+        )
         w_formula = graphs.wiener_supergraph_formula(quotient.delta, quotient.sizes)
         w_closed = wiener_closed_form(family, n)
         ok = isomorphic and witness is not None and w_bfs == w_comp == w_formula == w_closed

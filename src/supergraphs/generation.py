@@ -10,10 +10,12 @@ complement of the conjugacy supergraph of the same kind.
 
 Generation is invariant under simultaneous conjugation. The generating graph
 is decided once per orbit of pairs and expanded through conjugators (see
-`constructions.pair_orbit_edges`); the invariable generating graph once per
-pair of conjugacy classes, scanning one class by centralizer orbits. The
-base graph is the equality supergraph and, like the conjugacy supergraph,
-is expanded from its quotient (see `constructions`).
+`constructions.pair_orbit_edges`). The invariable generating graph is decided
+once per pair of conjugacy classes by the pinned scan that compares classes
+in a conjugacy quotient (`constructions.pinned_class_pairs`), and it is the
+blow-up of that graph on the classes with empty factors (`graphs.blow_up`).
+The base graph is the equality supergraph and, like the conjugacy
+supergraph, is expanded from its quotient (see `constructions`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constructions import build_supergraph, pair_orbit_edges
-from .graphs import Graph, edge_difference
+from .constructions import build_supergraph, pair_orbit_edges, pinned_class_pairs
+from .graphs import Graph, blow_up, edge_difference
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
 GENERATION_KINDS = ("abelian", "nilpotent", "solvable")
@@ -59,17 +61,22 @@ def invariable_generating_graph(group: FiniteGroup) -> Graph:
     is pinned, the other class is scanned once per orbit of the centralizer
     C(r), and an adjacent pair of classes is joined completely. A class never
     joins itself: the conjugate pairs of x include (x, x), and a class with
-    two or more members rules out a cyclic group.
+    two or more members rules out a cyclic group. So the graph is the
+    blow-up, with empty factors, of the graph on the conjugacy classes.
     """
     generates = _generates(group)
-    edges = []
-    for first, second in itertools.combinations(group.conjugacy_classes(), 2):
-        scan, fixed = (first, second) if first.size <= second.size else (second, first)
-        pinned = fixed.representative
-        orbits = group.centralizer_orbits(pinned, scan.members)
-        if all(generates(pinned, orbit[0]) for orbit in orbits):
-            edges.extend(itertools.product(first.members, second.members))
-    return Graph(group.labels(), edges)
+    classes = [cls.members for cls in group.conjugacy_classes()]
+    adjacent = [
+        (i, j)
+        for (i, first), (j, second) in itertools.combinations(enumerate(classes), 2)
+        if all(
+            generates(r, h)
+            for r, h in pinned_class_pairs(group, first, second, per_orbit=True)
+        )
+    ]
+    labels = group.labels()
+    delta = Graph([labels[members[0]] for members in classes], adjacent)
+    return blow_up(delta, classes, labels, "empty")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Finite simple graphs and the operations the supergraph constructions need:
 join, disjoint union, intersection, strong product, generalized composition,
-the complete-factor blow-up of a quotient, distances, Wiener index,
-isomorphism with witness, and comparability testing.
+the blow-up of a quotient graph into complete or empty factors, distances,
+Wiener index, isomorphism with witness, and comparability testing.
 
 Graphs are immutable, vertices carry unique string labels, and every operation
 defines a deterministic output order (factors in base order, products in
@@ -17,6 +17,11 @@ The Wiener index and both composition formulas share one all-sources distance
 sum over radius balls held as int bitmasks: at most diameter * 2m big-int ORs,
 so the supergraphs (diameter at most 2) are cheap and long paths are the
 slow case. `bfs_distances` and `distance_matrix` remain for single queries.
+
+A composition delta[F_1, ..., F_k] whose factors are all complete or all
+empty is given by delta and its classes of vertices alone: `blow_up` builds
+it, and `wiener_via_composition` reads its Wiener index from delta, the
+factor sizes and the factor kinds.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from operator import and_, or_
 from .groups import SizeCapError
 
 ISO_VERTEX_CAP = 64
+
+FACTOR_KINDS = ("complete", "empty")
 
 # bytes.translate table turning the digits of bin() into 0/1 selectors
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
@@ -294,18 +301,6 @@ class Composition:
 GraphExpr = Complete | Empty | Join | Union | Composition
 
 
-def expr_size(expr: GraphExpr) -> int:
-    if isinstance(expr, (Complete, Empty)):
-        return expr.n
-    if isinstance(expr, Join):
-        return expr_size(expr.left) + expr_size(expr.right)
-    if isinstance(expr, Union):
-        return sum(expr_size(p) for p in expr.parts)
-    if isinstance(expr, Composition):
-        return sum(expr_size(f) for f in expr.factors)
-    raise TypeError(f"not a graph expression: {expr!r}")
-
-
 def eval_expr(expr: GraphExpr) -> Graph:
     """Evaluate an expression to a graph.
 
@@ -329,46 +324,6 @@ def eval_expr(expr: GraphExpr) -> Graph:
         factors = [eval_expr(f) for f in expr.factors]
         return compose_graphs(base, factors)
     raise TypeError(f"not a graph expression: {expr!r}")
-
-
-def expr_to_json(expr: GraphExpr) -> dict:
-    if isinstance(expr, Complete):
-        return {"kind": "complete", "n": expr.n}
-    if isinstance(expr, Empty):
-        return {"kind": "empty", "n": expr.n}
-    if isinstance(expr, Join):
-        return {
-            "kind": "join",
-            "left": expr_to_json(expr.left),
-            "right": expr_to_json(expr.right),
-        }
-    if isinstance(expr, Union):
-        return {"kind": "union", "parts": [expr_to_json(p) for p in expr.parts]}
-    if isinstance(expr, Composition):
-        return {
-            "kind": "composition",
-            "base": expr_to_json(expr.base),
-            "factors": [expr_to_json(f) for f in expr.factors],
-        }
-    raise TypeError(f"not a graph expression: {expr!r}")
-
-
-def expr_from_json(data: dict) -> GraphExpr:
-    kind = data["kind"]
-    if kind == "complete":
-        return Complete(int(data["n"]))
-    if kind == "empty":
-        return Empty(int(data["n"]))
-    if kind == "join":
-        return Join(expr_from_json(data["left"]), expr_from_json(data["right"]))
-    if kind == "union":
-        return Union(tuple(expr_from_json(p) for p in data["parts"]))
-    if kind == "composition":
-        return Composition(
-            expr_from_json(data["base"]),
-            tuple(expr_from_json(f) for f in data["factors"]),
-        )
-    raise ValueError(f"unknown expression kind {kind!r}")
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:
@@ -402,14 +357,19 @@ def compose_graphs(base: Graph, factors: list[Graph]) -> Graph:
     return Graph._from_masks(labels, masks)
 
 
-def blow_up(delta: Graph, classes, labels) -> Graph:
-    """delta[K_n1, ..., K_nk] on vertices listed by class: classes[i] holds
-    the vertices of factor i, and the classes partition range(len(labels)).
+def blow_up(delta: Graph, classes, labels, factor: str) -> Graph:
+    """The composition delta[F_1, ..., F_k] on vertices listed by class:
+    classes[i] holds the vertices of factor i, the classes partition
+    range(len(labels)), and factor says whether every F_i is complete or
+    every one empty.
 
-    Each vertex is joined to the rest of its class and to every vertex of the
-    classes adjacent to its own in delta, so its mask is the OR of its class
-    mask and those classes' masks, less its own bit.
+    Each vertex is joined to every vertex of the classes adjacent to its own
+    in delta and, with complete factors, to the rest of its class: its mask
+    is the OR of those classes' masks, less its own bit.
     """
+    if factor not in FACTOR_KINDS:
+        raise ValueError(f"unknown factor kind {factor!r}")
+    own = 1 if factor == "complete" else 0
     class_masks = [sum(1 << v for v in members) for members in classes]
     if (
         len(classes) != delta.n
@@ -419,9 +379,10 @@ def blow_up(delta: Graph, classes, labels) -> Graph:
         raise ValueError("blow-up needs one class per delta vertex, partitioning the vertices")
     masks = [0] * len(labels)
     for i, members in enumerate(classes):
-        row = reduce(or_, map(class_masks.__getitem__, _bits(delta.masks[i])), class_masks[i])
+        adjacent = map(class_masks.__getitem__, _bits(delta.masks[i]))
+        row = reduce(or_, adjacent, class_masks[i] * own)
         for v in members:
-            masks[v] = row ^ 1 << v
+            masks[v] = row ^ own << v
     return Graph._from_masks(labels, masks)
 
 
@@ -469,57 +430,31 @@ def is_subgraph(small: Graph, big: Graph) -> bool:
 # --- composition-based Wiener identities ---
 
 
-@dataclass(frozen=True)
-class CompositionWitness:
-    """Replayable record that a graph is base[factor_1, ..., factor_k] with
-    complete or empty factors: factor sizes, kinds, and the vertex bijection
-    from composed vertices to (base vertex, inner index) pairs."""
-
-    base: Graph
-    factor_sizes: tuple[int, ...]
-    factor_kinds: tuple[str, ...]
-    vertex_map: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.factor_sizes) != self.base.n:
-            raise ValueError("one factor per base vertex required")
-        if len(self.factor_kinds) != self.base.n:
-            raise ValueError("one factor kind per base vertex required")
-        for kind in self.factor_kinds:
-            if kind not in ("complete", "empty"):
-                raise ValueError(f"unknown factor kind {kind!r}")
-        if any(s < 1 for s in self.factor_sizes):
-            raise ValueError("factor sizes must be positive")
-        expected = [
-            (i, p) for i, s in enumerate(self.factor_sizes) for p in range(s)
-        ]
-        if sorted(self.vertex_map) != expected:
-            raise ValueError("vertex_map is not a bijection onto factor slots")
-
-
-def witness_for_composition(base: Graph, sizes, kinds) -> CompositionWitness:
-    """Canonical witness with vertices in base order, inner order preserved."""
-    sizes = tuple(sizes)
-    kinds = tuple(kinds)
-    vmap = tuple((i, p) for i, s in enumerate(sizes) for p in range(s))
-    return CompositionWitness(base, sizes, kinds, vmap)
-
-
-def wiener_via_composition(witness: CompositionWitness) -> int:
-    """Wiener index of a composition with complete/empty factors, computed from
-    factor sizes and base distances alone: pairs inside a complete factor are
-    at distance 1, inside an empty factor at distance 2 (through a neighbouring
-    factor), and pairs in distinct factors at the base distance."""
-    base = witness.base
+def wiener_via_composition(base: Graph, sizes, kinds) -> int:
+    """Wiener index of base[F_1, ..., F_k], factor F_i complete or empty on
+    sizes[i] vertices as kinds[i] says, computed from factor sizes and base
+    distances alone: pairs inside a complete factor are at distance 1, inside
+    an empty factor at distance 2 (through a neighbouring factor), and pairs
+    in distinct factors at the base distance."""
+    sizes, kinds = tuple(sizes), tuple(kinds)
+    if len(sizes) != base.n:
+        raise ValueError("one factor per base vertex required")
+    if len(kinds) != base.n:
+        raise ValueError("one factor kind per base vertex required")
+    for kind in kinds:
+        if kind not in FACTOR_KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+    if any(s < 1 for s in sizes):
+        raise ValueError("factor sizes must be positive")
     # distances first: an isolated base vertex beside others is a disconnection
-    total = _distance_sum(base, witness.factor_sizes, "composition base must be connected")
-    for i, (size, kind) in enumerate(zip(witness.factor_sizes, witness.factor_kinds)):
+    total = _distance_sum(base, sizes, "composition base must be connected")
+    for i, (size, kind) in enumerate(zip(sizes, kinds)):
         if kind == "empty" and size >= 2 and base.degree(i) == 0:
             raise ValueError(
                 "empty factor of size >= 2 on an isolated base vertex has no "
                 "length-two path between its vertices"
             )
-    for size, kind in zip(witness.factor_sizes, witness.factor_kinds):
+    for size, kind in zip(sizes, kinds):
         inner = math.comb(size, 2)
         total += inner if kind == "complete" else 2 * inner
     return total

@@ -5,8 +5,10 @@ come from built-in presentations (cyclic, dihedral, generalized quaternion),
 symmetric/alternating groups, direct products, explicit Cayley tables, or
 permutation generators. Every group is enumerable up to the element cap (env
 var SUPERGRAPH_CAP, default 20000): a constructor refuses a larger order with
-SizeCapError before it enumerates anything, and the symmetric and alternating
-constructors stop multiplying out n! as soon as it passes the cap.
+SizeCapError before it enumerates anything, the symmetric and alternating
+constructors stop multiplying out n! as soon as it passes the cap, and a
+permutation-generator spec whose degree passes the cap is refused before any
+permutation is built.
 
 Conjugation is orbit-based. Conjugacy classes are orbits of a breadth-first
 search under conjugation by a small generating set of the group, which
@@ -94,6 +96,7 @@ class FiniteGroup:
         self._pair_members: dict[tuple[int, int], tuple[int, ...]] = {}
         self._flags_cache: dict[frozenset[int], SubgroupFlags] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
+        self._labels: tuple[str, ...] | None = None
 
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -108,8 +111,11 @@ class FiniteGroup:
         self.require_enumerable()
         return range(self.order)
 
-    def labels(self) -> list[str]:
-        return [self.element_label(i) for i in self.elements()]
+    def labels(self) -> tuple[str, ...]:
+        """Every element's label, in index order; computed once per group."""
+        if self._labels is None:
+            self._labels = tuple(self.element_label(i) for i in self.elements())
+        return self._labels
 
     def require_enumerable(self) -> None:
         if self.order > element_cap():
@@ -387,52 +393,20 @@ class CyclicGroup(FiniteGroup):
         return "a" if i == 1 else f"a^{i}"
 
 
-class DihedralGroup(FiniteGroup):
-    """Order 2n, elements e, a, ..., a^(n-1), b, ab, ..., a^(n-1)b."""
+class MetacyclicGroup(FiniteGroup):
+    """<a, b | a^m = e, b^2 = a^s, b^-1 a b = a^-1> with s = 0 or s = m/2:
+    the dihedral group D_2n (m = n, s = 0) and the generalized quaternion
+    group Q_4n (m = 2n, s = n). Order 2m; elements e, a, ..., a^(m-1) are
+    indices 0..m-1 and b, ab, ..., a^(m-1)b are m..2m-1.
+    """
 
-    def __init__(self, n: int):
-        super().__init__(2 * n, f"D{2 * n}")
-        self.n = n
-
-    def mul(self, i, j):
-        n = self.n
-        ri, fi = i % n, i >= n
-        rj, fj = j % n, j >= n
-        if not fi and not fj:
-            return (ri + rj) % n
-        if not fi and fj:
-            return n + (ri + rj) % n
-        if fi and not fj:
-            return n + (ri - rj) % n
-        return (ri - rj) % n
-
-    def inv(self, i):
-        n = self.n
-        if i < n:
-            return (-i) % n
-        return i
-
-    def element_label(self, i):
-        n = self.n
-        r, flip = i % n, i >= n
-        if not flip:
-            if r == 0:
-                return "e"
-            return "a" if r == 1 else f"a^{r}"
-        if r == 0:
-            return "b"
-        return "ab" if r == 1 else f"a^{r}b"
-
-
-class QuaternionGroup(FiniteGroup):
-    """Generalized quaternion group of order 4n: a has order 2n, b^2 = a^n."""
-
-    def __init__(self, n: int):
-        super().__init__(4 * n, f"Q{4 * n}")
-        self.n = n
+    def __init__(self, m: int, s: int, label: str):
+        super().__init__(2 * m, label)
+        self.m = m
+        self.s = s
 
     def mul(self, i, j):
-        m = 2 * self.n
+        m = self.m
         ri, fi = i % m, i >= m
         rj, fj = j % m, j >= m
         if not fi and not fj:
@@ -441,17 +415,18 @@ class QuaternionGroup(FiniteGroup):
             return m + (ri + rj) % m
         if fi and not fj:
             return m + (ri - rj) % m
-        return (ri - rj + self.n) % m
+        # a^ri b a^rj b = a^(ri - rj) b^2
+        return (ri - rj + self.s) % m
 
     def inv(self, i):
-        m = 2 * self.n
+        m = self.m
         if i < m:
             return (-i) % m
-        return m + (i - self.n) % m
+        # (a^r b)^-1 = b^-1 a^-r = a^(r - s) b, and -s = s mod m
+        return m + (i + self.s) % m
 
     def element_label(self, i):
-        m = 2 * self.n
-        r, flip = i % m, i >= m
+        r, flip = i % self.m, i >= self.m
         if not flip:
             if r == 0:
                 return "e"
@@ -579,14 +554,14 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidGroupSpec("dihedral groups need n >= 1")
     _check_order(2 * n, "dihedral")
-    return DihedralGroup(n)
+    return MetacyclicGroup(n, 0, f"D{2 * n}")
 
 
 def quaternion(n: int) -> FiniteGroup:
     if n < 2:
         raise InvalidGroupSpec("generalized quaternion groups need n >= 2")
     _check_order(4 * n, "quaternion")
-    return QuaternionGroup(n)
+    return MetacyclicGroup(2 * n, n, f"Q{4 * n}")
 
 
 def _check_factorial_order(n: int, label: str, halved: bool) -> None:
@@ -696,6 +671,12 @@ def make_group(spec) -> FiniteGroup:
             degree = _integer(spec, "degree")
             if degree < 1:
                 raise InvalidGroupSpec("permgens needs degree >= 1")
+            # every permutation is a degree-length tuple: refuse before building one
+            if degree > element_cap():
+                raise SizeCapError(
+                    f"permgens: degree {degree} exceeds the element cap "
+                    f"{element_cap()}; set SUPERGRAPH_CAP to raise it"
+                )
             gens = [
                 perms.perm_from_cycles(degree, cyc_list) for cyc_list in spec["gens"]
             ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import perms
-from .constructions import build_compressed
+from .constructions import build_compressed, build_partition
 from .graphs import Graph, intersection, strong_product
 from .groups import (
     FiniteGroup,
@@ -203,37 +203,6 @@ def arithmetic_adjacency(degree: int, p: int, q: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Step3Result:
-    degree: int
-    cycle_lengths: tuple[int, ...]
-    graph: Graph
-
-
-def step3_embedding(n: int, kind: str, with_nonedge: bool = True) -> Step3Result:
-    """Realize K_n (or K_n minus one edge) by prime-cycle classes.
-
-    With a nonedge the degree is p_{n-1} + p_n - 1, so only the two largest
-    prime cycles are forced to intersect; without it the degree p_{n-1} + p_n
-    lets every pair commute.
-    """
-    if n < 3:
-        raise ValueError("prime-cycle embeddings need n >= 3")
-    ps = primes_first(n)
-    degree = ps[-2] + ps[-1] - (1 if with_nonedge else 0)
-    if degree > DEGREE_CAP:
-        raise SizeCapError(
-            f"embedding degree {degree} exceeds cap {DEGREE_CAP} at n={n}"
-        )
-    labels = [f"{p}-cycle" for p in ps]
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(n), 2)
-        if class_adjacency(degree, ps[i], ps[j], kind)
-    ]
-    return Step3Result(degree, tuple(ps), Graph(labels, edges))
-
-
-@dataclass(frozen=True)
 class FactorCertificate:
     nonedge: tuple[int, int] | None
     primes: tuple[int, ...]
@@ -312,7 +281,7 @@ def _factor_for_nonedge(
         checked = "arithmetic"
     else:
         raise SizeCapError(
-            f"factor degree {degree} exceeds cap {DEGREE_CAP}; "
+            f"factor degree {degree} exceeds cap {DEGREE_CAP} at n={n}; "
             "rerun with the arithmetic fallback to downgrade"
         )
     edges = []
@@ -327,6 +296,22 @@ def _factor_for_nonedge(
     return FactorCertificate(
         nonedge, tuple(ps), degree, tuple(vertex_primes), Graph(target.labels, edges), checked
     )
+
+
+def step3_embedding(n: int, kind: str, with_nonedge: bool = True) -> FactorCertificate:
+    """Realize K_n (or K_n minus the edge of its last two vertices) by the
+    classes of the first n prime cycles, vertex i carrying the i-th prime.
+
+    With a nonedge the degree is p_{n-1} + p_n - 1, so only the two largest
+    prime cycles are forced to intersect; without it the degree p_{n-1} + p_n
+    lets every pair commute.
+    """
+    if n < 3:
+        raise ValueError("prime-cycle embeddings need n >= 3")
+    ps = primes_first(n)
+    target = Graph.complete(n, [f"{p}-cycle" for p in ps])
+    nonedge = (n - 2, n - 1) if with_nonedge else None
+    return _factor_for_nonedge(target, nonedge, ps, kind, allow_arithmetic=False)
 
 
 def embed_graph(target: Graph, kind: str, arithmetic_fallback: bool = False) -> EmbeddingCertificate:
@@ -385,28 +370,12 @@ def strong_product_identity_check(left: FiniteGroup, right: FiniteGroup, kind: s
     left_c = build_compressed(left, kind)
     right_c = build_compressed(right, kind)
     boxed = strong_product(left_c, right_c)
-    if combined.n != boxed.n:
-        return False
-
-    left_classes = build_class_index(left)
-    right_classes = build_class_index(right)
-    k_right = len(right.conjugacy_classes())
+    left_of = build_partition(left, "conjugacy").class_of
+    right_of = build_partition(right, "conjugacy").class_of
     mapping = []
     for cls in prod.conjugacy_classes():
         g, h = divmod(cls.representative, right.order)
-        mapping.append(left_classes[g] * k_right + right_classes[h])
+        mapping.append(left_of[g] * right_c.n + right_of[h])
     if sorted(mapping) != list(range(boxed.n)):
         return False
-    for a, b in itertools.combinations(range(combined.n), 2):
-        if combined.has_edge(a, b) != boxed.has_edge(mapping[a], mapping[b]):
-            return False
-    return True
-
-
-def build_class_index(group: FiniteGroup) -> dict[int, int]:
-    """Element -> index of its conjugacy class in (size, least member) order."""
-    out: dict[int, int] = {}
-    for idx, cls in enumerate(group.conjugacy_classes()):
-        for g in cls.members:
-            out[g] = idx
-    return out
+    return combined == boxed.induced(mapping)

@@ -29,7 +29,6 @@ from supergraphs.graphs import (
     wiener_index,
     wiener_supergraph_formula,
     wiener_via_composition,
-    witness_for_composition,
 )
 from supergraphs.universality import (
     class_adjacency,
@@ -149,13 +148,12 @@ def test_criterion_3_composition_formulas():
                 else "empty"
                 for i in range(k)
             )
-            witness = witness_for_composition(base, sizes, kinds)
             factors = [
                 Graph.complete(s) if kd == "complete" else Graph.empty(s)
                 for s, kd in zip(sizes, kinds)
             ]
             brute = wiener_index(compose_graphs(base, factors))
-            assert wiener_via_composition(witness) == brute
+            assert wiener_via_composition(base, sizes, kinds) == brute
             if all(kd == "complete" for kd in kinds):
                 assert wiener_supergraph_formula(base, sizes) == brute
         # every quotient decomposition from criterion 2
@@ -167,7 +165,8 @@ def test_criterion_3_composition_formulas():
             for pkind in ("equality", "conjugacy"):
                 q = quotient_supergraph(group, "commuting", pkind)
                 brute = wiener_index(build_supergraph(group, "commuting", pkind))
-                assert wiener_via_composition(q.witness) == brute
+                complete = ("complete",) * q.delta.n
+                assert wiener_via_composition(q.delta, q.sizes, complete) == brute
                 assert wiener_supergraph_formula(q.delta, q.sizes) == brute
 
 

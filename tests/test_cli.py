@@ -146,6 +146,20 @@ def test_huge_symmetric_and_alternating_degrees_exit_3_at_once(capsys, kind, n, 
     assert time.perf_counter() - start < 1.0
 
 
+def test_huge_permgens_degree_exits_3_at_once(capsys):
+    """The degree is held to the element cap before any degree-length
+    permutation is built."""
+    start = time.perf_counter()
+    spec = json.dumps({"kind": "permgens", "degree": 10**9, "gens": []})
+    code, out, err = run_cli(
+        capsys, "graph", "--group", spec, "--kind", "commuting", "--compressed"
+    )
+    assert code == 3 and not out
+    assert "degree 1000000000 exceeds the element cap" in err
+    assert "set SUPERGRAPH_CAP" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_wiener_small_range(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "wiener", "--family", "cscom-d", "--n", "3..8"

@@ -13,7 +13,6 @@ from supergraphs.graphs import (
     wiener_index,
     wiener_supergraph_formula,
     wiener_via_composition,
-    witness_for_composition,
 )
 
 nx = pytest.importorskip("networkx")
@@ -89,16 +88,16 @@ def test_composition_formula_matches_weighted_oracle(seed):
     inner = sum(
         math.comb(s, 2) * (1 if k == "complete" else 2) for s, k in zip(sizes, kinds)
     )
-    witness = witness_for_composition(base, sizes, kinds)
-    assert wiener_via_composition(witness) == inner + weighted_sum_oracle(base, sizes)
+    assert wiener_via_composition(base, sizes, kinds) == inner + weighted_sum_oracle(base, sizes)
 
 
 def test_composition_with_all_empty_factors():
     base = Graph.cycle(5)
     sizes = [3, 1, 4, 1, 5]
-    witness = witness_for_composition(base, sizes, ["empty"] * 5)
     inner = 2 * sum(math.comb(s, 2) for s in sizes)
-    assert wiener_via_composition(witness) == inner + weighted_sum_oracle(base, sizes)
+    assert wiener_via_composition(base, sizes, ["empty"] * 5) == inner + weighted_sum_oracle(
+        base, sizes
+    )
 
 
 def two_components() -> Graph:
@@ -112,15 +111,13 @@ def test_disconnection_raises_from_every_entry_point():
         wiener_index(graph)
     with pytest.raises(DisconnectedGraphError, match="delta must be connected"):
         wiener_supergraph_formula(graph, [1, 2, 3, 4, 5])
-    witness = witness_for_composition(graph, [2] * 5, ["complete"] * 5)
     with pytest.raises(DisconnectedGraphError, match="composition base must be connected"):
-        wiener_via_composition(witness)
+        wiener_via_composition(graph, [2] * 5, ["complete"] * 5)
 
 
 def test_isolated_vertex_is_a_disconnection():
     graph = Graph([str(i) for i in range(3)], [(0, 1)])
     with pytest.raises(DisconnectedGraphError):
         wiener_index(graph)
-    witness = witness_for_composition(graph, [1, 1, 2], ["complete", "complete", "empty"])
     with pytest.raises(DisconnectedGraphError):
-        wiener_via_composition(witness)
+        wiener_via_composition(graph, [1, 1, 2], ["complete", "complete", "empty"])

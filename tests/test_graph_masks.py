@@ -112,16 +112,18 @@ def test_intersection_difference_and_subgraph(pair):
     assert (left == right) == (edge_set(left) == edge_set(right))
 
 
-def pairwise_blow_up(delta, classes, labels):
-    edges = [e for members in classes for e in itertools.combinations(members, 2)]
+def pairwise_blow_up(delta, classes, labels, factor):
+    edges = []
+    if factor == "complete":
+        edges = [e for members in classes for e in itertools.combinations(members, 2)]
     for i, j in delta.edges():
         edges.extend(itertools.product(classes[i], classes[j]))
     return Graph(labels, edges)
 
 
 @SEEDED
-@given(graphs(max_n=8), rngs)
-def test_blow_up_matches_pairwise_expansion(delta, rng):
+@given(graphs(max_n=8), rngs, st.sampled_from(("complete", "empty")))
+def test_blow_up_matches_pairwise_expansion(delta, rng, factor):
     sizes = [rng.randint(1, 5) for _ in range(delta.n)]
     vertices = list(range(sum(sizes)))
     rng.shuffle(vertices)
@@ -130,14 +132,17 @@ def test_blow_up_matches_pairwise_expansion(delta, rng):
         classes.append(tuple(sorted(vertices[start:start + size])))
         start += size
     labels = [f"g{v}" for v in range(len(vertices))]
-    assert blow_up(delta, classes, labels) == pairwise_blow_up(delta, classes, labels)
+    expected = pairwise_blow_up(delta, classes, labels, factor)
+    assert blow_up(delta, classes, labels, factor) == expected
 
 
 def test_blow_up_needs_a_partition():
     delta = Graph.complete(2)
     for classes in ([(0,), (1,)], [(0, 1), (1, 2)], [(0,), (1, 3)], [(0, 1, 2)]):
         with pytest.raises(ValueError):
-            blow_up(delta, classes, "abc")
+            blow_up(delta, classes, "abc", "complete")
+    with pytest.raises(ValueError, match="unknown factor kind 'cycle'"):
+        blow_up(delta, [(0,), (1, 2)], "abc", "cycle")
 
 
 @SEEDED

@@ -13,14 +13,10 @@ from supergraphs.graphs import (
     DisconnectedGraphError,
     Empty,
     Graph,
-    Join,
-    Union,
     compose_graphs,
     disjoint_union,
     distance_matrix,
     eval_expr,
-    expr_from_json,
-    expr_to_json,
     intersection,
     is_comparability,
     is_isomorphic,
@@ -29,7 +25,6 @@ from supergraphs.graphs import (
     wiener_index,
     wiener_supergraph_formula,
     wiener_via_composition,
-    witness_for_composition,
 )
 from supergraphs.groups import SizeCapError
 
@@ -116,16 +111,6 @@ def test_composition_k2_base_equals_join():
         assert composed.edges() == joined.edges()
 
 
-def test_expr_json_roundtrip():
-    expr = Composition(
-        Join(Complete(1), Union((Complete(2), Empty(3)))),
-        (Complete(1), Complete(2), Empty(2), Complete(3), Complete(1), Empty(1)),
-    )
-    data = json.loads(json.dumps(expr_to_json(expr)))
-    assert expr_from_json(data) == expr
-    assert eval_expr(expr_from_json(data)).edges() == eval_expr(expr).edges()
-
-
 # --- strong product & intersection ---
 
 
@@ -208,37 +193,25 @@ def test_wiener_basics():
 
 
 def test_wiener_via_composition_examples():
-    w = witness_for_composition(Graph.complete(2), (1, 2), ("complete", "empty"))
-    assert wiener_via_composition(w) == 4  # this is P3
-    w = witness_for_composition(Graph.complete(2), (1, 3), ("complete", "empty"))
-    assert wiener_via_composition(w) == 9  # star on 4 vertices
-    w = witness_for_composition(Graph.complete(1), (4,), ("complete",))
-    assert wiener_via_composition(w) == 6
+    assert wiener_via_composition(Graph.complete(2), (1, 2), ("complete", "empty")) == 4  # P3
+    assert wiener_via_composition(Graph.complete(2), (1, 3), ("complete", "empty")) == 9  # star
+    assert wiener_via_composition(Graph.complete(1), (4,), ("complete",)) == 6
 
 
 def test_wiener_via_composition_preconditions():
     with pytest.raises(DisconnectedGraphError):
-        wiener_via_composition(
-            witness_for_composition(Graph.empty(2), (1, 1), ("complete",) * 2)
-        )
-    with pytest.raises(ValueError):
-        wiener_via_composition(
-            witness_for_composition(Graph.complete(1), (2,), ("empty",))
-        )
-
-
-def test_composition_witness_validation():
-    from supergraphs.graphs import CompositionWitness
-
+        wiener_via_composition(Graph.empty(2), (1, 1), ("complete",) * 2)
+    with pytest.raises(ValueError, match="length-two path"):
+        wiener_via_composition(Graph.complete(1), (2,), ("empty",))
     base = Graph.complete(2)
-    with pytest.raises(ValueError):
-        CompositionWitness(base, (1,), ("complete",), ((0, 0),))
-    with pytest.raises(ValueError):
-        CompositionWitness(base, (1, 1), ("complete", "weird"), ((0, 0), (1, 0)))
-    with pytest.raises(ValueError):
-        CompositionWitness(base, (1, 1), ("complete",) * 2, ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
-        witness_for_composition(base, (1, 0), ("complete", "complete"))
+    with pytest.raises(ValueError, match="one factor per base vertex"):
+        wiener_via_composition(base, (1,), ("complete",) * 2)
+    with pytest.raises(ValueError, match="one factor kind per base vertex"):
+        wiener_via_composition(base, (1, 1), ("complete",))
+    with pytest.raises(ValueError, match="unknown factor kind 'weird'"):
+        wiener_via_composition(base, (1, 1), ("complete", "weird"))
+    with pytest.raises(ValueError, match="factor sizes must be positive"):
+        wiener_via_composition(base, (1, 0), ("complete", "complete"))
 
 
 def test_wiener_supergraph_formula_examples():
@@ -271,13 +244,12 @@ def test_wiener_composition_agrees_with_bfs_randomized():
             else "empty"
             for i, _ in enumerate(sizes)
         )
-        witness = witness_for_composition(base, sizes, kinds)
         factors = [
             Graph.complete(s) if kd == "complete" else Graph.empty(s)
             for s, kd in zip(sizes, kinds)
         ]
         composed = compose_graphs(base, factors)
-        assert wiener_via_composition(witness) == wiener_index(composed)
+        assert wiener_via_composition(base, sizes, kinds) == wiener_index(composed)
         if all(kd == "complete" for kd in kinds):
             assert wiener_supergraph_formula(base, sizes) == wiener_index(composed)
 
@@ -288,8 +260,8 @@ def test_wiener_formula_matches_composition_all_complete():
         k = rng.randint(1, 8)
         base = _random_connected_graph(rng, k)
         sizes = tuple(rng.randint(1, 5) for _ in range(k))
-        witness = witness_for_composition(base, sizes, ("complete",) * k)
-        assert wiener_supergraph_formula(base, sizes) == wiener_via_composition(witness)
+        via_composition = wiener_via_composition(base, sizes, ("complete",) * k)
+        assert wiener_supergraph_formula(base, sizes) == via_composition
 
 
 # --- isomorphism ---

@@ -46,6 +46,9 @@ def test_dihedral_presentation():
     # b a b^-1 = a^-1
     b, a = 5, 1
     assert d.mul(d.mul(b, a), d.inv(b)) == d.inv(a)
+    labels = ("e", "a", "a^2", "a^3", "a^4", "b", "ab", "a^2b", "a^3b", "a^4b")
+    assert d.labels() == labels
+    assert d.labels() is d.labels()  # built once per group
 
 
 def test_quaternion_presentation():
@@ -202,6 +205,11 @@ def test_element_cap_and_env_override(monkeypatch):
         sg.cyclic(30000)
     monkeypatch.setenv("SUPERGRAPH_CAP", "50000")
     assert sg.cyclic(30000).order == 30000
+    # a permutation group's degree is held to the cap too
+    monkeypatch.setenv("SUPERGRAPH_CAP", "6")
+    assert make_group({"kind": "permgens", "degree": 6, "gens": [[[1, 6]]]}).order == 2
+    with pytest.raises(SizeCapError, match="permgens: degree 7 exceeds the element cap 6"):
+        make_group({"kind": "permgens", "degree": 7, "gens": []})
 
 
 def test_symmetric_and_alternating_degrees_beyond_cap_are_refused(monkeypatch):

@@ -1,8 +1,10 @@
-"""Permutation-group facts against sympy: stabilizer-chain orders, and the
+"""Permutation-group facts against sympy: stabilizer-chain orders, the
 theorem behind prime-cycle class adjacency (intersecting p- and q-cycles with
 p + q > N generate a group that is neither nilpotent nor, save for (2, 3),
-solvable)."""
+solvable), and the exhaustive scan for cycle lengths that are not both
+prime."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from supergraphs import perms
 from supergraphs.universality import class_adjacency
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
+sympy_is_prime = pytest.importorskip("sympy").isprime
 Permutation = combinatorics.Permutation
 PermutationGroup = combinatorics.PermutationGroup
 
@@ -68,3 +71,48 @@ def test_intersecting_prime_cycles_generate_non_solvable_groups():
         assert group.is_solvable is ((p, q) == (2, 3)), (x, y)
         assert class_adjacency(degree, p, q, "nilpotent") is False
         assert class_adjacency(degree, p, q, "solvable") is ((p, q) == (2, 3))
+
+
+def cycles_of_length(degree, length):
+    """Every length-cycle on range(degree) once, written from its least point."""
+    for points in itertools.combinations(range(degree), length):
+        for rest in itertools.permutations(points[1:]):
+            yield perms.perm_from_cycles(degree, [[points[0], *rest]], one_based=False)
+
+
+def centralizer_of_canonical_cycle(degree, p):
+    """<x> times the symmetric group on the fixed points of x = (0 1 ... p-1)."""
+    for k in range(p):
+        for rest in itertools.permutations(range(p, degree)):
+            yield tuple((i + k) % p for i in range(p)) + rest
+
+
+def test_composite_length_class_adjacency_matches_sympy():
+    """At degrees 4-6, for lengths p < q not both prime, the p- and q-cycle
+    classes are solvable (nilpotent) adjacent iff some q-cycle y makes
+    <x, y> solvable (nilpotent) for the canonical p-cycle x. Conjugating y by
+    the centralizer of x conjugates <x, y>, so one y per centralizer orbit
+    is asked of sympy."""
+    outcomes = set()
+    for degree in (4, 5, 6):
+        for p, q in itertools.combinations(range(1, degree + 1), 2):
+            if sympy_is_prime(p) and sympy_is_prime(q):
+                continue
+            x = perms.perm_from_cycles(degree, [list(range(p))], one_based=False)
+            centralizer = list(centralizer_of_canonical_cycle(degree, p))
+            ys = {
+                min(perms.conjugate(y, c) for c in centralizer)
+                for y in cycles_of_length(degree, q)
+            }
+            solvable = nilpotent = False
+            for y in sorted(ys):
+                group = sympy_group(degree, [x, y])
+                if group.is_solvable:
+                    solvable = True
+                    if group.is_nilpotent:
+                        nilpotent = True
+                        break
+            assert class_adjacency(degree, p, q, "solvable") is solvable, (degree, p, q)
+            assert class_adjacency(degree, p, q, "nilpotent") is nilpotent, (degree, p, q)
+            outcomes.add((solvable, nilpotent))
+    assert outcomes == {(True, True), (True, False), (False, False)}

@@ -291,7 +291,7 @@ def test_step3_with_nonedge_n3():
     for kind in ("commuting", "enhanced", "nilpotent", "solvable"):
         res = step3_embedding(3, kind, with_nonedge=True)
         assert res.degree == 7
-        assert res.cycle_lengths == (2, 3, 5)
+        assert res.primes == (2, 3, 5)
         assert set(res.graph.edges()) == {(0, 1), (0, 2)}  # nonedge on (3,5)
 
 
