@@ -40,7 +40,6 @@ from .graphs import (
     Join,
     Union,
     compose_graphs,
-    distance_matrix,
     eval_expr,
     intersection,
     is_comparability,

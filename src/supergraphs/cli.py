@@ -131,12 +131,10 @@ def cmd_graph(args) -> int:
     else:
         graph = build_supergraph(group, args.kind, args.partition)
         payload = graph.to_json_dict()
-    if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if args.json or not args.dot:
+        _dump_json(payload, args.json)
     if args.dot:
         Path(args.dot).write_text(graph.to_dot())
-    if not args.json and not args.dot:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -183,7 +183,6 @@ def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     members in increasing order, so downstream vertex orders are reproducible.
     """
     pkind = normalize_partition(pkind)
-    group.require_enumerable()
     if pkind == "equality":
         classes = [(g,) for g in range(group.order)]
     elif pkind == "conjugacy":

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .constructions import build_supergraph, pair_orbit_edges, pinned_class_pairs
+from .constructions import _complete_on, build_supergraph, pair_orbit_edges, pinned_class_pairs
 from .graphs import Graph, blow_up, edge_difference
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
@@ -49,7 +49,6 @@ def _generates(group: FiniteGroup):
 def generating_graph(group: FiniteGroup) -> Graph:
     """g ~ h iff the pair generates the whole group, decided once per orbit of
     pairs under simultaneous conjugation (see `pair_orbit_edges`)."""
-    group.require_enumerable()
     return Graph(group.labels(), pair_orbit_edges(group, _generates(group), per_orbit=True))
 
 
@@ -106,26 +105,19 @@ def _containment(small: Graph, big: Graph) -> tuple[bool, bool, tuple]:
     return (not violations, small == big, violations)
 
 
-def _group_has_property(group: FiniteGroup, kind: str) -> bool:
-    flags = group.whole_group_flags()
-    if kind == "abelian":
-        return flags.is_abelian
-    if kind == "nilpotent":
-        return flags.is_nilpotent
-    return flags.is_solvable
-
-
 def containment_checks(group: FiniteGroup) -> list[ContainmentReport]:
     """Both containments for each applicable kind.
 
     Kinds whose property the whole group already has are skipped (reported as
-    not applicable): the containments are only claimed for non-A groups.
+    not applicable): the containments are only claimed for non-A groups. The
+    group has the property exactly when the supergraphs of the matching base
+    kind are complete (`constructions._complete_on`).
     """
     reports = []
     gen = None
     igg = None
     for kind in GENERATION_KINDS:
-        if _group_has_property(group, kind):
+        if _complete_on(group, _BASE_FOR_KIND[kind]):
             for check in ("generating-vs-base", "invariable-vs-super"):
                 reports.append(
                     ContainmentReport(group.label, kind, check, False, True, False, ())

@@ -14,9 +14,9 @@ difference, compositions, strong products and the blow-up are a few big-int
 operations per vertex, and `edges()` reads the bits back in sorted order.
 
 The Wiener index and both composition formulas share one all-sources distance
-sum over radius balls held as int bitmasks: at most diameter * 2m big-int ORs,
-so the supergraphs (diameter at most 2) are cheap and long paths are the
-slow case. `bfs_distances` and `distance_matrix` remain for single queries.
+sum over radius balls held as int bitmasks, the module's only distance
+kernel: at most diameter * 2m big-int ORs, so the supergraphs (diameter at
+most 2) are cheap and long paths are the slow case.
 
 A composition delta[F_1, ..., F_k] whose factors are all complete or all
 empty is given by delta and its classes of vertices alone: `blow_up` builds
@@ -173,22 +173,6 @@ class Graph:
         ]
         return Graph._from_masks(tuple(self.labels[v] for v in vertices), masks)
 
-    # --- distances ---
-
-    def bfs_distances(self, source: int) -> list[int]:
-        """Hop counts from source; -1 marks unreachable vertices."""
-        dist = [-1] * self.n
-        seen = layer = 1 << source
-        d = 0
-        while layer:
-            members = _bits(layer)
-            for v in members:
-                dist[v] = d
-            layer = reduce(or_, map(self.masks.__getitem__, members)) & ~seen
-            seen |= layer
-            d += 1
-        return dist
-
     # --- serialization ---
 
     def to_json_dict(self) -> dict:
@@ -217,11 +201,6 @@ class Graph:
             lines.append(f"  v{u} -- v{v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def distance_matrix(graph: Graph) -> list[list[int]]:
-    """All-pairs hop counts via BFS; -1 marks unreachable pairs."""
-    return [graph.bfs_distances(v) for v in range(graph.n)]
 
 
 def _distance_sum(graph: Graph, weights, message: str) -> int:

@@ -4,11 +4,13 @@ Elements are indices 0..order-1 and index 0 is always the identity. Groups
 come from built-in presentations (cyclic, dihedral, generalized quaternion),
 symmetric/alternating groups, direct products, explicit Cayley tables, or
 permutation generators. Every group is enumerable up to the element cap (env
-var SUPERGRAPH_CAP, default 20000): a constructor refuses a larger order with
-SizeCapError before it enumerates anything, the symmetric and alternating
-constructors stop multiplying out n! as soon as it passes the cap, and a
-permutation-generator spec whose degree passes the cap is refused before any
-permutation is built.
+var SUPERGRAPH_CAP, default 20000), checked once, at construction: a
+constructor refuses a larger order with SizeCapError before it enumerates
+anything, the symmetric and alternating constructors stop multiplying out n!
+as soon as it passes the cap, a permutation-generator spec whose degree
+passes the cap is refused before any permutation is built, and the closure of
+permutation generators stops after the first breadth-first layer that passes
+the cap.
 
 Conjugation is orbit-based. Conjugacy classes are orbits of a breadth-first
 search under conjugation by a small generating set of the group, which
@@ -108,7 +110,6 @@ class FiniteGroup:
         raise NotImplementedError
 
     def elements(self) -> range:
-        self.require_enumerable()
         return range(self.order)
 
     def labels(self) -> tuple[str, ...]:
@@ -116,13 +117,6 @@ class FiniteGroup:
         if self._labels is None:
             self._labels = tuple(self.element_label(i) for i in self.elements())
         return self._labels
-
-    def require_enumerable(self) -> None:
-        if self.order > element_cap():
-            raise SizeCapError(
-                f"{self.label}: order {self.order} exceeds the element cap "
-                f"{element_cap()}; set SUPERGRAPH_CAP to raise it"
-            )
 
     # --- element-level structure ---
 
@@ -172,7 +166,6 @@ class FiniteGroup:
         """
         if self._classes is not None:
             return self._classes
-        self.require_enumerable()
         if self.is_abelian():
             classes = [ConjugacyClass(g, (g,), (0,)) for g in range(self.order)]
         else:
@@ -278,7 +271,8 @@ class FiniteGroup:
 def closure_set(mul, identity, gens, limit=None):
     """Closure of gens under mul; breadth-first over right multiplication.
 
-    With a limit, aborts as soon as the closure grows past it.
+    With a limit, raises SizeCapError at the end of the first breadth-first
+    layer that takes the closure past it.
     """
     members = {identity}
     frontier = [identity]
@@ -335,42 +329,43 @@ def _normal_closure(mul, inv, identity, ambient_gens, seeds):
     return members, gens
 
 
-def is_solvable_gens(mul, inv, identity, gens) -> bool:
-    """Whether the derived series of the group generated by gens reaches e."""
-    cur_gens = [g for g in gens if g != identity]
-    if not cur_gens:
-        return True
-    cur_size = len(closure_set(mul, identity, cur_gens))
-    while True:
-        seeds = [
-            _commutator(mul, inv, a, b)
-            for a, b in itertools.combinations(cur_gens, 2)
-        ]
-        members, dgens = _normal_closure(mul, inv, identity, cur_gens, seeds)
-        if len(members) == 1:
-            return True
-        if len(members) == cur_size:
-            return False
-        cur_gens, cur_size = dgens, len(members)
+def _series_reaches_identity(mul, inv, identity, gens, lower_central: bool) -> bool:
+    """Whether the derived series (lower_central False) or the lower central
+    series (True) of the group generated by gens reaches e.
 
-
-def is_nilpotent_gens(mul, inv, identity, gens) -> bool:
-    """Whether the lower central series of the group generated by gens reaches e."""
+    Each term is the normal closure of commutators: of pairs of the current
+    term's generators, normal in the current term, for the derived series;
+    of current times top generators, normal in the whole group, for the
+    lower central series. A term as large as the one before it is the limit.
+    """
     top_gens = [g for g in gens if g != identity]
     if not top_gens:
         return True
     cur_gens = top_gens
     cur_size = len(closure_set(mul, identity, cur_gens))
     while True:
-        seeds = [
-            _commutator(mul, inv, x, h) for x in cur_gens for h in top_gens
-        ]
-        members, ngens = _normal_closure(mul, inv, identity, top_gens, seeds)
+        if lower_central:
+            pairs = ((x, h) for x in cur_gens for h in top_gens)
+        else:
+            pairs = itertools.combinations(cur_gens, 2)
+        seeds = [_commutator(mul, inv, a, b) for a, b in pairs]
+        ambient = top_gens if lower_central else cur_gens
+        members, next_gens = _normal_closure(mul, inv, identity, ambient, seeds)
         if len(members) == 1:
             return True
         if len(members) == cur_size:
             return False
-        cur_gens, cur_size = ngens, len(members)
+        cur_gens, cur_size = next_gens, len(members)
+
+
+def is_solvable_gens(mul, inv, identity, gens) -> bool:
+    """Whether the derived series of the group generated by gens reaches e."""
+    return _series_reaches_identity(mul, inv, identity, gens, lower_central=False)
+
+
+def is_nilpotent_gens(mul, inv, identity, gens) -> bool:
+    """Whether the lower central series of the group generated by gens reaches e."""
+    return _series_reaches_identity(mul, inv, identity, gens, lower_central=True)
 
 
 # --- concrete representations ---
@@ -608,17 +603,22 @@ def from_table(rows: list[list[int]], label: str = "table") -> FiniteGroup:
 
 
 def from_perm_generators(degree: int, gens: list[tuple[int, ...]], label: str | None = None) -> FiniteGroup:
-    """Enumerated group generated by permutations; order checked before closure."""
+    """Enumerated group generated by permutations. Its closure is the one
+    pass over the group and the cap check: it stops after the first
+    breadth-first layer that passes the cap, so an over-cap group is never
+    enumerated in full and its order is never computed."""
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidGroupSpec("generator is not a permutation of the given degree")
-    order = perms.perm_group_order(degree, list(gens))
-    if order > element_cap():
-        raise SizeCapError(
-            f"permutation group of order {order} exceeds the element cap"
-        )
     ident = perms.identity_perm(degree)
-    members = closure_set(perms.compose, ident, [tuple(g) for g in gens])
+    cap = element_cap()
+    try:
+        members = closure_set(perms.compose, ident, [tuple(g) for g in gens], limit=cap)
+    except SizeCapError:
+        raise SizeCapError(
+            f"permutation group of degree {degree}: order exceeds the element cap "
+            f"{cap}; set SUPERGRAPH_CAP to raise it"
+        ) from None
     elements = [ident] + sorted(members - {ident})
     return PermutationGroup(degree, elements, label or f"perm({degree})")
 

@@ -59,7 +59,15 @@ def multiplication_rows(group):
 
 
 def is_connected(graph):
-    return -1 not in graph.bfs_distances(0)
+    """Whether a walk along edges from vertex 0 reaches every vertex."""
+    reached, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in range(graph.n):
+            if v not in reached and graph.has_edge(u, v):
+                reached.add(v)
+                stack.append(v)
+    return len(reached) == graph.n
 
 
 class Budget:

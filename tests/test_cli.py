@@ -160,6 +160,18 @@ def test_huge_permgens_degree_exits_3_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_over_cap_permgens_closure_exits_3_at_once(capsys):
+    """S60 from a transposition and a 60-cycle: the closure stops once it
+    holds more elements than the cap, and the order is never computed."""
+    start = time.perf_counter()
+    spec = json.dumps({"kind": "permgens", "degree": 60, "gens": [[[1, 2]], [list(range(1, 61))]]})
+    code, out, err = run_cli(capsys, "graph", "--group", spec, "--kind", "power")
+    assert code == 3 and not out
+    assert "exceeds the element cap" in err
+    assert "SUPERGRAPH_CAP" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_wiener_small_range(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "wiener", "--family", "cscom-d", "--n", "3..8"

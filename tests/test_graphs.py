@@ -15,7 +15,6 @@ from supergraphs.graphs import (
     Graph,
     compose_graphs,
     disjoint_union,
-    distance_matrix,
     eval_expr,
     intersection,
     is_comparability,
@@ -176,14 +175,6 @@ def test_induced_subgraph():
 # --- distances and Wiener ---
 
 
-def test_distance_matrix():
-    assert distance_matrix(Graph.path(3)) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-    assert all(
-        d == 1 for i, row in enumerate(distance_matrix(Graph.complete(4))) for j, d in enumerate(row) if i != j
-    )
-    assert distance_matrix(Graph.empty(2)) == [[0, -1], [-1, 0]]
-
-
 def test_wiener_basics():
     for n in range(2, 7):
         assert wiener_index(Graph.complete(n)) == n * (n - 1) // 2
@@ -223,11 +214,23 @@ def test_wiener_supergraph_formula_examples():
         wiener_supergraph_formula(delta, (1, 2))
 
 
+def _is_connected(graph):
+    """Whether a walk along edges from vertex 0 reaches every vertex."""
+    reached, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in range(graph.n):
+            if v not in reached and graph.has_edge(u, v):
+                reached.add(v)
+                stack.append(v)
+    return len(reached) == graph.n
+
+
 def _random_connected_graph(rng, n):
     while True:
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.55]
         g = Graph([str(i) for i in range(n)], edges)
-        if -1 not in g.bfs_distances(0):
+        if _is_connected(g):
             return g
 
 

@@ -212,6 +212,16 @@ def test_element_cap_and_env_override(monkeypatch):
         make_group({"kind": "permgens", "degree": 7, "gens": []})
 
 
+def test_permgens_closure_stops_at_the_element_cap(monkeypatch):
+    """A group of order exactly the cap is built; one element more is refused."""
+    s4 = {"kind": "permgens", "degree": 4, "gens": [[[1, 2]], [[1, 2, 3, 4]]]}
+    monkeypatch.setenv("SUPERGRAPH_CAP", "24")
+    assert make_group(s4).order == 24
+    monkeypatch.setenv("SUPERGRAPH_CAP", "23")
+    with pytest.raises(SizeCapError, match=r"exceeds the element cap 23; set SUPERGRAPH_CAP"):
+        make_group(s4)
+
+
 def test_symmetric_and_alternating_degrees_beyond_cap_are_refused(monkeypatch):
     """The cap is checked on a running product, so no huge factorial is
     formed or printed; A_n is held to n!/2."""

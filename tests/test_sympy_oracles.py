@@ -1,8 +1,8 @@
-"""Permutation-group facts against sympy: stabilizer-chain orders, the
-theorem behind prime-cycle class adjacency (intersecting p- and q-cycles with
-p + q > N generate a group that is neither nilpotent nor, save for (2, 3),
-solvable), and the exhaustive scan for cycle lengths that are not both
-prime."""
+"""Permutation-group facts against sympy: stabilizer-chain orders, groups
+closed from generators with their whole-group flags, the theorem behind
+prime-cycle class adjacency (intersecting p- and q-cycles with p + q > N
+generate a group that is neither nilpotent nor, save for (2, 3), solvable),
+and the exhaustive scan for cycle lengths that are not both prime."""
 
 import itertools
 import random
@@ -10,6 +10,7 @@ import random
 import pytest
 
 from supergraphs import perms
+from supergraphs.groups import from_perm_generators
 from supergraphs.universality import class_adjacency
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -51,6 +52,29 @@ def test_perm_group_order_matches_sympy():
         assert order == sympy_group(degree, gens).order(), (degree, gens)
         orders.add(order)
     assert len(orders) > 10  # the draws reach many different groups
+
+
+def test_generated_groups_and_flags_match_sympy():
+    """The capped closure gives the order, and the commutator series walker
+    the nilpotent and solvable flags, of groups from random generators."""
+    rng = random.Random(23)
+    draws = [(4, [(1, 0, 2, 3), (0, 1, 3, 2)])]  # Klein four: abelian, not cyclic
+    for _ in range(120):
+        degree = rng.randint(2, 7)
+        draws.append((degree, random_generators(rng, degree)))
+    outcomes = set()
+    for degree, gens in draws:
+        group = from_perm_generators(degree, gens)
+        expected = sympy_group(degree, gens)
+        flags = group.whole_group_flags()
+        assert group.order == expected.order(), (degree, gens)
+        found = (flags.is_abelian, flags.is_cyclic, flags.is_nilpotent, flags.is_solvable)
+        assert found == (
+            expected.is_abelian, expected.is_cyclic, expected.is_nilpotent, expected.is_solvable
+        ), (degree, gens)
+        outcomes.add(found)
+    # cyclic, abelian only, nilpotent only, solvable only, and neither
+    assert len(outcomes) == 5
 
 
 def test_intersecting_prime_cycles_generate_non_solvable_groups():
