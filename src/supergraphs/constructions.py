@@ -268,7 +268,13 @@ def quotient_supergraph(group: FiniteGroup, kind: str, pkind: str) -> QuotientDe
     """
     kind = normalize_kind(kind)
     partition = build_partition(group, pkind)
-    labels = [group.element_label(rep) for rep in partition.representatives]
+    reps = partition.representatives
+    if len(reps) == group.order:
+        # one class per element: the cached labels, not one call per element
+        names = group.labels()
+        labels = [names[rep] for rep in reps]
+    else:
+        labels = [group.element_label(rep) for rep in reps]
     delta = Graph(labels, _class_adjacency(group, kind, partition))
     return QuotientDecomposition(delta, partition.classes)
 

@@ -176,7 +176,7 @@ class Graph:
     # --- serialization ---
 
     def to_json_dict(self) -> dict:
-        return {"labels": list(self.labels), "edges": [list(e) for e in self.edges()]}
+        return {"labels": list(self.labels), "edges": self.edges()}
 
     @staticmethod
     def from_json_dict(data: dict) -> "Graph":

@@ -271,8 +271,9 @@ class FiniteGroup:
 def closure_set(mul, identity, gens, limit=None):
     """Closure of gens under mul; breadth-first over right multiplication.
 
-    With a limit, raises SizeCapError at the end of the first breadth-first
-    layer that takes the closure past it.
+    With a limit, raises SizeCapError after the first frontier member whose
+    products take the closure past it, so the closure never holds more than
+    limit + len(gens) elements and makes at most limit * len(gens) products.
     """
     members = {identity}
     frontier = [identity]
@@ -285,8 +286,8 @@ def closure_set(mul, identity, gens, limit=None):
                 if t not in members:
                     members.add(t)
                     fresh.append(t)
-        if limit is not None and len(members) > limit:
-            raise SizeCapError(f"closure exceeds {limit} elements")
+            if limit is not None and len(members) > limit:
+                raise SizeCapError(f"closure exceeds {limit} elements")
         frontier = fresh
     return members
 
@@ -605,8 +606,8 @@ def from_table(rows: list[list[int]], label: str = "table") -> FiniteGroup:
 def from_perm_generators(degree: int, gens: list[tuple[int, ...]], label: str | None = None) -> FiniteGroup:
     """Enumerated group generated by permutations. Its closure is the one
     pass over the group and the cap check: it stops after the first
-    breadth-first layer that passes the cap, so an over-cap group is never
-    enumerated in full and its order is never computed."""
+    frontier member whose products pass the cap, so an over-cap group is
+    never enumerated in full and its order is never computed."""
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidGroupSpec("generator is not a permutation of the given degree")

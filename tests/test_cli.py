@@ -13,6 +13,8 @@ from supergraphs.groups import SizeCapError
 
 D3 = '{"kind":"dihedral","n":3}'
 S3 = '{"kind":"symmetric","n":3}'
+D12 = '{"kind":"dihedral","n":6}'
+S4 = '{"kind":"symmetric","n":4}'
 
 
 def run_cli(capsys, *argv):
@@ -414,3 +416,41 @@ def test_usage_error_exit_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+REPORT_COMMANDS = {
+    "graph": ["graph", "--group", S4, "--kind", "commuting", "--partition", "conjugacy"],
+    "graph-quotient": ["graph", "--group", S4, "--kind", "nilpotent", "--partition", "order",
+                       "--quotient"],
+    "graph-compressed": ["graph", "--group", S4, "--kind", "power", "--compressed"],
+    "igg": ["igg", "--group", D12],
+    "igg-check": ["igg", "--group", D12, "--check"],
+    "verify-hierarchy": ["verify", "hierarchy", "--catalog", "CATALOG"],
+    "embed": ["embed", "--graph", "TARGET", "--kind", "nilpotent"],
+    "scan": ["scan", "--catalog", "CATALOG"],
+    "wiener": ["wiener", "--group", D12, "--kind", "enhanced", "--partition", "conjugacy"],
+}
+
+
+def assert_json_dumps_bytes(text: str) -> None:
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_command_output_is_json_dumps_bytes(name, tmp_path, capsys):
+    """stdout and the --json/--out file each hold json.dumps's bytes."""
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([json.loads(S4), json.loads(D12)]))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"labels": ["a", "b", "c"], "edges": [[0, 1], [1, 2]]}))
+    files = {"CATALOG": str(catalog), "TARGET": str(target)}
+    argv = [files.get(a, a) for a in REPORT_COMMANDS[name]]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    assert_json_dumps_bytes(stdout)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--json" if argv[0] == "graph" else "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert_json_dumps_bytes(out.read_text())
+    if name != "graph-quotient":  # its stdout also carries the class sizes
+        assert out.read_text() == stdout

@@ -269,6 +269,24 @@ def test_quotient_equality_is_base_graph():
     assert q.delta.edges() == commuting
 
 
+def test_quotient_labels_come_from_the_label_cache_only_with_one_class_per_element():
+    """An equality quotient reads the group's cached labels; a compressed
+    quotient labels only its class representatives."""
+    group = sg.symmetric(4)
+    calls = []
+    label = group.element_label
+    group.element_label = lambda i: calls.append(i) or label(i)
+    compressed = quotient_supergraph(group, "commuting", "conjugacy")
+    reps = [members[0] for members in compressed.classes]
+    assert sorted(calls) == sorted(reps)
+    assert compressed.delta.labels == tuple(label(r) for r in reps)
+    calls.clear()
+    for kind in ("commuting", "power"):
+        q = quotient_supergraph(group, kind, "equality")
+        assert q.delta.labels == tuple(label(i) for i in range(24))
+    assert sorted(calls) == list(range(24))  # the cache is built once
+
+
 def test_quotient_q8():
     q = quotient_supergraph(sg.quaternion(2), "commuting", "conjugacy")
     assert q.sizes == (1, 1, 2, 2, 2)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import supergraphs as sg
+from supergraphs import perms
 from supergraphs.groups import (
     InvalidGroupSpec,
     SizeCapError,
@@ -380,3 +381,25 @@ def test_product_classes_are_pairwise_products():
 def test_closure_set_generic():
     members = closure_set(lambda a, b: (a + b) % 7, 0, [3])
     assert members == set(range(7))
+
+
+def test_capped_closure_stops_within_one_frontier_member_of_the_limit():
+    """S10 from its 45 transpositions passes a limit of 2,000 partway through
+    a breadth-first layer of 9,450 elements; the closure holds at most
+    limit + len(gens) elements and makes at most (limit + 1) * len(gens)
+    products when it stops."""
+    degree, limit = 10, 2000
+    gens = [
+        perms.perm_from_cycles(degree, [[i, j]], one_based=False)
+        for i, j in itertools.combinations(range(degree), 2)
+    ]
+    products = []
+
+    def mul(a, b):
+        products.append(perms.compose(a, b))
+        return products[-1]
+
+    with pytest.raises(SizeCapError, match="closure exceeds 2000 elements"):
+        closure_set(mul, perms.identity_perm(degree), gens, limit=limit)
+    assert len(products) <= (limit + 1) * len(gens)
+    assert len(set(products)) <= limit + len(gens)
