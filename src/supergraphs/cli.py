@@ -6,16 +6,24 @@ output is byte-stable across runs, so timing goes to stderr only.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or input error,
 3 resource cap exceeded.
+
+Command lines are read from one table, COMMANDS, which also writes the `-h`
+help, the way argparse read them; a bad one is a UsageError like any other
+input error. argparse is not used: building its seven parsers, with their
+gettext lookups, took about 7 ms of every command in a forked process (as
+the benchmark and in-process callers run them), more than the median
+benchmark operation's own work; parsing from the table takes 0.25 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
+import re
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import families, generation, universality
 from .constructions import (
@@ -308,77 +316,156 @@ class UsageError(ValueError):
     pass
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="supergraphs",
-        description="Graphs on finite groups: construction, verification, embeddings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option:
+    """A command's `--name` option. A default of False makes it a flag, which
+    takes no value; any other option takes one value, from choices if any."""
 
-    p_graph = sub.add_parser("graph", help="build a supergraph and export JSON/DOT")
-    p_graph.add_argument("--group", required=True, help="group spec JSON (inline or path)")
-    p_graph.add_argument("--kind", required=True, choices=KINDS)
-    p_graph.add_argument("--partition", default="equality",
-                         choices=PARTITIONS + ("same_order",))
-    p_graph.add_argument("--compressed", action="store_true",
-                         help="class-compressed conjugacy graph")
-    p_graph.add_argument("--quotient", action="store_true",
-                         help="quotient graph plus class-size sidecar")
-    p_graph.add_argument("--json", help="write graph JSON here")
-    p_graph.add_argument("--dot", help="write DOT here")
-    p_graph.set_defaults(func=cmd_graph)
+    def __init__(self, help: str, choices: tuple = (), required=False, default=None):
+        self.help, self.choices, self.required, self.default = help, choices, required, default
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=["structure", "wiener", "hierarchy", "strong-product", "containment"],
-    )
-    p_verify.add_argument("--family", choices=list(FAMILY_RANGES))
-    p_verify.add_argument("--n", help="range like 3..20")
-    p_verify.add_argument("--catalog", default="default",
-                          help="'default' or a JSON file of group specs")
-    p_verify.add_argument("--out", help="write the report JSON here")
-    p_verify.add_argument("--table", action="store_true",
-                          help="also render a table to stderr")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_embed = sub.add_parser("embed", help="prime-cycle embedding certificate")
-    p_embed.add_argument("--graph", required=True, help="target graph JSON file")
-    p_embed.add_argument("--kind", required=True,
-                         choices=["commuting", "nilpotent", "solvable", "enhanced"])
-    p_embed.add_argument("--out", help="write the certificate JSON here")
-    p_embed.set_defaults(func=cmd_embed)
+class Command:
+    """A command's handler, help line, positional (name, choices) or None,
+    and options by name."""
 
-    p_igg = sub.add_parser("igg", help="invariable generating graph / containments")
-    p_igg.add_argument("--group", required=True)
-    p_igg.add_argument("--check", action="store_true",
-                       help="run containment checks instead of emitting the graph")
-    p_igg.add_argument("--out")
-    p_igg.add_argument("--table", action="store_true")
-    p_igg.set_defaults(func=cmd_igg)
+    def __init__(self, handler, help: str, positional: tuple | None, options: dict):
+        self.handler, self.help, self.positional, self.options = handler, help, positional, options
 
-    p_scan = sub.add_parser("scan", help="equality scan over a catalog")
-    p_scan.add_argument("--catalog", default="default")
-    p_scan.add_argument("--out")
-    p_scan.add_argument("--table", action="store_true")
-    p_scan.set_defaults(func=cmd_scan)
 
-    p_wiener = sub.add_parser("wiener", help="Wiener index, brute force vs formula")
-    p_wiener.add_argument("--group", required=True)
-    p_wiener.add_argument("--kind", required=True, choices=KINDS)
-    p_wiener.add_argument("--partition", default="equality",
-                          choices=PARTITIONS + ("same_order",))
-    p_wiener.add_argument("--out")
-    p_wiener.add_argument("--table", action="store_true")
-    p_wiener.set_defaults(func=cmd_wiener)
+SUITES = ("structure", "wiener", "hierarchy", "strong-product", "containment")
+GROUP = Option("group spec JSON (inline or path)", required=True)
+KIND = Option("supergraph kind", KINDS, required=True)
+PARTITION = Option("element partition", PARTITIONS + ("same_order",), default="equality")
+CATALOG = Option("'default' or a JSON file of group specs", default="default")
+OUT = Option("write the JSON here instead of stdout")
+TABLE = Option("also render a table to stderr", default=False)
+HELP = Option("show this help and exit", default=False)
 
-    return parser
+COMMANDS = {
+    "graph": Command(cmd_graph, "build a supergraph and export JSON/DOT", None, {
+        "group": GROUP, "kind": KIND, "partition": PARTITION,
+        "compressed": Option("class-compressed conjugacy graph", default=False),
+        "quotient": Option("quotient graph plus class-size sidecar", default=False),
+        "json": Option("write graph JSON here"), "dot": Option("write DOT here")}),
+    "verify": Command(cmd_verify, "run a verification suite", ("suite", SUITES), {
+        "family": Option("family of the structure and wiener suites", tuple(FAMILY_RANGES)),
+        "n": Option("range like 3..20"), "catalog": CATALOG, "out": OUT, "table": TABLE}),
+    "embed": Command(cmd_embed, "prime-cycle embedding certificate", None, {
+        "graph": Option("target graph JSON file", required=True),
+        "kind": Option("supergraph kind", ("commuting", "nilpotent", "solvable", "enhanced"),
+                       required=True),
+        "out": OUT}),
+    "igg": Command(cmd_igg, "invariable generating graph / containments", None, {
+        "group": GROUP, "out": OUT, "table": TABLE,
+        "check": Option("run containment checks instead of emitting the graph", default=False)}),
+    "scan": Command(cmd_scan, "equality scan over a catalog", None,
+                    {"catalog": CATALOG, "out": OUT, "table": TABLE}),
+    "wiener": Command(cmd_wiener, "Wiener index, brute force vs formula", None, {
+        "group": GROUP, "kind": KIND, "partition": PARTITION, "out": OUT, "table": TABLE}),
+}
+
+
+def _option(token: str, options: dict) -> tuple[str | None, str | None]:
+    """The option a token names, as argparse reads it, and the value given
+    after `=`: an exact name or a unique prefix after `--`, or help for `-h`
+    (`-hh` is two of them). The name is "" for an unknown option or `--`, and
+    None for a positional: no leading dash, a lone `-`, a negative number, or
+    a space in it."""
+    if token[:2] == "-h":
+        return "help", None if re.fullmatch(r"-h(=?h+)?", token) else token[2:]
+    head, eq, value = token.partition("=")
+    names = [head[2:]] if head[2:] in options else [n for n in options if n.startswith(head[2:])]
+    if token[:2] == "--" and token != "--" and names:
+        if len(names) > 1:
+            raise UsageError(f"ambiguous option: {head} could match --{', --'.join(names)}")
+        return names[0], value if eq else None
+    positional = (token[:1] != "-" or token == "-" or " " in token
+                  or re.match(r"-\d+$|-\d*\.\d+$", token))
+    return None if positional else "", None
+
+
+def _choice(name: str, value: str, choices: tuple) -> str:
+    if choices and value not in choices:
+        raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The handler (`func`) and arguments of a command line, read by the
+    COMMANDS table; `-h` selects the help handler. Bad argv raises UsageError.
+
+    Every token after the first `--` is a positional, and that `--` must
+    touch the command's positional, as argparse has it."""
+    options, values, pending, unknown = {"help": HELP}, {}, [("command", tuple(COMMANDS))], []
+    tokens, command, after_dashes, positional_last = iter(argv), None, False, False
+    for token in tokens:
+        if token == "--" and not after_dashes:
+            after_dashes = True
+            if not (command and (pending or positional_last)):
+                unknown.append(token)
+            continue
+        name, value = (None, None) if after_dashes else _option(token, options)
+        positional_last = name is None and bool(pending) and command is not None
+        if name is None and pending:
+            key, choices = pending.pop()
+            values[key] = _choice(key, token, choices)
+            if key == "command":
+                command = COMMANDS[token]
+                options.update(command.options)
+                pending = [command.positional] if command.positional else []
+        elif not name:
+            unknown.append(token)
+        elif options[name].default is False:
+            if value is not None:
+                raise UsageError(f"argument --{name}: ignored explicit argument {value!r}")
+            if name == "help":
+                for token in itertools.takewhile("--".__ne__, tokens):
+                    _option(token, options)  # argparse reads them all before acting
+                return SimpleNamespace(command=values.get("command"), func=_help)
+            values[name] = True
+        else:
+            if value is None:
+                value = next(tokens, "--")  # at the end, as after it: no value
+                if _option(value, options)[0] is not None:
+                    raise UsageError(f"argument --{name}: expected one argument")
+            values[name] = _choice(f"--{name}", value, options[name].choices)
+    missing = [key for key, _ in pending]
+    missing += [f"--{n}" for n, o in options.items() if o.required and n not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    defaults = {n: o.default for n, o in command.options.items()}
+    return SimpleNamespace(func=command.handler, **(defaults | values))
+
+
+def _help(args) -> int:
+    """Write the usage of args.command, or of the whole CLI, to stdout."""
+    rows = [("-h, --help", HELP.help)]
+    if args.command is None:
+        usage = "{%s} [options]" % ",".join(COMMANDS)
+        about = "Graphs on finite groups: construction, verification, embeddings."
+        rows += [(name, command.help) for name, command in COMMANDS.items()]
+    else:
+        command = COMMANDS[args.command]
+        about, positional = command.help, command.positional
+        suite = " {%s}" % ",".join(positional[1]) if positional else ""
+        usage = f"{args.command}{suite} [options]"
+        for name, opt in command.options.items():
+            value = "{%s}" % ",".join(opt.choices) if opt.choices else name.upper()
+            value = "" if opt.default is False else " " + value
+            note = (" (required)" if opt.required
+                    else f" (default: {opt.default})" if opt.default else "")
+            rows.append((f"--{name}{value}", opt.help + note))
+    sys.stdout.write(f"usage: supergraphs {usage}\n\n{about}\n\n"
+                     + "".join(f"  {left}\n      {right}\n" for left, right in rows))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except SizeCapError as exc:
         sys.stderr.write(f"error: {exc}\n")

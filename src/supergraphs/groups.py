@@ -9,8 +9,8 @@ constructor refuses a larger order with SizeCapError before it enumerates
 anything, the symmetric and alternating constructors stop multiplying out n!
 as soon as it passes the cap, a permutation-generator spec whose degree
 passes the cap is refused before any permutation is built, and the closure of
-permutation generators stops after the first breadth-first layer that passes
-the cap.
+permutation generators checks the cap after each frontier member, so it holds
+at most cap + len(gens) elements when it stops.
 
 Conjugation is orbit-based. Conjugacy classes are orbits of a breadth-first
 search under conjugation by a small generating set of the group, which

@@ -8,13 +8,14 @@ import time
 import pytest
 
 from supergraphs import universality
-from supergraphs.cli import main
+from supergraphs.cli import COMMANDS, main
 from supergraphs.groups import SizeCapError
 
 D3 = '{"kind":"dihedral","n":3}'
 S3 = '{"kind":"symmetric","n":3}'
 D12 = '{"kind":"dihedral","n":6}'
 S4 = '{"kind":"symmetric","n":4}'
+D8 = '{"kind":"dihedral","n":4}'
 
 
 def run_cli(capsys, *argv):
@@ -416,6 +417,86 @@ def test_usage_error_exit_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+BAD_ARGV = {
+    "no command": [],
+    "unknown command": ["frobnicate"],
+    "unknown option": ["wiener", "--group", D8, "--kind", "power", "--bogus"],
+    "ambiguous option": ["wiener", "--=x", "--group", D8, "--kind", "power"],
+    "missing required option": ["graph", "--kind", "power"],
+    "value outside choices": ["wiener", "--group", D8, "--kind", "bogus"],
+    "option without value": ["wiener", "--group", D8, "--kind"],
+    "option before an option": ["wiener", "--group", "--kind", "power"],
+    "flag given a value": ["igg", "--group", D8, "--check=yes"],
+    "help given a value": ["graph", "--help=yes"],
+    "missing positional": ["verify", "--table"],
+    "bad positional": ["verify", "bogus"],
+    "extra positional": ["verify", "hierarchy", "extra"],
+    "positional without a slot": ["wiener", "stray", "--group", D8, "--kind", "power"],
+    "stray --": ["wiener", "--group", D8, "--kind", "power", "--"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV)
+def test_bad_argv_returns_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+WIENER_D8 = ["wiener", "--group", D8, "--kind", "power", "--partition", "conjugacy"]
+HIERARCHY = ["verify", "hierarchy", "--catalog", "CATALOG"]
+EQUIVALENT_ARGV = {
+    "equals form": (WIENER_D8, ["wiener", f"--group={D8}", "--kind=power",
+                                "--partition=conjugacy"]),
+    "unique prefixes": (WIENER_D8, ["wiener", "--gr", D8, "--k", "power", "--part", "conjugacy"]),
+    "repeated option": (WIENER_D8, WIENER_D8[:3] + ["--kind", "commuting"] + WIENER_D8[3:]),
+    "reordered options": (WIENER_D8, ["wiener", "--partition", "conjugacy", "--kind", "power",
+                                      "--group", D8]),
+    "default partition": (WIENER_D8[:5], WIENER_D8[:5] + ["--partition", "equality"]),
+    "flag prefix": (["igg", "--group", D8, "--check"], ["igg", "--ch", "--group", D8]),
+    "moved positional": (HIERARCHY, ["verify", "--catalog", "CATALOG", "hierarchy"]),
+    "positional after --": (HIERARCHY, ["verify", "--catalog", "CATALOG", "--", "hierarchy"]),
+}
+
+
+@pytest.mark.parametrize("canonical, variant", EQUIVALENT_ARGV.values(), ids=EQUIVALENT_ARGV)
+def test_equivalent_argv_give_identical_bytes(tmp_path, capsys, canonical, variant):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([json.loads(D8)]))
+    outputs = []
+    for argv in (canonical, variant):
+        code, out, _ = run_cli(capsys, *[str(catalog) if a == "CATALOG" else a for a in argv])
+        assert code == 0 and out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["graph", "--help"], ["verify", "-h"],
+                                  ["wiener", "--group", D8, "--he"]])
+def test_help_names_every_option_of_its_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("usage: supergraphs ")
+    command = argv[0] if argv[0] in COMMANDS else None
+    names = list(COMMANDS) if command is None else [f"--{n}" for n in COMMANDS[command].options]
+    assert all(name in out for name in names)
+
+
+def test_cli_imports_no_argparse_gettext_or_locale():
+    """Parsing costs no import: argparse and its gettext and locale took
+    milliseconds per command."""
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import supergraphs\n"
+        "from supergraphs import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['wiener', '--group', {D8!r}, '--kind', 'power'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout == "0 []\n", proc.stderr
 
 
 REPORT_COMMANDS = {
