@@ -64,7 +64,6 @@ from .groups import (
     quaternion,
     symmetric,
 )
-from .perms import perm_group_order
 from .universality import (
     EmbeddingCertificate,
     class_adjacency,

@@ -161,9 +161,12 @@ def _emit(report: dict, args, rows: list[dict]) -> None:
 
 
 def cmd_graph(args) -> int:
-    group = make_group(_load_spec(args.group))
     if args.compressed and args.quotient:
         raise UsageError("--compressed and --quotient are mutually exclusive")
+    if args.compressed and "partition" in args.given and args.partition != "conjugacy":
+        raise UsageError(f"--partition {args.partition} does not apply to --compressed, "
+                         "whose vertices are the conjugacy classes")
+    group = make_group(_load_spec(args.group))
     if args.compressed:
         graph = build_compressed(group, args.kind)
         payload = graph.to_json_dict()
@@ -245,7 +248,7 @@ def cmd_verify(args) -> int:
 
 
 def _catalog_specs(args, default=None) -> list[dict]:
-    if getattr(args, "catalog", None) and args.catalog != "default":
+    if args.catalog != "default":
         specs = json.loads(Path(args.catalog).read_text())
         if not isinstance(specs, list):
             raise UsageError(f"catalog {args.catalog} must hold a JSON list of group specs")
@@ -255,9 +258,9 @@ def _catalog_specs(args, default=None) -> list[dict]:
 
 def cmd_embed(args) -> int:
     target = Graph.from_json_dict(json.loads(Path(args.graph).read_text()))
-    certificate = universality.embed_graph(target, args.kind, arithmetic_fallback=True)
-    # enhanced factors pass the scan cap by design; a downgrade means not
-    # even the first factor could be scanned
+    certificate = universality.embed_graph(target, args.kind)
+    # every factor above universality.DEGREE_CAP; recorded outputs hold the
+    # flag and its exit 3
     downgraded = all(f.checked == "arithmetic" for f in certificate.factors)
     payload = certificate.to_json_dict()
     payload["downgraded"] = downgraded
@@ -268,6 +271,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_igg(args) -> int:
+    if args.table and not args.check:
+        raise UsageError("--table needs --check: the graph has no table")
     group = make_group(_load_spec(args.group))
     if args.check:
         reports = generation.containment_checks(group)
@@ -393,7 +398,8 @@ def _choice(name: str, value: str, choices: tuple) -> str:
 
 def parse_args(argv) -> SimpleNamespace:
     """The handler (`func`) and arguments of a command line, read by the
-    COMMANDS table; `-h` selects the help handler. Bad argv raises UsageError.
+    COMMANDS table, with the names given on it in `given`; `-h` selects the
+    help handler. Bad argv raises UsageError.
 
     Every token after the first `--` is a positional, and that `--` must
     touch the command's positional, as argparse has it."""
@@ -429,6 +435,8 @@ def parse_args(argv) -> SimpleNamespace:
                 value = next(tokens, "--")  # at the end, as after it: no value
                 if _option(value, options)[0] is not None:
                     raise UsageError(f"argument --{name}: expected one argument")
+            if not value:
+                raise UsageError(f"argument --{name}: expected a non-empty value")
             values[name] = _choice(f"--{name}", value, options[name].choices)
     missing = [key for key, _ in pending]
     missing += [f"--{n}" for n, o in options.items() if o.required and n not in values]
@@ -437,7 +445,7 @@ def parse_args(argv) -> SimpleNamespace:
     if unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
     defaults = {n: o.default for n, o in command.options.items()}
-    return SimpleNamespace(func=command.handler, **(defaults | values))
+    return SimpleNamespace(func=command.handler, given=frozenset(values), **(defaults | values))
 
 
 def _help(args) -> int:

@@ -8,15 +8,12 @@ generate alternating groups, cutting exactly one edge. Intersecting the
 per-nonedge graphs recovers the target; the strong-product identity for
 compressed graphs of direct products justifies combining factors.
 
-Class adjacency of two prime lengths is decided by arithmetic for every kind:
-p + q <= N, with (2, 3) also solvable-adjacent below degree 5. Jordan's
-theorem and Burnside's theorem on groups of prime degree prove the cut (see
-`class_adjacency`). Other lengths are scanned exhaustively over one conjugacy
-class with the other side pinned to a canonical cycle x (adjacency is
-conjugation-invariant), classifying one candidate per orbit of the
-centralizer of x. A pair is first sized by a stabilizer chain: alternating or
-symmetric orders on its support certify non-solvability, and only smaller
-groups are closed and run through their derived or lower central series.
+Class adjacency is decided by theorem, at every degree: by arithmetic for
+the commuting and enhanced kinds, and for the nilpotent and solvable kinds
+by Jordan's theorem and Burnside's theorem on groups of prime degree, which
+need both cycle lengths prime (see `class_adjacency`). A 1-cycle is the
+identity and joins every class. Nilpotent and solvable adjacency of other
+lengths is refused, so class adjacency never builds a group.
 """
 
 from __future__ import annotations
@@ -26,19 +23,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import perms
 from .constructions import build_compressed, build_partition
 from .graphs import Graph, intersection, strong_product
-from .groups import (
-    FiniteGroup,
-    SizeCapError,
-    is_nilpotent_gens,
-    is_solvable_gens,
-    product,
-)
+from .groups import FiniteGroup, product
 
+# Factors up to this degree are labelled "scan" in certificates, above it
+# "arithmetic"; recorded embed outputs keep the labels.
 DEGREE_CAP = 13
-FALLBACK_ORDER_CAP = 10**6
 
 EMBED_KINDS = ("commuting", "nilpotent", "solvable")
 SCAN_KINDS = EMBED_KINDS + ("enhanced",)
@@ -57,62 +48,8 @@ def primes_first(n: int) -> list[int]:
     return found
 
 
-def _orbit_key(x_len: int, y: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical conjugate of the cycle y under the centralizer of
-    x = (0 1 ... x_len-1), which is <x> times the symmetric group on x's
-    fixed points. y must move a point of x's cycle.
-
-    A conjugator in the centralizer rotates x's points and permutes its fixed
-    points. Walk y's cycle from each point a it shares with x, labelling x's
-    points by their offset from a and x's fixed points in order of first
-    appearance; the least walk is the same for every conjugate of y, and the
-    key is the cycle it spells, itself a conjugate of y by such a relabelling.
-    """
-    start = next(a for a in range(x_len) if y[a] != a)
-    cycle = [start]
-    b = y[start]
-    while b != start:
-        cycle.append(b)
-        b = y[b]
-    # x's fixed points all read x_len here: the walk's pattern fixes their labels
-    walk = min(
-        tuple((b - a) % x_len if b < x_len else x_len for b in cycle[i:] + cycle[:i])
-        for i, a in enumerate(cycle)
-        if a < x_len
-    )
-    fresh = itertools.count(x_len)
-    labels = [v if v < x_len else next(fresh) for v in walk]
-    key = list(range(len(y)))
-    for u, v in zip(labels, labels[1:] + labels[:1]):
-        key[u] = v
-    return tuple(key)
-
-
-def _pair_adjacent(degree: int, x: tuple[int, ...], y: tuple[int, ...], kind: str) -> bool:
-    """Whether the non-commuting pair x, y generates a nilpotent or solvable
-    group, as kind says.
-
-    The order of <x, y> comes from a stabilizer chain. If it equals s!/2 or s!
-    on a support of size s >= 5 the group is the alternating or symmetric
-    group of its support, hence neither. Other orders up to
-    FALLBACK_ORDER_CAP are decided by the series of the closure; larger ones
-    raise, never pass silently.
-    """
-    s = len(perms.support(x) | perms.support(y))
-    order = perms.perm_group_order(degree, [x, y])
-    if s >= 5 and order in (math.factorial(s) // 2, math.factorial(s)):
-        return False
-    if order > FALLBACK_ORDER_CAP:
-        raise SizeCapError(
-            f"cannot certify pair with order {order} on support {s}; "
-            f"closure fallback is capped at order {FALLBACK_ORDER_CAP}"
-        )
-    series_test = is_nilpotent_gens if kind == "nilpotent" else is_solvable_gens
-    return series_test(perms.compose, perms.invert, perms.identity_perm(degree), (x, y))
-
-
-# Bounded: prime pairs cost O(1) and no caller repeats a composite scan. The
-# wrapper stays because perfbench's tracer reads its cache_info().
+# Bounded: every answer costs O(1). The wrapper stays because perfbench's
+# tracer reads its cache_info().
 @lru_cache(maxsize=128)
 def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     """Adjacency of the p-cycle and q-cycle conjugacy classes in the compressed
@@ -121,8 +58,8 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     The commuting and enhanced kinds are decided by arithmetic. Commuting
     cycles of distinct lengths are disjoint, so the classes hold a commuting
     pair iff p + q <= N (`arithmetic_adjacency`), and such a pair generates
-    C_p x C_q, which is cyclic iff gcd(p, q) = 1; a 1-cycle is the identity
-    and commutes with everything.
+    C_p x C_q, which is cyclic iff gcd(p, q) = 1. A 1-cycle is the identity,
+    so its class is adjacent to every class, for every kind.
 
     For two distinct primes p < q the nilpotent and solvable kinds are
     decided by arithmetic too: the classes are adjacent iff p + q <= N, save
@@ -144,57 +81,30 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
       AGL(1, q) (Burnside; Dixon-Mortimer, Section 3.5), whose non-identity
       elements fix at most one point, so G is not solvable.
 
-    Other lengths are scanned exhaustively (`_scan_adjacency`).
+    The argument holds at every degree. Nilpotent or solvable adjacency of
+    other lengths raises ValueError: an exhaustive scan took 30 s for
+    (12, 6, 9) solvable and 48 s for (13, 6, 9) nilpotent on a 2-core host.
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"unknown scan kind {kind!r}; known {SCAN_KINDS}")
-    if degree > DEGREE_CAP:
-        raise SizeCapError(f"scan degree {degree} exceeds cap {DEGREE_CAP}")
     if p == q:
         raise ValueError("classes must have distinct cycle lengths")
     if p > degree or q > degree:
         raise ValueError("cycle length exceeds degree")
     if min(p, q) < 1:
         raise ValueError("cycle length must be positive")
+    if min(p, q) == 1:
+        return True
     if kind in ("commuting", "enhanced"):
-        if min(p, q) == 1:
-            return True
         return arithmetic_adjacency(degree, p, q) and (kind == "commuting" or math.gcd(p, q) == 1)
-    if _is_prime(p) and _is_prime(q):
-        return arithmetic_adjacency(degree, p, q) or (kind == "solvable" and {p, q} == {2, 3})
-    return _scan_adjacency(degree, p, q, kind)
+    if not (_is_prime(p) and _is_prime(q)):
+        raise ValueError(f"{kind} class adjacency is decided for prime cycle lengths only; "
+                         f"got {p} and {q}")
+    return arithmetic_adjacency(degree, p, q) or (kind == "solvable" and {p, q} == {2, 3})
 
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def _scan_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
-    """Nilpotent or solvable class adjacency by exhaustive scan.
-
-    One class is pinned to a canonical cycle x and the smaller class is
-    scanned; conjugation invariance makes the restriction lossless.
-    Non-commuting candidates are classified once per orbit of the
-    centralizer of x: the scan stops at its first hit, so a candidate whose
-    orbit key was already classified cannot be one.
-    """
-    if perms.cycle_count(degree, p) <= perms.cycle_count(degree, q):
-        scan_len, fixed_len = p, q
-    else:
-        scan_len, fixed_len = q, p
-    x = perms.canonical_cycle(degree, fixed_len)
-
-    classified: set[tuple[int, ...]] = set()
-    for y in perms.all_cycles(degree, scan_len):
-        if perms.compose(x, y) == perms.compose(y, x):
-            return True  # abelian, hence nilpotent and solvable
-        key = _orbit_key(fixed_len, y)
-        if key in classified:
-            continue
-        classified.add(key)
-        if _pair_adjacent(degree, x, key, kind):
-            return True
-    return False
 
 
 def arithmetic_adjacency(degree: int, p: int, q: int) -> bool:
@@ -209,8 +119,8 @@ class FactorCertificate:
     degree: int
     vertex_primes: tuple[int, ...]
     graph: Graph
-    # "scan": decided by class_adjacency below DEGREE_CAP, which settles prime
-    # pairs by theorem and scans no candidate; "arithmetic": by disjointness
+    # "scan" up to degree DEGREE_CAP, "arithmetic" above it; class_adjacency
+    # decides every factor alike, and the labels stay for recorded outputs
     checked: str
 
     def to_json_dict(self) -> dict:
@@ -252,12 +162,10 @@ class EmbeddingCertificate:
 
 
 def _factor_for_nonedge(
-    target: Graph, nonedge: tuple[int, int] | None, prime_set: list[int], kind: str,
-    allow_arithmetic: bool,
+    target: Graph, nonedge: tuple[int, int] | None, prime_set: list[int], kind: str
 ) -> FactorCertificate:
     """One intersection factor: primes assigned so the nonedge carries the two
-    largest, adjacency decided per prime pair by `class_adjacency` when the
-    degree permits ("scan") and by the disjointness criterion otherwise."""
+    largest, adjacency decided per prime pair by `class_adjacency`."""
     n = target.n
     ps = sorted(prime_set)
     degree = ps[-1] + ps[-2] - (1 if nonedge else 0)
@@ -275,26 +183,14 @@ def _factor_for_nonedge(
                 vertex_primes[v] = ps[-1]
             else:
                 vertex_primes[v] = next(rest)
-    if degree <= DEGREE_CAP:
-        checked = "scan"
-    elif allow_arithmetic:
-        checked = "arithmetic"
-    else:
-        raise SizeCapError(
-            f"factor degree {degree} exceeds cap {DEGREE_CAP} at n={n}; "
-            "rerun with the arithmetic fallback to downgrade"
-        )
-    edges = []
-    for u, v in itertools.combinations(range(n), 2):
-        pu, pv = vertex_primes[u], vertex_primes[v]
-        if checked == "scan":
-            hit = class_adjacency(degree, pu, pv, kind)
-        else:
-            hit = arithmetic_adjacency(degree, pu, pv)
-        if hit:
-            edges.append((u, v))
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(n), 2)
+        if class_adjacency(degree, vertex_primes[u], vertex_primes[v], kind)
+    ]
     return FactorCertificate(
-        nonedge, tuple(ps), degree, tuple(vertex_primes), Graph(target.labels, edges), checked
+        nonedge, tuple(ps), degree, tuple(vertex_primes), Graph(target.labels, edges),
+        "scan" if degree <= DEGREE_CAP else "arithmetic",
     )
 
 
@@ -311,23 +207,20 @@ def step3_embedding(n: int, kind: str, with_nonedge: bool = True) -> FactorCerti
     ps = primes_first(n)
     target = Graph.complete(n, [f"{p}-cycle" for p in ps])
     nonedge = (n - 2, n - 1) if with_nonedge else None
-    return _factor_for_nonedge(target, nonedge, ps, kind, allow_arithmetic=False)
+    return _factor_for_nonedge(target, nonedge, ps, kind)
 
 
-def embed_graph(target: Graph, kind: str, arithmetic_fallback: bool = False) -> EmbeddingCertificate:
+def embed_graph(target: Graph, kind: str) -> EmbeddingCertificate:
     """Realize the target as an intersection of one K_n-minus-an-edge factor per
     nonedge, every factor living on prime-cycle classes of a symmetric group.
 
-    Complete targets get a single trivial factor. Factor degrees beyond the
-    scan cap raise unless the arithmetic fallback is allowed, in which case the
-    factor is certified by the disjointness criterion only.
+    Complete targets get a single trivial factor. `arithmetic_only` says
+    whether some factor's degree is above DEGREE_CAP.
 
     The enhanced kind gives each factor its own n primes, pairwise disjoint
     across factors: diagonal representatives then have coordinates of distinct
     prime orders, so commuting coordinates generate a cyclic group of product
-    order. Its later factors pass the scan cap by design, so it always allows
-    the fallback (disjoint cycles of coprime prime lengths generate cyclic
-    groups, and intersecting ones cannot commute).
+    order.
     """
     if kind not in SCAN_KINDS:
         raise ValueError(f"embedding kinds are {SCAN_KINDS}; got {kind!r}")
@@ -338,11 +231,10 @@ def embed_graph(target: Graph, kind: str, arithmetic_fallback: bool = False) -> 
     if kind == "enhanced":
         pool = primes_first(n * len(nonedges))
         prime_sets = [pool[f * n : (f + 1) * n] for f in range(len(nonedges))]
-        arithmetic_fallback = True
     else:
         prime_sets = [primes_first(n)] * len(nonedges)
     factors = [
-        _factor_for_nonedge(target, ne, ps, kind, arithmetic_fallback)
+        _factor_for_nonedge(target, ne, ps, kind)
         for ne, ps in zip(nonedges, prime_sets)
     ]
     final = factors[0].graph

@@ -7,9 +7,7 @@ import time
 
 import pytest
 
-from supergraphs import universality
 from supergraphs.cli import COMMANDS, main
-from supergraphs.groups import SizeCapError
 
 D3 = '{"kind":"dihedral","n":3}'
 S3 = '{"kind":"symmetric","n":3}'
@@ -272,20 +270,6 @@ def test_embed_large_target_downgrades_exit_3(tmp_path, capsys):
     assert cert["verified"] is True
 
 
-def test_uncertifiable_pair_exit_3(monkeypatch):
-    """A pair the order test cannot decide, with a closure over the fallback
-    cap, is a resource cap: SizeCapError, which the CLI maps to exit 3. Prime
-    pairs never reach the fallback, so a composite pair stands in (no embed
-    target has one): a transposition and a 4-cycle on five points."""
-    monkeypatch.setattr(universality, "FALLBACK_ORDER_CAP", 1)
-    universality.class_adjacency.cache_clear()
-    try:
-        with pytest.raises(SizeCapError, match="cannot certify pair with order 24"):
-            universality.class_adjacency(5, 2, 4, "solvable")
-    finally:
-        universality.class_adjacency.cache_clear()
-
-
 def test_embed_enhanced(tmp_path, capsys):
     target = tmp_path / "p3.json"
     target.write_text(json.dumps({"labels": ["0", "1", "2"], "edges": [[0, 1], [1, 2]]}))
@@ -435,14 +419,33 @@ BAD_ARGV = {
     "extra positional": ["verify", "hierarchy", "extra"],
     "positional without a slot": ["wiener", "stray", "--group", D8, "--kind", "power"],
     "stray --": ["wiener", "--group", D8, "--kind", "power", "--"],
+    "igg table without check": ["igg", "--group", D8, "--table"],
+    "compressed with a partition": ["graph", "--group", D8, "--kind", "power", "--compressed",
+                                    "--partition", "equality"],
+    "empty group": ["graph", "--group", "", "--kind", "power"],
+    "empty group after =": ["wiener", "--group=", "--kind", "power"],
+    "empty graph": ["embed", "--graph", "", "--kind", "solvable"],
+    "empty catalog": ["verify", "hierarchy", "--catalog", ""],
+    "empty catalog after =": ["verify", "hierarchy", "--catalog="],
+}
+# the option or options each case above must name in its error line
+NAMED = {
+    "igg table without check": ("--table", "--check"),
+    "compressed with a partition": ("--partition", "--compressed"),
+    "empty group": ("--group",),
+    "empty group after =": ("--group",),
+    "empty graph": ("--graph",),
+    "empty catalog": ("--catalog",),
+    "empty catalog after =": ("--catalog",),
 }
 
 
-@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV)
-def test_bad_argv_returns_2_with_one_error_line(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+@pytest.mark.parametrize("case", BAD_ARGV)
+def test_bad_argv_returns_2_with_one_error_line(capsys, case):
+    code, out, err = run_cli(capsys, *BAD_ARGV[case])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in NAMED.get(case, ()))
 
 
 WIENER_D8 = ["wiener", "--group", D8, "--kind", "power", "--partition", "conjugacy"]
@@ -456,6 +459,9 @@ EQUIVALENT_ARGV = {
                                       "--group", D8]),
     "default partition": (WIENER_D8[:5], WIENER_D8[:5] + ["--partition", "equality"]),
     "flag prefix": (["igg", "--group", D8, "--check"], ["igg", "--ch", "--group", D8]),
+    "compressed on conjugacy": (["graph", "--group", D8, "--kind", "power", "--compressed"],
+                                ["graph", "--group", D8, "--kind", "power", "--compressed",
+                                 "--partition", "conjugacy"]),
     "moved positional": (HIERARCHY, ["verify", "--catalog", "CATALOG", "hierarchy"]),
     "positional after --": (HIERARCHY, ["verify", "--catalog", "CATALOG", "--", "hierarchy"]),
 }

@@ -1,10 +1,8 @@
-"""Permutation-group facts against sympy: stabilizer-chain orders, groups
-closed from generators with their whole-group flags, the theorem behind
-prime-cycle class adjacency (intersecting p- and q-cycles with p + q > N
-generate a group that is neither nilpotent nor, save for (2, 3), solvable),
-and the exhaustive scan for cycle lengths that are not both prime."""
+"""Permutation-group facts against sympy: groups closed from generators with
+their whole-group flags, and the theorem behind prime-cycle class adjacency
+(intersecting p- and q-cycles with p + q > N generate a group that is
+neither nilpotent nor, save for (2, 3), solvable)."""
 
-import itertools
 import random
 
 import pytest
@@ -14,7 +12,6 @@ from supergraphs.groups import from_perm_generators
 from supergraphs.universality import class_adjacency
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
-sympy_is_prime = pytest.importorskip("sympy").isprime
 Permutation = combinatorics.Permutation
 PermutationGroup = combinatorics.PermutationGroup
 
@@ -40,18 +37,6 @@ def random_generators(rng, degree):
             g = perms.compose(g, random_cycle(rng, degree, rng.randint(2, min(4, degree))))
         gens.append(g)
     return gens
-
-
-def test_perm_group_order_matches_sympy():
-    rng = random.Random(11)
-    orders = set()
-    for _ in range(150):
-        degree = rng.randint(2, 8)
-        gens = random_generators(rng, degree)
-        order = perms.perm_group_order(degree, gens)
-        assert order == sympy_group(degree, gens).order(), (degree, gens)
-        orders.add(order)
-    assert len(orders) > 10  # the draws reach many different groups
 
 
 def test_generated_groups_and_flags_match_sympy():
@@ -89,54 +74,9 @@ def test_intersecting_prime_cycles_generate_non_solvable_groups():
     for _ in range(120):
         degree, p, q = rng.choice(pairs)
         x, y = random_cycle(rng, degree, p), random_cycle(rng, degree, q)
-        assert perms.support(x) & perms.support(y)  # forced by p + q > N
+        assert any(x[i] != i != y[i] for i in range(degree))  # forced by p + q > N
         group = sympy_group(degree, [x, y])
         assert group.is_nilpotent is False, (x, y)
         assert group.is_solvable is ((p, q) == (2, 3)), (x, y)
         assert class_adjacency(degree, p, q, "nilpotent") is False
         assert class_adjacency(degree, p, q, "solvable") is ((p, q) == (2, 3))
-
-
-def cycles_of_length(degree, length):
-    """Every length-cycle on range(degree) once, written from its least point."""
-    for points in itertools.combinations(range(degree), length):
-        for rest in itertools.permutations(points[1:]):
-            yield perms.perm_from_cycles(degree, [[points[0], *rest]], one_based=False)
-
-
-def centralizer_of_canonical_cycle(degree, p):
-    """<x> times the symmetric group on the fixed points of x = (0 1 ... p-1)."""
-    for k in range(p):
-        for rest in itertools.permutations(range(p, degree)):
-            yield tuple((i + k) % p for i in range(p)) + rest
-
-
-def test_composite_length_class_adjacency_matches_sympy():
-    """At degrees 4-6, for lengths p < q not both prime, the p- and q-cycle
-    classes are solvable (nilpotent) adjacent iff some q-cycle y makes
-    <x, y> solvable (nilpotent) for the canonical p-cycle x. Conjugating y by
-    the centralizer of x conjugates <x, y>, so one y per centralizer orbit
-    is asked of sympy."""
-    outcomes = set()
-    for degree in (4, 5, 6):
-        for p, q in itertools.combinations(range(1, degree + 1), 2):
-            if sympy_is_prime(p) and sympy_is_prime(q):
-                continue
-            x = perms.perm_from_cycles(degree, [list(range(p))], one_based=False)
-            centralizer = list(centralizer_of_canonical_cycle(degree, p))
-            ys = {
-                min(perms.conjugate(y, c) for c in centralizer)
-                for y in cycles_of_length(degree, q)
-            }
-            solvable = nilpotent = False
-            for y in sorted(ys):
-                group = sympy_group(degree, [x, y])
-                if group.is_solvable:
-                    solvable = True
-                    if group.is_nilpotent:
-                        nilpotent = True
-                        break
-            assert class_adjacency(degree, p, q, "solvable") is solvable, (degree, p, q)
-            assert class_adjacency(degree, p, q, "nilpotent") is nilpotent, (degree, p, q)
-            outcomes.add((solvable, nilpotent))
-    assert outcomes == {(True, True), (True, False), (False, False)}

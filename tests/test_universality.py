@@ -8,14 +8,13 @@ import random
 import time
 
 import pytest
+from cycle_tools import all_cycles, canonical_cycle, conjugate, cycle_count, orbit_key
 
 import supergraphs as sg
 from supergraphs import perms
 from supergraphs.graphs import Graph
-from supergraphs.groups import SizeCapError
 from supergraphs.universality import (
-    _orbit_key,
-    _scan_adjacency,
+    SCAN_KINDS,
     arithmetic_adjacency,
     class_adjacency,
     embed_graph,
@@ -45,8 +44,8 @@ def test_class_adjacency_known_pairs():
 
 
 def test_class_adjacency_validation():
-    with pytest.raises(SizeCapError):
-        class_adjacency(14, 3, 5, "commuting")
+    with pytest.raises(ValueError):
+        class_adjacency(12, 6, 9, "solvable")
     with pytest.raises(ValueError):
         class_adjacency(7, 3, 3, "commuting")
     with pytest.raises(ValueError):
@@ -58,10 +57,10 @@ def test_commuting_scan_equals_disjointness_criterion():
     search of the smaller class for a cycle commuting with a pinned one."""
     for p, q in itertools.combinations((2, 3, 5, 7), 2):
         for degree in range(max(p, q), 14):
-            small, large = sorted((p, q), key=lambda n: perms.cycle_count(degree, n))
-            x = perms.canonical_cycle(degree, large)
+            small, large = sorted((p, q), key=lambda n: cycle_count(degree, n))
+            x = canonical_cycle(degree, large)
             exists = any(
-                perms.compose(x, y) == perms.compose(y, x) for y in perms.all_cycles(degree, small)
+                perms.compose(x, y) == perms.compose(y, x) for y in all_cycles(degree, small)
             )
             assert class_adjacency(degree, p, q, "commuting") == exists, (degree, p, q)
             assert arithmetic_adjacency(degree, p, q) == exists, (degree, p, q)
@@ -76,8 +75,7 @@ def test_commuting_and_enhanced_scans_are_arithmetic():
     assert class_adjacency(13, 2, 11, "enhanced") is True
     assert time.perf_counter() - start < 0.5
     assert class_adjacency(5, 1, 5, "commuting") is True  # a 1-cycle is the identity
-    with pytest.raises(SizeCapError):
-        class_adjacency(14, 11, 13, "commuting")
+    assert class_adjacency(14, 11, 13, "commuting") is False
     with pytest.raises(ValueError):
         class_adjacency(13, 0, 5, "enhanced")
     with pytest.raises(ValueError):
@@ -104,8 +102,8 @@ def test_commuting_cycles_generate_a_cyclic_group_iff_coprime():
     """The arithmetic rule behind enhanced scans, against closures."""
     for degree in range(2, 7):
         for p, q in itertools.combinations(range(1, degree + 1), 2):
-            x = perms.canonical_cycle(degree, p)
-            for y in perms.all_cycles(degree, q):
+            x = canonical_cycle(degree, p)
+            for y in all_cycles(degree, q):
                 if perms.compose(x, y) != perms.compose(y, x):
                     continue
                 members = _close((x, y), degree)
@@ -148,7 +146,7 @@ def _bracket(members, gens, degree):
             continue
         sub_gens.append(c)
         sub = _close(sub_gens, degree)
-        pending += [perms.conjugate(c, t) for t in gens]
+        pending += [conjugate(c, t) for t in gens]
     return sub_gens, sub
 
 
@@ -174,12 +172,12 @@ def _brute_adjacency(degree, p, q):
     """(nilpotent, solvable) class adjacency from the closure of every pair
     of the pinned cycle with a cycle of the smaller class; the series run
     once per distinct generated group."""
-    if perms.cycle_count(degree, p) > perms.cycle_count(degree, q):
+    if cycle_count(degree, p) > cycle_count(degree, q):
         p, q = q, p
-    x = perms.canonical_cycle(degree, q)
+    x = canonical_cycle(degree, q)
     flags_of = {}
     found = (False, False)
-    for y in perms.all_cycles(degree, p):
+    for y in all_cycles(degree, p):
         members = frozenset(_close([x, y], degree))
         if members not in flags_of:
             flags_of[members] = _series_flags(x, y)
@@ -203,29 +201,47 @@ def test_scan_matches_brute_force_closures():
             assert class_adjacency(degree, p, q, "solvable") == solvable, (degree, p, q)
 
 
+def _orbit_scan(degree, p, q):
+    """(nilpotent, solvable) class adjacency of a p- and a q-cycle class,
+    p and q prime, by exhaustive scan: the smaller class against a pinned
+    cycle x of the other length. A commuting pair generates an abelian group.
+    Otherwise sympy classifies one candidate y per orbit of the normalizer of
+    <x>: conjugating y by it conjugates <x, y>, as x goes to a generator of
+    <x>. The normalizer is x's centralizer times the maps i -> k*i mod q on
+    x's points, so a normalizer orbit's key is the least centralizer-orbit
+    key over those maps."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    if cycle_count(degree, p) > cycle_count(degree, q):
+        p, q = q, p
+    x = canonical_cycle(degree, q)
+    candidates = list(all_cycles(degree, p))
+    if any(perms.compose(x, y) == perms.compose(y, x) for y in candidates):
+        return True, True
+    scalings = [tuple(k * i % q for i in range(q)) + tuple(range(q, degree)) for k in range(1, q)]
+    keys = {orbit_key(q, y) for y in candidates}
+    keys = {min(orbit_key(q, conjugate(key, m)) for m in scalings) for key in keys}
+    solvable = False
+    for key in sorted(keys):
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(x)), combinatorics.Permutation(list(key))]
+        )
+        if group.is_solvable:  # only a solvable group can be nilpotent
+            solvable = True
+            if group.is_nilpotent:
+                return True, True
+    return False, solvable
+
+
 def test_prime_rule_matches_exhaustive_scan():
-    """Jordan's and Burnside's rule against the centralizer-orbit scan, for
+    """Jordan's and Burnside's rule against the normalizer-orbit scan, for
     every prime pair and both kinds at degrees 3-10."""
     for degree in range(3, 11):
         primes = [p for p in (2, 3, 5, 7) if p <= degree]
         for p, q in itertools.combinations(primes, 2):
-            for kind in ("nilpotent", "solvable"):
-                scanned = _scan_adjacency(degree, p, q, kind)
-                assert class_adjacency(degree, p, q, kind) == scanned, (degree, p, q, kind)
-                assert class_adjacency(degree, q, p, kind) == scanned, (degree, q, p, kind)
-
-
-def test_composite_lengths_match_brute_force_closures():
-    """Lengths that are not both prime are scanned, not ruled: 2 + 4 > 5, yet
-    a transposition inside a 4-cycle's support generates S4 with it."""
-    assert class_adjacency(5, 2, 4, "solvable") is True
-    for degree in range(3, 7):
-        for p, q in itertools.combinations(range(2, degree + 1), 2):
-            if p in (2, 3, 5) and q in (2, 3, 5):
-                continue
-            nilpotent, solvable = _brute_adjacency(degree, p, q)
-            assert class_adjacency(degree, p, q, "nilpotent") == nilpotent, (degree, p, q)
-            assert class_adjacency(degree, p, q, "solvable") == solvable, (degree, p, q)
+            scanned = dict(zip(("nilpotent", "solvable"), _orbit_scan(degree, p, q)))
+            for kind, adjacent in scanned.items():
+                assert class_adjacency(degree, p, q, kind) == adjacent, (degree, p, q, kind)
+                assert class_adjacency(degree, q, p, kind) == adjacent, (degree, q, p, kind)
 
 
 def test_prime_pairs_are_decided_at_once_below_the_cap():
@@ -236,15 +252,14 @@ def test_prime_pairs_are_decided_at_once_below_the_cap():
             assert class_adjacency(degree, p, q, kind) is False
     assert class_adjacency(13, 2, 11, "nilpotent") is True
     assert time.perf_counter() - start < 0.5
-    with pytest.raises(SizeCapError):
-        class_adjacency(14, 3, 5, "solvable")
+    assert class_adjacency(14, 3, 5, "solvable") is True
 
 
 def _centralizer_conjugator(x_len, y, key):
     """Some c commuting with x = (0 ... x_len-1) with key = y^c, or None.
     c carries y's cycle onto key's cycle and rotates x's points."""
     degree = len(y)
-    x = perms.canonical_cycle(degree, x_len)
+    x = canonical_cycle(degree, x_len)
     a = next(i for i in range(x_len) if y[i] != i)
     for r in range(x_len):
         image = {}
@@ -259,7 +274,7 @@ def _centralizer_conjugator(x_len, y, key):
         if (
             sorted(c) == list(range(degree))
             and perms.compose(c, x) == perms.compose(x, c)
-            and perms.conjugate(y, c) == key
+            and conjugate(y, c) == key
         ):
             return c
     return None
@@ -271,7 +286,7 @@ def test_orbit_key_is_a_centralizer_invariant_conjugate():
     while checked < 300:
         degree = rng.randint(7, 11)
         x_len = rng.randint(2, degree)
-        x = perms.canonical_cycle(degree, x_len)
+        x = canonical_cycle(degree, x_len)
         y = perms.perm_from_cycles(
             degree, [rng.sample(range(degree), rng.randint(2, degree))], one_based=False
         )
@@ -282,8 +297,8 @@ def test_orbit_key_is_a_centralizer_invariant_conjugate():
         c = tuple((i + r) % x_len for i in range(x_len)) + tuple(
             rng.sample(range(x_len, degree), degree - x_len)
         )
-        key = _orbit_key(x_len, y)
-        assert _orbit_key(x_len, perms.conjugate(y, c)) == key, (x_len, y, c)
+        key = orbit_key(x_len, y)
+        assert orbit_key(x_len, conjugate(y, c)) == key, (x_len, y, c)
         assert _centralizer_conjugator(x_len, y, key) is not None, (x_len, y)
 
 
@@ -310,9 +325,9 @@ def test_step3_n4_commuting():
 
 
 def test_step3_degree_cap_reports_n():
-    with pytest.raises(SizeCapError) as err:
-        step3_embedding(5, "commuting")
-    assert "n=5" in str(err.value)
+    res = step3_embedding(5, "commuting")
+    assert (res.degree, res.checked, res.graph.n) == (17, "arithmetic", 5)
+    assert set(res.graph.edges()) == set(itertools.combinations(range(5), 2)) - {(3, 4)}
     with pytest.raises(ValueError):
         step3_embedding(2, "commuting")
 
@@ -350,12 +365,10 @@ def test_embed_validation():
         embed_graph(Graph.complete(2), "commuting")
     with pytest.raises(ValueError):
         embed_graph(Graph.path(3), "power")
-    with pytest.raises(SizeCapError):
-        embed_graph(Graph.cycle(5), "commuting")
 
 
 def test_embed_arithmetic_fallback():
-    cert = embed_graph(Graph.cycle(5), "commuting", arithmetic_fallback=True)
+    cert = embed_graph(Graph.cycle(5), "commuting")
     assert cert.arithmetic_only
     assert cert.verified
     assert all(f.checked == "arithmetic" for f in cert.factors)
@@ -405,6 +418,49 @@ def test_embed_every_four_vertex_graph_commuting():
         assert cert.verified, target.edges()
         assert cert.final_graph == target
         assert len(cert.factors) == max(1, 6 - target.num_edges)
+
+
+def test_embed_every_graph_on_five_and_six_vertices_every_kind():
+    """The 34 and 156 graphs on 5 and 6 vertices, up to isomorphism, from
+    networkx's atlas, and K_3 to K_12, each embedded in under a second:
+    factors above degree 13 are decided by theorem like those below it."""
+    nx = pytest.importorskip("networkx")
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() in (5, 6)]
+    assert len(atlas) == 34 + 156
+    targets = [Graph([str(v) for v in range(g.number_of_nodes())], g.edges) for g in atlas]
+    targets += [Graph.complete(n) for n in range(3, 13)]
+    for target in targets:
+        for kind in SCAN_KINDS:
+            start = time.perf_counter()
+            cert = embed_graph(target, kind)
+            assert time.perf_counter() - start < 1.0, (target.n, target.edges(), kind)
+            assert cert.verified, (target.n, target.edges(), kind)
+            assert cert.final_graph == target
+
+
+def test_prime_rule_holds_beyond_degree_thirteen():
+    primes = primes_first(12)  # up to 37
+    for degree in range(14, 41):
+        for p, q in itertools.permutations([p for p in primes if p <= degree], 2):
+            for kind in SCAN_KINDS:
+                assert class_adjacency(degree, p, q, kind) == (p + q <= degree), (degree, p, q)
+
+
+def test_composite_nilpotent_and_solvable_lengths_raise():
+    """Lengths not both prime have no rule; their scans took 30 s and more."""
+    for degree, p, q in ((5, 2, 4), (6, 4, 5), (12, 6, 9), (13, 9, 6), (40, 4, 9)):
+        for kind in ("nilpotent", "solvable"):
+            with pytest.raises(ValueError, match="prime cycle lengths only"):
+                class_adjacency(degree, p, q, kind)
+        assert class_adjacency(degree, p, q, "commuting") == (p + q <= degree)
+
+
+def test_one_cycles_are_adjacent_for_every_kind():
+    for degree in range(2, 41):
+        for q in range(2, degree + 1):
+            for kind in SCAN_KINDS:
+                assert class_adjacency(degree, 1, q, kind), (degree, q, kind)
+                assert class_adjacency(degree, q, 1, kind), (degree, q, kind)
 
 
 def test_certificate_json_roundtrip():
