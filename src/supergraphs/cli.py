@@ -479,7 +479,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
     except (InvalidGroupSpec, UsageError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

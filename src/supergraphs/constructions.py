@@ -12,22 +12,22 @@ of group elements, nothing more, and it is its own witness:
 `expand_quotient` blows it up into the element-level graph (see
 `graphs.blow_up`), and the class-compressed conjugacy graph is the delta of
 the conjugacy quotient. `quotient_supergraph` is the only code that
-partitions a group and decides class adjacency. The base graph of a kind is
-its equality supergraph. Also provides the containment hierarchy report.
+partitions a group for a supergraph. The base graph of a kind is its equality
+supergraph. Also provides the containment hierarchy report.
 
-Every base adjacency is invariant under simultaneous conjugation, so element
-pairs are decided per orbit: `pair_orbit_edges` pins each conjugacy class
-representative r, decides (r, h) once per orbit of the centralizer C(r), and
-expands the edges through the conjugators the class records. It is the one
-element-pair path: it gives the equality delta and the generating graph.
-Whole conjugacy classes are compared by one pinned scan,
-`pinned_class_pairs`: some pair adjacent for a conjugacy quotient, every pair
-generating for the invariable generating graph. Order classes, which are
-unions of conjugacy classes, are compared through their conjugacy class
-pairs.
-Two shortcuts skip closures: if the whole group is abelian (commuting),
-cyclic (enhanced), nilpotent or solvable, that kind's delta is complete, and
-a commuting pair is nilpotent- and solvable-adjacent.
+Every base adjacency is invariant under simultaneous conjugation, and so is
+generation of the group. `class_graph` is the one place that decides which
+classes of a partition are related under such a relation, for quotients and
+for both generating graphs (see `generation`). Element pairs are decided per
+orbit: `pair_orbit_edges` pins each conjugacy class representative r, decides
+(r, h) once per orbit of the centralizer C(r), and expands the edges through
+the conjugators the class records; it gives the equality partition's class
+graph. Whole conjugacy classes are compared by one pinned scan, and order
+classes, which are unions of conjugacy classes, through their conjugacy class
+pairs. Two shortcuts skip closures: if the whole group is abelian
+(commuting), cyclic (enhanced), nilpotent or solvable, that kind's delta is
+complete and built as such, with no edge list, and a commuting pair is
+nilpotent- and solvable-adjacent.
 """
 
 from __future__ import annotations
@@ -200,50 +200,52 @@ def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     return Partition(group, pkind, tuple(classes), tuple(class_of))
 
 
-def pinned_class_pairs(group: FiniteGroup, first, second, per_orbit: bool):
-    """The pairs (r, h) that decide a relation invariant under simultaneous
-    conjugation between two conjugacy classes, given as sorted member tuples.
+def _class_labels(group: FiniteGroup, partition: Partition):
+    """Each class's representative label; one class per element takes the
+    group's cached labels, not one call per element."""
+    if len(partition.classes) == group.order:
+        return group.labels()
+    return [group.element_label(rep) for rep in partition.representatives]
 
-    The larger class is pinned to its representative r, and h stands for one
-    orbit of the centralizer C(r) on the smaller class if per_orbit is set,
-    else for one member: every pair across the classes is conjugate to one
-    of these.
+
+def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition, every=False) -> Graph:
+    """The graph on the partition's classes, in its order, joining two classes
+    when test holds for some pair across them, or for every pair if every is
+    set. The test must be invariant under simultaneous conjugation.
+
+    This is the one place that decides which classes are related. The
+    equality partition's classes are the elements, so its edges are the
+    pair-orbit edges. Two conjugacy classes are compared by a pinned scan: the
+    larger class is pinned to its representative r, and r is tested against
+    the smaller class once per orbit of the centralizer C(r) if per_orbit is
+    set, else once per member, since every pair across the classes is
+    conjugate to one of these. A pair of order classes is related through the
+    pairs of conjugacy classes they are unions of.
     """
-    scan, fixed = (first, second) if len(first) <= len(second) else (second, first)
-    pinned = fixed[0]
-    return [(pinned, orbit[0]) for orbit in _scan_orbits(group, pinned, scan, per_orbit)]
-
-
-def _class_adjacency(group: FiniteGroup, kind: str, partition: Partition) -> list[tuple[int, int]]:
-    """Pairs of class indices i < j whose classes contain a base-adjacent pair.
-
-    The equality partition's classes are the elements, so its pairs are the
-    pair-orbit edges. Conjugacy classes are tested pairwise, and a pair of
-    order classes is adjacent when some pair of the conjugacy classes they
-    are unions of is.
-    """
-    k = len(partition.classes)
-    if _complete_on(group, kind):
-        return list(itertools.combinations(range(k), 2))
-    test, per_orbit = _pair_test(group, kind), kind in _CLOSURE_KINDS
+    labels = _class_labels(group, partition)
     if partition.kind == "equality":
-        return list(pair_orbit_edges(group, test, per_orbit))
+        return Graph(labels, pair_orbit_edges(group, test, per_orbit))
+    k = len(partition.classes)
     if partition.kind == "conjugacy":
         parts = [[members] for members in partition.classes]
     else:
         parts = [[] for _ in range(k)]
         for cls in group.conjugacy_classes():
             parts[partition.class_of[cls.representative]].append(cls.members)
-    return [
+
+    def pinned_pairs(i: int, j: int):
+        for first in parts[i]:
+            for second in parts[j]:
+                scan, fixed = (first, second) if len(first) <= len(second) else (second, first)
+                for orbit in _scan_orbits(group, fixed[0], scan, per_orbit):
+                    yield fixed[0], orbit[0]
+
+    decide = all if every else any
+    return Graph(labels, [
         (i, j)
         for i, j in itertools.combinations(range(k), 2)
-        if any(
-            test(r, h)
-            for a in parts[i]
-            for b in parts[j]
-            for r, h in pinned_class_pairs(group, a, b, per_orbit)
-        )
-    ]
+        if decide(test(r, h) for r, h in pinned_pairs(i, j))
+    ])
 
 
 @dataclass(frozen=True)
@@ -263,19 +265,15 @@ def quotient_supergraph(group: FiniteGroup, kind: str, pkind: str) -> QuotientDe
     """Decompose the supergraph as delta[K_n1, ..., K_nk].
 
     delta is the induced subgraph of the supergraph on class representatives,
-    and the classes are the partition's, in its order. This is the one place
-    that partitions a group and decides which classes are adjacent.
+    and the classes are the partition's, in its order. delta is complete when
+    the whole group has the kind's property, else `class_graph` decides it.
     """
     kind = normalize_kind(kind)
     partition = build_partition(group, pkind)
-    reps = partition.representatives
-    if len(reps) == group.order:
-        # one class per element: the cached labels, not one call per element
-        names = group.labels()
-        labels = [names[rep] for rep in reps]
+    if _complete_on(group, kind):
+        delta = Graph.complete(len(partition.classes), _class_labels(group, partition))
     else:
-        labels = [group.element_label(rep) for rep in reps]
-    delta = Graph(labels, _class_adjacency(group, kind, partition))
+        delta = class_graph(group, _pair_test(group, kind), kind in _CLOSURE_KINDS, partition)
     return QuotientDecomposition(delta, partition.classes)
 
 

@@ -8,22 +8,21 @@ inside the complement of the matching base graph (equality exactly for the
 minimal non-A groups), and the invariable generating graph sits inside the
 complement of the conjugacy supergraph of the same kind.
 
-Generation is invariant under simultaneous conjugation. The generating graph
-is decided once per orbit of pairs and expanded through conjugators (see
-`constructions.pair_orbit_edges`). The invariable generating graph is decided
-once per pair of conjugacy classes by the pinned scan that compares classes
-in a conjugacy quotient (`constructions.pinned_class_pairs`), and it is the
-blow-up of that graph on the classes with empty factors (`graphs.blow_up`).
-The base graph is the equality supergraph and, like the conjugacy
-supergraph, is expanded from its quotient (see `constructions`).
+Generation is invariant under simultaneous conjugation, so both graphs are
+class graphs (`constructions.class_graph`): the generating graph on the
+equality partition, decided once per orbit of pairs and expanded through
+conjugators; the invariable generating graph on the conjugacy partition,
+where every pinned pair must generate, blown up on the classes with empty
+factors (`graphs.blow_up`). The base graph is the equality supergraph and,
+like the conjugacy supergraph, is expanded from its quotient (see
+`constructions`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .constructions import _complete_on, build_supergraph, pair_orbit_edges, pinned_class_pairs
+from .constructions import build_partition, build_supergraph, class_graph
 from .graphs import Graph, blow_up, edge_difference
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
@@ -48,34 +47,23 @@ def _generates(group: FiniteGroup):
 
 def generating_graph(group: FiniteGroup) -> Graph:
     """g ~ h iff the pair generates the whole group, decided once per orbit of
-    pairs under simultaneous conjugation (see `pair_orbit_edges`)."""
-    return Graph(group.labels(), pair_orbit_edges(group, _generates(group), per_orbit=True))
+    pairs under simultaneous conjugation (see `constructions.class_graph`)."""
+    return class_graph(group, _generates(group), True, build_partition(group, "equality"))
 
 
 def invariable_generating_graph(group: FiniteGroup) -> Graph:
     """x ~ y iff every conjugate pair generates the group.
 
     The condition is invariant under simultaneous conjugation, so it holds
-    for whole pairs of conjugacy classes: the representative r of one class
-    is pinned, the other class is scanned once per orbit of the centralizer
-    C(r), and an adjacent pair of classes is joined completely. A class never
-    joins itself: the conjugate pairs of x include (x, x), and a class with
-    two or more members rules out a cyclic group. So the graph is the
-    blow-up, with empty factors, of the graph on the conjugacy classes.
+    for whole pairs of conjugacy classes, and an adjacent pair of classes is
+    joined completely. A class never joins itself: the conjugate pairs of x
+    include (x, x), and a class with two or more members rules out a cyclic
+    group. So the graph is the blow-up, with empty factors, of the class
+    graph on the conjugacy classes in which every pair generates.
     """
-    generates = _generates(group)
-    classes = [cls.members for cls in group.conjugacy_classes()]
-    adjacent = [
-        (i, j)
-        for (i, first), (j, second) in itertools.combinations(enumerate(classes), 2)
-        if all(
-            generates(r, h)
-            for r, h in pinned_class_pairs(group, first, second, per_orbit=True)
-        )
-    ]
-    labels = group.labels()
-    delta = Graph([labels[members[0]] for members in classes], adjacent)
-    return blow_up(delta, classes, labels, "empty")
+    partition = build_partition(group, "conjugacy")
+    delta = class_graph(group, _generates(group), True, partition, every=True)
+    return blow_up(delta, partition.classes, group.labels(), "empty")
 
 
 @dataclass(frozen=True)
@@ -109,15 +97,14 @@ def containment_checks(group: FiniteGroup) -> list[ContainmentReport]:
     """Both containments for each applicable kind.
 
     Kinds whose property the whole group already has are skipped (reported as
-    not applicable): the containments are only claimed for non-A groups. The
-    group has the property exactly when the supergraphs of the matching base
-    kind are complete (`constructions._complete_on`).
+    not applicable): the containments are only claimed for non-A groups.
     """
     reports = []
     gen = None
     igg = None
+    flags = group.whole_group_flags()
     for kind in GENERATION_KINDS:
-        if _complete_on(group, _BASE_FOR_KIND[kind]):
+        if getattr(flags, f"is_{kind}"):
             for check in ("generating-vs-base", "invariable-vs-super"):
                 reports.append(
                     ContainmentReport(group.label, kind, check, False, True, False, ())

@@ -12,13 +12,13 @@ passes the cap is refused before any permutation is built, and the closure of
 permutation generators checks the cap after each frontier member, so it holds
 at most cap + len(gens) elements when it stops.
 
-Conjugation is orbit-based. Conjugacy classes are orbits of a breadth-first
-search under conjugation by a small generating set of the group, which
-records one conjugator per class member; `centralizer_orbits` splits a class
-into the orbits of one element's centralizer. Together they let a relation
-that is invariant under simultaneous conjugation be decided once per orbit of
-pairs (see `constructions.pair_orbit_edges`). Abelian groups and central
-elements cost no conjugation.
+Conjugation is orbit-based. One breadth-first walk under conjugation by a
+small generating set records a conjugator per orbit member: over the group's
+generators it finds the conjugacy classes, and over one element's centralizer
+`centralizer_orbits` splits a class into that centralizer's orbits. Together
+they let a relation that is invariant under simultaneous conjugation be
+decided once per orbit of pairs (see `constructions.class_graph`). Abelian
+groups and central elements cost no conjugation.
 """
 
 from __future__ import annotations
@@ -84,7 +84,14 @@ class SubgroupFlags:
 
 
 class FiniteGroup:
-    """Base class: subclasses provide mul/inv/element_label."""
+    """Base class: subclasses provide mul/inv/element_label.
+
+    Cache policy: a group caches per instance, without bound, and frees its
+    caches with itself. It caches only facts that cost a closure or a
+    conjugation walk: cyclic subgroups, centralizer generators, the members
+    of the subgroup a pair generates, subgroup flags, and the conjugacy
+    classes, generators and labels, computed once each.
+    """
 
     rep = "cayley"
 
@@ -145,12 +152,12 @@ class FiniteGroup:
 
     def centralizer(self, g: int) -> Subgroup:
         members = tuple(h for h in self.elements() if self.commutes(g, h))
-        return Subgroup(self, members, _greedy_generators(self.mul, members))
+        return Subgroup(self, members, _greedy_generators(self, members))
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set of the whole group."""
         if self._generators is None:
-            self._generators = _greedy_generators(self.mul, tuple(self.elements()))
+            self._generators = _greedy_generators(self, tuple(self.elements()))
         return self._generators
 
     def is_abelian(self) -> bool:
@@ -170,21 +177,11 @@ class FiniteGroup:
             classes = [ConjugacyClass(g, (g,), (0,)) for g in range(self.order)]
         else:
             classes = []
-            mul = self.mul
-            gens = [(self.inv(s), s) for s in self.generators()]
             seen = [False] * self.order
             for g in range(self.order):
                 if seen[g]:
                     continue
-                conjugator = {g: 0}
-                orbit = [g]
-                for y in orbit:  # grows while it is walked
-                    x = conjugator[y]
-                    for s_inv, s in gens:
-                        z = mul(mul(s_inv, y), s)
-                        if z not in conjugator:
-                            conjugator[z] = mul(x, s)
-                            orbit.append(z)
+                conjugator = self._conjugation_orbit(g, self.generators())
                 members = tuple(sorted(conjugator))
                 for m in members:
                     seen[m] = True
@@ -210,23 +207,31 @@ class FiniteGroup:
         gens = self._centralizer_gens.get(g)
         if gens is None:
             gens = self._centralizer_gens[g] = self.centralizer(g).generators
-        mul = self.mul
-        gens = [(self.inv(c), c) for c in gens]
         unseen = set(members)
         orbits = []
         for h in members:
-            if h not in unseen:
-                continue
-            unseen.discard(h)
-            orbit = [h]
-            for y in orbit:  # grows while it is walked
-                for c_inv, c in gens:
-                    z = mul(mul(c_inv, y), c)
-                    if z in unseen:
-                        unseen.discard(z)
-                        orbit.append(z)
-            orbits.append(tuple(sorted(orbit)))
+            if h in unseen:
+                orbit = tuple(sorted(self._conjugation_orbit(h, gens)))
+                unseen.difference_update(orbit)
+                orbits.append(orbit)
         return orbits
+
+    def _conjugation_orbit(self, start: int, gens) -> dict[int, int]:
+        """The orbit of start under conjugation by the group that gens
+        generate, found breadth first: {member m: a conjugator x with
+        m = x^-1 start x}."""
+        mul = self.mul
+        pairs = [(self.inv(s), s) for s in gens]
+        conjugator = {start: 0}
+        orbit = [start]
+        for y in orbit:  # grows while it is walked
+            x = conjugator[y]
+            for s_inv, s in pairs:
+                z = mul(mul(s_inv, y), s)
+                if z not in conjugator:
+                    conjugator[z] = mul(x, s)
+                    orbit.append(z)
+        return conjugator
 
     def pair_subgroup_members(self, g: int, h: int) -> tuple[int, ...]:
         """Members of the subgroup generated by {g, h}, cached per pair."""
@@ -254,8 +259,8 @@ class FiniteGroup:
         cyclic = abelian and any(self.element_order(g) == size for g in members)
         if abelian:
             return SubgroupFlags(cyclic, True, True, True)
-        solvable = is_solvable_gens(self.mul, self.inv, 0, gens)
-        nilpotent = solvable and is_nilpotent_gens(self.mul, self.inv, 0, gens)
+        solvable = is_solvable_gens(self, gens)
+        nilpotent = solvable and is_nilpotent_gens(self, gens)
         return SubgroupFlags(False, False, nilpotent, solvable)
 
     def whole_group_flags(self) -> SubgroupFlags:
@@ -265,7 +270,7 @@ class FiniteGroup:
         return f"<FiniteGroup {self.label} order={self.order} rep={self.rep}>"
 
 
-# --- generic closure / series machinery (elements may be ints or tuples) ---
+# --- closure (elements may be ints or tuples) and series on a group ---
 
 
 def closure_set(mul, identity, gens, limit=None):
@@ -292,8 +297,8 @@ def closure_set(mul, identity, gens, limit=None):
     return members
 
 
-def _greedy_generators(mul, members) -> tuple[int, ...]:
-    """Small generating set of the closure of members under mul (identity 0):
+def _greedy_generators(group: FiniteGroup, members) -> tuple[int, ...]:
+    """Small generating set of the subgroup of group that members close to:
     each member not yet generated joins, until all of them are."""
     gens: list[int] = []
     have = {0}
@@ -302,22 +307,19 @@ def _greedy_generators(mul, members) -> tuple[int, ...]:
             break
         if g not in have:
             gens.append(g)
-            have = closure_set(mul, 0, gens)
+            have = closure_set(group.mul, 0, gens)
     return tuple(gens)
 
 
-def _commutator(mul, inv, a, b):
-    return mul(mul(inv(a), inv(b)), mul(a, b))
-
-
-def _normal_closure(mul, inv, identity, ambient_gens, seeds):
+def _normal_closure(group: FiniteGroup, ambient_gens, seeds):
     """Subgroup generated by seeds and closed under conjugation by ambient_gens.
 
     Returns (member set, generating list). Each generator addition at least
     doubles the subgroup, so the number of re-closures is logarithmic.
     """
-    gens = list(dict.fromkeys(s for s in seeds if s != identity))
-    members = closure_set(mul, identity, gens)
+    mul, inv = group.mul, group.inv
+    gens = list(dict.fromkeys(s for s in seeds if s != 0))
+    members = closure_set(mul, 0, gens)
     queue = list(gens)
     while queue:
         z = queue.pop()
@@ -326,32 +328,33 @@ def _normal_closure(mul, inv, identity, ambient_gens, seeds):
             if w not in members:
                 gens.append(w)
                 queue.append(w)
-                members = closure_set(mul, identity, gens)
+                members = closure_set(mul, 0, gens)
     return members, gens
 
 
-def _series_reaches_identity(mul, inv, identity, gens, lower_central: bool) -> bool:
+def _series_reaches_identity(group: FiniteGroup, gens, lower_central: bool) -> bool:
     """Whether the derived series (lower_central False) or the lower central
-    series (True) of the group generated by gens reaches e.
+    series (True) of the subgroup generated by gens reaches e.
 
     Each term is the normal closure of commutators: of pairs of the current
     term's generators, normal in the current term, for the derived series;
-    of current times top generators, normal in the whole group, for the
+    of current times top generators, normal in the whole subgroup, for the
     lower central series. A term as large as the one before it is the limit.
     """
-    top_gens = [g for g in gens if g != identity]
+    mul, inv = group.mul, group.inv
+    top_gens = [g for g in gens if g != 0]
     if not top_gens:
         return True
     cur_gens = top_gens
-    cur_size = len(closure_set(mul, identity, cur_gens))
+    cur_size = len(closure_set(mul, 0, cur_gens))
     while True:
         if lower_central:
             pairs = ((x, h) for x in cur_gens for h in top_gens)
         else:
             pairs = itertools.combinations(cur_gens, 2)
-        seeds = [_commutator(mul, inv, a, b) for a, b in pairs]
+        seeds = [mul(mul(inv(a), inv(b)), mul(a, b)) for a, b in pairs]
         ambient = top_gens if lower_central else cur_gens
-        members, next_gens = _normal_closure(mul, inv, identity, ambient, seeds)
+        members, next_gens = _normal_closure(group, ambient, seeds)
         if len(members) == 1:
             return True
         if len(members) == cur_size:
@@ -359,14 +362,14 @@ def _series_reaches_identity(mul, inv, identity, gens, lower_central: bool) -> b
         cur_gens, cur_size = next_gens, len(members)
 
 
-def is_solvable_gens(mul, inv, identity, gens) -> bool:
-    """Whether the derived series of the group generated by gens reaches e."""
-    return _series_reaches_identity(mul, inv, identity, gens, lower_central=False)
+def is_solvable_gens(group: FiniteGroup, gens) -> bool:
+    """Whether the derived series of the subgroup generated by gens reaches e."""
+    return _series_reaches_identity(group, gens, lower_central=False)
 
 
-def is_nilpotent_gens(mul, inv, identity, gens) -> bool:
-    """Whether the lower central series of the group generated by gens reaches e."""
-    return _series_reaches_identity(mul, inv, identity, gens, lower_central=True)
+def is_nilpotent_gens(group: FiniteGroup, gens) -> bool:
+    """Whether the lower central series of the subgroup generated by gens reaches e."""
+    return _series_reaches_identity(group, gens, lower_central=True)
 
 
 # --- concrete representations ---
@@ -445,10 +448,10 @@ class CayleyTableGroup(FiniteGroup):
                 raise InvalidGroupSpec("element 0 must be a two-sided identity")
             if sorted(rows[i][j] for i in range(n)) != list(range(n)):
                 raise InvalidGroupSpec("table columns must form a Latin square")
-        _check_associative(rows)
         super().__init__(n, label)
         self.rows = rows
         self._inverses = [row.index(0) for row in rows]
+        _check_associative(rows, self.generators())
 
     def mul(self, i, j):
         return self.rows[i][j]
@@ -460,13 +463,13 @@ class CayleyTableGroup(FiniteGroup):
         return "e" if i == 0 else f"g{i}"
 
 
-def _check_associative(rows: list[list[int]]) -> None:
+def _check_associative(rows: list[list[int]], gens) -> None:
     """Light's test: a Latin square with identity (a loop) is associative iff
     (x a) y = x (a y) for every x, y and every a of a set S whose closure
-    under multiplication is the whole table. The a that pass are closed
-    under multiplication, so testing S suffices: O(n^2 |S|) lookups in place
-    of O(n^3)."""
-    for a in _greedy_generators(lambda i, j: rows[i][j], range(len(rows))):
+    under multiplication is the whole table, such as gens, the table's greedy
+    generators. The a that pass are closed under multiplication, so testing S
+    suffices: O(n^2 |S|) lookups in place of O(n^3)."""
+    for a in gens:
         row_a = rows[a]
         for x, row_x in enumerate(rows):
             if rows[row_x[a]] != [row_x[v] for v in row_a]:

@@ -403,6 +403,11 @@ def test_usage_error_exit_2():
     assert proc.returncode == 2
 
 
+# a product spec nested 600 levels deep, and a file of 2,000 nested "[":
+# both nest JSON deeper than the decoder's recursion limit
+DEEP_SPEC = '{"kind":"cyclic","n":1}'
+for _ in range(600):
+    DEEP_SPEC = f'{{"kind":"product","of":[{DEEP_SPEC},{{"kind":"cyclic","n":1}}]}}'
 BAD_ARGV = {
     "no command": [],
     "unknown command": ["frobnicate"],
@@ -427,6 +432,10 @@ BAD_ARGV = {
     "empty graph": ["embed", "--graph", "", "--kind", "solvable"],
     "empty catalog": ["verify", "hierarchy", "--catalog", ""],
     "empty catalog after =": ["verify", "hierarchy", "--catalog="],
+    "deeply nested group": ["graph", "--group", DEEP_SPEC, "--kind", "power"],
+    "deeply nested catalog": ["verify", "hierarchy", "--catalog", "DEEP"],
+    "deeply nested scan catalog": ["scan", "--catalog", "DEEP"],
+    "deeply nested graph": ["embed", "--graph", "DEEP", "--kind", "solvable"],
 }
 # the option or options each case above must name in its error line
 NAMED = {
@@ -441,8 +450,10 @@ NAMED = {
 
 
 @pytest.mark.parametrize("case", BAD_ARGV)
-def test_bad_argv_returns_2_with_one_error_line(capsys, case):
-    code, out, err = run_cli(capsys, *BAD_ARGV[case])
+def test_bad_argv_returns_2_with_one_error_line(tmp_path, capsys, case):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 2000)
+    code, out, err = run_cli(capsys, *[str(deep) if a == "DEEP" else a for a in BAD_ARGV[case]])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert all(name in err for name in NAMED.get(case, ()))

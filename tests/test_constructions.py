@@ -2,6 +2,7 @@
 the two-dimensional containment hierarchy."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from supergraphs.constructions import (
     hierarchy_report,
     quotient_supergraph,
 )
-from supergraphs.graphs import Complete, Empty, Join, compose_graphs, eval_expr
+from supergraphs.graphs import Complete, Empty, Graph, Join, compose_graphs, eval_expr
 
 
 def small_catalog():
@@ -363,3 +364,18 @@ def test_power_enhanced_distinct_where_an_order_is_not_prime_power():
         build_supergraph(s4, "power", "equality").edges()
         == build_supergraph(s4, "enhanced", "equality").edges()
     )
+
+
+@pytest.mark.parametrize("group, kind", [(sg.cyclic(3000), "commuting"),
+                                         (sg.dihedral(1500), "solvable")], ids=["C3000", "D3000"])
+def test_complete_delta_is_built_in_bounded_memory(group, kind):
+    """A complete delta is built with no edge list: one (i, j) tuple per
+    pair of 3,000 classes takes about 280 MB."""
+    tracemalloc.start()
+    try:
+        delta = quotient_supergraph(group, kind, "equality").delta
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert delta == Graph.complete(3000, group.labels())
