@@ -18,16 +18,16 @@ supergraph. Also provides the containment hierarchy report.
 Every base adjacency is invariant under simultaneous conjugation, and so is
 generation of the group. `class_graph` is the one place that decides which
 classes of a partition are related under such a relation, for quotients and
-for both generating graphs (see `generation`). Element pairs are decided per
-orbit: `pair_orbit_edges` pins each conjugacy class representative r, decides
-(r, h) once per orbit of the centralizer C(r), and expands the edges through
-the conjugators the class records; it gives the equality partition's class
-graph. Whole conjugacy classes are compared by one pinned scan, and order
-classes, which are unions of conjugacy classes, through their conjugacy class
-pairs. Two shortcuts skip closures: if the whole group is abelian
-(commuting), cyclic (enhanced), nilpotent or solvable, that kind's delta is
-complete and built as such, with no edge list, and a commuting pair is
-nilpotent- and solvable-adjacent.
+for both generating graphs (see `generation`), by one pinned scan over pairs
+of conjugacy classes: the larger class's representative r is pinned and
+tested against the smaller class once per orbit of the centralizer C(r). On
+the equality partition, r's hits are expanded to the other members of its
+class through the conjugators the class records; conjugacy and order classes,
+which are unions of conjugacy classes, fold the verdicts on the conjugacy
+class pairs they hold. Two shortcuts skip closures: if the whole group is
+abelian (commuting), cyclic (enhanced), nilpotent or solvable, that kind's
+delta is complete and built as such, with no edge list, and a commuting pair
+is nilpotent- and solvable-adjacent.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ def normalize_kind(kind: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    group: FiniteGroup
     kind: str
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
@@ -130,52 +129,6 @@ def _complete_on(group: FiniteGroup, kind: str) -> bool:
     }[kind]
 
 
-def _scan_orbits(group: FiniteGroup, pinned: int, members: tuple[int, ...], per_orbit: bool):
-    """The parts of one conjugacy class that a test with `pinned` decides at
-    once: orbits of the centralizer of `pinned`, or single members."""
-    if per_orbit:
-        return group.centralizer_orbits(pinned, members)
-    return [(h,) for h in members]
-
-
-def pair_orbit_edges(group: FiniteGroup, test, per_orbit: bool):
-    """Every pair {g, h} of distinct elements for which test(g, h) holds, where
-    the test is invariant under simultaneous conjugation.
-
-    Each conjugacy class representative r is pinned, and (r, h) is decided for
-    h in r's class and the classes after it: once per orbit of the centralizer
-    C(r) on each class (its least member stands for it) if per_orbit is set,
-    else once per member. Since test(r, h) = test(r^x, h^x), the edges of a
-    member m = r^x are the conjugates by x of r's, found through the
-    conjugators the class records; the representative itself needs none.
-    Every edge comes out once: across classes from the earlier class, inside a
-    class from its smaller end.
-    """
-    mul, inv = group.mul, group.inv
-    classes = group.conjugacy_classes()
-    for i, cls in enumerate(classes):
-        r = cls.representative
-        inside: list[int] = []
-        later: list[int] = []
-        for j in range(i, len(classes)):
-            hits = inside if j == i else later
-            for orbit in _scan_orbits(group, r, classes[j].members, per_orbit):
-                if orbit[0] != r and test(r, orbit[0]):
-                    hits.extend(orbit)
-        for m, x in zip(cls.members, cls.conjugators):
-            if x == 0:
-                yield from ((m, h) for h in inside if h > m)
-                yield from ((m, h) for h in later)
-                continue
-            x_inv = inv(x)
-            for h in inside:
-                t = mul(mul(x_inv, h), x)
-                if t > m:
-                    yield (m, t)
-            for h in later:
-                yield (m, mul(mul(x_inv, h), x))
-
-
 def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     """Equality, conjugacy, or same-order partition.
 
@@ -197,7 +150,7 @@ def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     for idx, members in enumerate(classes):
         for g in members:
             class_of[g] = idx
-    return Partition(group, pkind, tuple(classes), tuple(class_of))
+    return Partition(pkind, tuple(classes), tuple(class_of))
 
 
 def _class_labels(group: FiniteGroup, partition: Partition):
@@ -213,38 +166,46 @@ def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition,
     when test holds for some pair across them, or for every pair if every is
     set. The test must be invariant under simultaneous conjugation.
 
-    This is the one place that decides which classes are related. The
-    equality partition's classes are the elements, so its edges are the
-    pair-orbit edges. Two conjugacy classes are compared by a pinned scan: the
-    larger class is pinned to its representative r, and r is tested against
-    the smaller class once per orbit of the centralizer C(r) if per_orbit is
+    This is the one place that decides which classes are related, by one
+    pinned scan. Conjugacy classes are sorted by size, so of two classes
+    a <= b, b is the larger: b's representative r is pinned, and r is tested
+    against class a once per orbit of the centralizer C(r) if per_orbit is
     set, else once per member, since every pair across the classes is
-    conjugate to one of these. A pair of order classes is related through the
-    pairs of conjugacy classes they are unions of.
+    conjugate to one of these. On the equality partition, the hits of r
+    against every class a <= b are expanded to b's other members through the
+    conjugators the class records: since test(r, h) = test(r^x, h^x), the
+    member r^x is joined to the conjugates by x of the hits. A pair of
+    conjugacy or order classes is related through the verdicts on the pairs
+    of conjugacy classes they hold.
     """
+    classes = group.conjugacy_classes()
+
+    def verdicts(a: int, b: int):
+        r = classes[b].representative
+        members = classes[a].members
+        orbits = group.centralizer_orbits(r, members) if per_orbit else [(h,) for h in members]
+        return ((orbit, test(r, orbit[0])) for orbit in orbits if orbit[0] != r)
+
     labels = _class_labels(group, partition)
     if partition.kind == "equality":
-        return Graph(labels, pair_orbit_edges(group, test, per_orbit))
-    k = len(partition.classes)
-    if partition.kind == "conjugacy":
-        parts = [[members] for members in partition.classes]
-    else:
-        parts = [[] for _ in range(k)]
-        for cls in group.conjugacy_classes():
-            parts[partition.class_of[cls.representative]].append(cls.members)
+        mul, inv = group.mul, group.inv
 
-    def pinned_pairs(i: int, j: int):
-        for first in parts[i]:
-            for second in parts[j]:
-                scan, fixed = (first, second) if len(first) <= len(second) else (second, first)
-                for orbit in _scan_orbits(group, fixed[0], scan, per_orbit):
-                    yield fixed[0], orbit[0]
+        def edges():
+            for b, cls in enumerate(classes):
+                hits = [h for a in range(b + 1) for orbit, ok in verdicts(a, b) if ok for h in orbit]
+                for m, x in zip(cls.members, cls.conjugators):
+                    x_inv = inv(x)
+                    yield from ((m, mul(mul(x_inv, h), x)) for h in hits)
 
+        return Graph(labels, edges())
+    parts = [[] for _ in partition.classes]
+    for c, cls in enumerate(classes):
+        parts[partition.class_of[cls.representative]].append(c)
     decide = all if every else any
     return Graph(labels, [
         (i, j)
-        for i, j in itertools.combinations(range(k), 2)
-        if decide(test(r, h) for r, h in pinned_pairs(i, j))
+        for i, j in itertools.combinations(range(len(parts)), 2)
+        if decide(ok for a in parts[i] for b in parts[j] for _, ok in verdicts(min(a, b), max(a, b)))
     ])
 
 

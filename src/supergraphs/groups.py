@@ -17,8 +17,9 @@ small generating set records a conjugator per orbit member: over the group's
 generators it finds the conjugacy classes, and over one element's centralizer
 `centralizer_orbits` splits a class into that centralizer's orbits. Together
 they let a relation that is invariant under simultaneous conjugation be
-decided once per orbit of pairs (see `constructions.class_graph`). Abelian
-groups and central elements cost no conjugation.
+decided once per orbit of pairs, by the one pinned scan that serves every
+partition (see `constructions.class_graph`). Abelian groups and central
+elements cost no conjugation.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .constructions import build_compressed, build_partition
 from .graphs import Graph, intersection, strong_product
-from .groups import FiniteGroup, product
+from .groups import FiniteGroup, SizeCapError, product
 
 # Factors up to this degree are labelled "scan" in certificates, above it
 # "arithmetic"; recorded embed outputs keep the labels.
@@ -34,18 +34,16 @@ DEGREE_CAP = 13
 EMBED_KINDS = ("commuting", "nilpotent", "solvable")
 SCAN_KINDS = EMBED_KINDS + ("enhanced",)
 
+# A certificate holds one n x n adjacency matrix per non-edge; embed_graph
+# refuses a target whose matrices would hold more entries than this.
+EMBED_ENTRY_CAP = 1_000_000
+
 
 def primes_first(n: int) -> list[int]:
     """The first n primes in order."""
     if n < 1:
         raise ValueError("need n >= 1")
-    found: list[int] = []
-    candidate = 2
-    while len(found) < n:
-        if all(candidate % p for p in found):
-            found.append(candidate)
-        candidate += 1
-    return found
+    return list(itertools.islice(filter(_is_prime, itertools.count(2)), n))
 
 
 # Bounded: every answer costs O(1). The wrapper stays because perfbench's
@@ -215,7 +213,9 @@ def embed_graph(target: Graph, kind: str) -> EmbeddingCertificate:
     nonedge, every factor living on prime-cycle classes of a symmetric group.
 
     Complete targets get a single trivial factor. `arithmetic_only` says
-    whether some factor's degree is above DEGREE_CAP.
+    whether some factor's degree is above DEGREE_CAP. A target whose factor
+    matrices would hold more than EMBED_ENTRY_CAP entries raises SizeCapError
+    before any factor is built.
 
     The enhanced kind gives each factor its own n primes, pairwise disjoint
     across factors: diagonal representatives then have coordinates of distinct
@@ -227,6 +227,10 @@ def embed_graph(target: Graph, kind: str) -> EmbeddingCertificate:
     n = target.n
     if n < 3:
         raise ValueError("embedding needs at least 3 vertices")
+    entries = max(1, math.comb(n, 2) - target.num_edges) * n * n
+    if entries > EMBED_ENTRY_CAP:
+        raise SizeCapError(f"embedding {n} vertices needs {entries} matrix entries, "
+                           f"over the cap of {EMBED_ENTRY_CAP}")
     nonedges = target.complement().edges() or [None]
     if kind == "enhanced":
         pool = primes_first(n * len(nonedges))

@@ -289,6 +289,18 @@ def test_embed_enhanced_large_target_downgrades(tmp_path, capsys):
     assert cert["downgraded"] is True and cert["verified"] is True
 
 
+def test_embed_over_the_entry_cap_exits_3_at_once(tmp_path, capsys):
+    """45 isolated vertices: 990 factor matrices of 45 x 45 entries, over
+    twice the cap of 1,000,000."""
+    target = tmp_path / "e45.json"
+    target.write_text(json.dumps({"labels": [str(i) for i in range(45)], "edges": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "embed", "--graph", str(target), "--kind", "commuting")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "target",
     [

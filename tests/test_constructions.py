@@ -13,6 +13,7 @@ from supergraphs.constructions import (
     build_compressed,
     build_partition,
     build_supergraph,
+    class_graph,
     hierarchy_report,
     quotient_supergraph,
 )
@@ -379,3 +380,24 @@ def test_complete_delta_is_built_in_bounded_memory(group, kind):
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert delta == Graph.complete(3000, group.labels())
+
+
+@pytest.mark.parametrize("group, tests", [(sg.symmetric(5), 353), (sg.dihedral(20), 168),
+                                          (sg.symmetric(6), 2709)], ids=["S5", "D40", "S6"])
+def test_equality_scan_tests_each_class_pair_from_its_larger_class(group, tests):
+    """Each pair of conjugacy classes a <= b is decided by pinning b's
+    representative and testing it against every member of a, itself left out:
+    sum over a <= b of |C_a|, less one per class."""
+    sizes = [c.size for c in group.conjugacy_classes()]
+    assert tests == sum(sizes[a] for b in range(len(sizes)) for a in range(b + 1)) - len(sizes)
+    calls = []
+
+    def counting_commutes(g, h):
+        calls.append((g, h))
+        return group.commutes(g, h)
+
+    graph = class_graph(group, counting_commutes, False, build_partition(group, "equality"))
+    assert len(calls) == tests
+    assert graph == Graph(group.labels(), [
+        (g, h) for g, h in itertools.combinations(range(group.order), 2) if group.commutes(g, h)
+    ])

@@ -11,8 +11,9 @@ import pytest
 from cycle_tools import all_cycles, canonical_cycle, conjugate, cycle_count, orbit_key
 
 import supergraphs as sg
-from supergraphs import perms
+from supergraphs import perms, universality
 from supergraphs.graphs import Graph
+from supergraphs.groups import SizeCapError
 from supergraphs.universality import (
     SCAN_KINDS,
     arithmetic_adjacency,
@@ -31,6 +32,28 @@ def test_primes_first():
     assert primes_first(8) == [2, 3, 5, 7, 11, 13, 17, 19]
     with pytest.raises(ValueError):
         primes_first(0)
+
+
+def test_primes_first_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    primes = primes_first(3000)
+    assert primes[-1] == sympy.prime(3000)
+    assert primes == list(sympy.primerange(primes[-1] + 1))
+
+
+def test_embed_refuses_targets_over_the_entry_cap(monkeypatch):
+    """P4 has 3 non-edges, so its certificate holds 3 * 4 * 4 = 48 matrix
+    entries; complete K4 has one factor of 16."""
+    monkeypatch.setattr(universality, "EMBED_ENTRY_CAP", 48)
+    assert embed_graph(Graph.path(4), "commuting").verified
+    monkeypatch.setattr(universality, "EMBED_ENTRY_CAP", 47)
+    with pytest.raises(SizeCapError):
+        embed_graph(Graph.path(4), "commuting")
+    monkeypatch.setattr(universality, "EMBED_ENTRY_CAP", 16)
+    assert embed_graph(Graph.complete(4), "commuting").verified
+    monkeypatch.setattr(universality, "EMBED_ENTRY_CAP", 15)
+    with pytest.raises(SizeCapError):
+        embed_graph(Graph.complete(4), "commuting")
 
 
 def test_class_adjacency_known_pairs():
