@@ -22,6 +22,10 @@ A composition delta[F_1, ..., F_k] whose factors are all complete or all
 empty is given by delta and its classes of vertices alone: `blow_up` builds
 it, and `wiener_via_composition` reads its Wiener index from delta, the
 factor sizes and the factor kinds.
+
+Comparability is decided by Gallai's theorem, with no search: one union-find
+merges the arcs whose orientations force each other, and the graph is a
+comparability graph iff no class holds an arc and its reverse.
 """
 
 from __future__ import annotations
@@ -209,11 +213,11 @@ def _distance_sum(graph: Graph, weights, message: str) -> int:
     d(u, v) counts the radii k >= 0 whose ball R_k(u) misses v, so the sum is
     half of sum_u w_u * sum_k (weight outside R_k(u)). Radius 0 misses all
     but u, and the radius-1 ball is u's mask plus u. Each later ball is the
-    OR of its neighbours' balls one radius down; a vertex's neighbours are
-    read from its mask at most once. The weight inside a ball is a few bit
-    counts, one per distinct weight. One step per radius up to the diameter,
-    each at most 2m big-int ORs: cheap for the supergraphs (diameter at most
-    2), slowest on long paths. A ball that stops growing before it is full
+    OR of its neighbours' balls one radius down, the neighbours read from its
+    mask at each step and kept no longer. The weight inside a ball is a few
+    bit counts, one per distinct weight. One step per radius up to the
+    diameter, each at most 2m big-int ORs: cheap for the supergraphs
+    (diameter at most 2), slowest on long paths. A ball that stops growing before it is full
     marks a disconnected graph and raises with `message`.
     """
     by_weight: dict[int, int] = {}
@@ -224,16 +228,14 @@ def _distance_sum(graph: Graph, weights, message: str) -> int:
     total = sum(w * (total_weight - w) for w in weights)
     balls = [mask | 1 << v for v, mask in enumerate(graph.masks)]
     frontier = [v for v in range(graph.n) if balls[v] != full]
-    neighbours: dict[int, list[int]] = {}
     while frontier:
         total += total_weight * sum(weights[v] for v in frontier)
         for w, mask in by_weight.items():
             total -= w * sum(weights[v] * (balls[v] & mask).bit_count() for v in frontier)
-        grown = []
-        for v in frontier:
-            if v not in neighbours:
-                neighbours[v] = _bits(graph.masks[v])
-            grown.append(reduce(or_, map(balls.__getitem__, neighbours[v]), balls[v]))
+        grown = [
+            reduce(or_, map(balls.__getitem__, _bits(graph.masks[v])), balls[v])
+            for v in frontier
+        ]
         for v, ball in zip(frontier, grown):
             if ball == balls[v]:
                 raise DisconnectedGraphError(message)
@@ -521,61 +523,28 @@ def is_isomorphic(left: Graph, right: Graph) -> tuple[bool, list[int] | None]:
 
 
 def is_comparability(graph: Graph) -> bool:
-    """Whether the edges admit a transitive orientation.
+    """Whether the edges admit a transitive orientation, by Gallai's theorem.
 
-    Depth-first assignment of edge directions with eager propagation of the
-    orientations forced by transitivity.
+    Orienting u -> v forces u -> w for each neighbour w of u not adjacent to
+    v, and forces v -> u to go with w -> u; a union-find over arcs merges
+    each forced pair into its implication class. The graph is a comparability
+    graph iff no class holds both u -> v and v -> u (T. Gallai, Acta Math.
+    Acad. Sci. Hungar. 18, 1967; Golumbic, Algorithmic Graph Theory and
+    Perfect Graphs, ch. 5). No search: two unions per vertex u and pair of
+    non-adjacent neighbours v < w of u.
     """
     if graph.n > ISO_VERTEX_CAP:
         raise SizeCapError(f"comparability search capped at {ISO_VERTEX_CAP} vertices")
-    edges = graph.edges()
-    neighbours = [_bits(mask) for mask in graph.masks]
-    direction: dict[tuple[int, int], int] = {}
+    parent = {arc: arc for u, v in graph.edges() for arc in ((u, v), (v, u))}
 
-    def orient(u: int, v: int, trail: list) -> bool:
-        """Record u -> v and propagate; False on contradiction."""
-        key = (u, v) if u < v else (v, u)
-        want = 1 if u < v else -1
-        cur = direction.get(key)
-        if cur is not None:
-            return cur == want
-        direction[key] = want
-        trail.append(key)
-        # u -> v with v -> w forces u -> w; x -> u with u -> v forces x -> v.
-        for w in neighbours[v]:
-            if w == u:
-                continue
-            kvw = (v, w) if v < w else (w, v)
-            dvw = direction.get(kvw)
-            if dvw is not None and dvw == (1 if v < w else -1):
-                if not graph.has_edge(u, w):
-                    return False
-                if not orient(u, w, trail):
-                    return False
-        for x in neighbours[u]:
-            if x == v:
-                continue
-            kxu = (x, u) if x < u else (u, x)
-            dxu = direction.get(kxu)
-            if dxu is not None and dxu == (1 if x < u else -1):
-                if not graph.has_edge(x, v):
-                    return False
-                if not orient(x, v, trail):
-                    return False
-        return True
+    def find(arc):
+        while parent[arc] != arc:
+            parent[arc] = arc = parent[parent[arc]]
+        return arc
 
-    def solve(idx: int) -> bool:
-        while idx < len(edges) and edges[idx] in direction:
-            idx += 1
-        if idx == len(edges):
-            return True
-        u, v = edges[idx]
-        for first, second in ((u, v), (v, u)):
-            trail: list = []
-            if orient(first, second, trail) and solve(idx + 1):
-                return True
-            for key in trail:
-                del direction[key]
-        return False
-
-    return solve(0)
+    for u, mask in enumerate(graph.masks):
+        for v in _bits(mask):
+            for w in _bits((mask & ~graph.masks[v]) >> v + 1, v + 1):
+                parent[find((u, w))] = find((u, v))
+                parent[find((w, u))] = find((v, u))
+    return all(find((u, v)) != find((v, u)) for u, v in graph.edges())

@@ -635,13 +635,14 @@ def _check_order(order: int, kind: str) -> None:
         )
 
 
-def _integer(spec: dict, field: str) -> int:
-    """An integer field of a spec; a bool or a number with a fractional part
-    is refused rather than truncated."""
-    value = spec[field]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+def _integer(value, field: str) -> int:
+    """A number of a spec: an int, or a float with no fractional part read as
+    its int. Anything else, a bool included, is refused rather than coerced."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidGroupSpec(f"{field} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def make_group(spec) -> FiniteGroup:
@@ -658,22 +659,22 @@ def make_group(spec) -> FiniteGroup:
     kind = spec["kind"]
     try:
         if kind == "cyclic":
-            return cyclic(_integer(spec, "n"))
+            return cyclic(_integer(spec["n"], "n"))
         if kind == "dihedral":
-            return dihedral(_integer(spec, "n"))
+            return dihedral(_integer(spec["n"], "n"))
         if kind == "quaternion":
-            return quaternion(_integer(spec, "n"))
+            return quaternion(_integer(spec["n"], "n"))
         if kind == "symmetric":
-            return symmetric(_integer(spec, "n"))
+            return symmetric(_integer(spec["n"], "n"))
         if kind == "alternating":
-            return alternating(_integer(spec, "n"))
+            return alternating(_integer(spec["n"], "n"))
         if kind == "product":
             parts = spec["of"]
             if not isinstance(parts, list) or len(parts) != 2:
                 raise InvalidGroupSpec("product spec needs exactly two factors")
             return product(make_group(parts[0]), make_group(parts[1]))
         if kind == "permgens":
-            degree = _integer(spec, "degree")
+            degree = _integer(spec["degree"], "degree")
             if degree < 1:
                 raise InvalidGroupSpec("permgens needs degree >= 1")
             # every permutation is a degree-length tuple: refuse before building one
@@ -683,11 +684,14 @@ def make_group(spec) -> FiniteGroup:
                     f"{element_cap()}; set SUPERGRAPH_CAP to raise it"
                 )
             gens = [
-                perms.perm_from_cycles(degree, cyc_list) for cyc_list in spec["gens"]
+                perms.perm_from_cycles(
+                    degree, [[_integer(p, "cycle point") for p in cyc] for cyc in cyc_list]
+                )
+                for cyc_list in spec["gens"]
             ]
             return from_perm_generators(degree, gens)
         if kind == "table":
-            return from_table(spec["rows"])
+            return from_table([[_integer(x, "table entry") for x in row] for row in spec["rows"]])
     except KeyError as exc:
         raise InvalidGroupSpec(f"missing field {exc} in {kind} spec") from exc
     except (TypeError, ValueError) as exc:

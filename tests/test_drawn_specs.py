@@ -1,10 +1,15 @@
 """Drawn group specs against the definitions: for `permgens` groups of degree
-at most 4 and `product` groups of order at most 24, every supergraph, the
-generating graph and the invariable generating graph equal the test-local
-references of `test_oracles`, which use no pinning, no orbits and no
-partition code of the library."""
+at most 4, `product` groups of order at most 24 and `table` groups written
+from drawn groups of order at most 16 under a drawn relabelling, every
+supergraph, the generating graph and the invariable generating graph equal
+the test-local references of `test_oracles`, which use no pinning, no orbits
+and no partition code of the library. Malformed tables, mutated from valid
+ones, end `graph` with exit 2 and one `error:` line, never a traceback."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 
 import pytest
@@ -15,6 +20,7 @@ from test_oracles import (
     reference_supergraph_edges,
 )
 
+from supergraphs.cli import main
 from supergraphs.constructions import KINDS, PARTITIONS, build_supergraph
 from supergraphs.generation import generating_graph, invariable_generating_graph
 from supergraphs.groups import make_group
@@ -96,3 +102,67 @@ def test_drawn_permgens_groups_match_the_definitions(spec):
 @given(products())
 def test_drawn_product_groups_match_the_definitions(spec):
     assert_matches_the_definitions(spec)
+
+
+TABLE_ORDER = 16
+
+
+@st.composite
+def cayley_tables(draw):
+    """The Cayley table of a drawn cyclic, dihedral or permgens group of order
+    at most TABLE_ORDER, its elements relabelled by a drawn permutation that
+    keeps 0, the identity, in place. Cyclic and dihedral specs are sampled
+    from a list, as drawn integers crowd at the smallest orders."""
+    spec = draw(st.one_of(
+        st.sampled_from([{"kind": "cyclic", "n": n} for n in range(1, TABLE_ORDER + 1)]
+                        + [{"kind": "dihedral", "n": n} for n in range(1, TABLE_ORDER // 2 + 1)]),
+        permgens(4).filter(lambda spec: make_group(spec).order <= TABLE_ORDER),
+    ))
+    group = make_group(spec)
+    label = [0] + draw(st.permutations(range(1, group.order)))
+    rows = [[0] * group.order for _ in range(group.order)]
+    for i, j in itertools.product(range(group.order), repeat=2):
+        rows[label[i]][label[j]] = label[group.mul(i, j)]
+    return rows
+
+
+@settings(SEEDED, max_examples=100)
+@given(cayley_tables())
+def test_drawn_cayley_tables_match_the_definitions(rows):
+    assert_matches_the_definitions({"kind": "table", "rows": rows})
+
+
+@st.composite
+def malformed_tables(draw):
+    """A valid table with two entries swapped within a row, one entry
+    replaced by a bool, a fractional number, a string or an out-of-range
+    index, a row dropped, or one row made ragged. None of these is a group
+    table: a swap repeats an entry in both columns it touches, and `true` in
+    place of a 1 is refused as a bool, not read as 1. A one-element table
+    has no swap, so it gets a replacement."""
+    rows = [list(row) for row in draw(cayley_tables())]
+    n = len(rows)
+    i = draw(st.integers(0, n - 1))
+    mutation = draw(st.sampled_from(["swap", "replace", "drop", "ragged"]))
+    if mutation == "swap" and n >= 2:
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i][a], rows[i][b] = rows[i][b], rows[i][a]
+    elif mutation == "drop":
+        del rows[i]
+    elif mutation == "ragged":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0]
+    else:
+        rows[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from([True, 1.5, "1", -1, n]))
+    return rows
+
+
+@settings(SEEDED, max_examples=200)
+@given(malformed_tables(), st.sampled_from(KINDS))
+def test_malformed_cayley_tables_exit_2(rows, kind):
+    out, err = io.StringIO(), io.StringIO()
+    spec = json.dumps({"kind": "table", "rows": rows})
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["graph", "--group", spec, "--kind", kind])
+    assert code == 2 and not out.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -4,6 +4,7 @@ isomorphism, and comparability."""
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -347,6 +348,55 @@ def test_comparability_matches_brute_force_on_all_small_graphs():
         edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
         g = Graph(labels, edges)
         assert is_comparability(g) == _brute_force_comparability(g), edges
+
+
+def _dense_random_graph(n):
+    rng = random.Random(1)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.9]
+    return Graph(list(map(str, range(n))), edges)
+
+
+@pytest.mark.parametrize("n, m, answer", [(22, 213, False), (18, 144, True)])
+def test_comparability_of_dense_random_graphs_is_fast(n, m, answer):
+    """Dense graphs on which a backtracking orienter searched for seconds to
+    a minute are decided at once."""
+    graph = _dense_random_graph(n)
+    assert graph.num_edges == m
+    start = time.perf_counter()
+    assert is_comparability(graph) is answer
+    assert time.perf_counter() - start < 1.0
+
+
+def test_comparability_graphs_of_two_dimensional_posets():
+    """u ~ v iff (x_u - x_v)(y_u - y_v) > 0: the product order of two
+    coordinates orients the edges transitively."""
+    rng = random.Random(2)
+    for _ in range(50):
+        n = rng.randint(20, 64)
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        edges = [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if (points[u][0] - points[v][0]) * (points[u][1] - points[v][1]) > 0
+        ]
+        assert is_comparability(Graph(list(map(str, range(n))), edges))
+
+
+def test_comparability_of_cycles_and_odd_antiholes():
+    for n in range(7, 32, 2):
+        assert not is_comparability(Graph.cycle(n)), n
+        assert not is_comparability(Graph.cycle(n).complement()), n
+    for n in range(4, 33, 2):
+        assert is_comparability(Graph.cycle(n)), n
+
+
+def test_comparability_matches_brute_force_on_random_sparse_graphs():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(6, 8)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(list(map(str, range(n))), rng.sample(pairs, rng.randint(0, 12)))
+        assert is_comparability(g) == _brute_force_comparability(g), g.edges()
 
 
 def _brute_force_isomorphic(left, right):
