@@ -365,8 +365,9 @@ COMMANDS = {
         "check": Option("run containment checks instead of emitting the graph", default=False)}),
     "scan": Command(cmd_scan, "equality scan over a catalog", None,
                     {"catalog": CATALOG, "out": OUT, "table": TABLE}),
-    "wiener": Command(cmd_wiener, "Wiener index, brute force vs formula", None, {
-        "group": GROUP, "kind": KIND, "partition": PARTITION, "out": OUT, "table": TABLE}),
+    "wiener": Command(
+        cmd_wiener, "Wiener index, element-graph distance sum vs quotient formula", None,
+        {"group": GROUP, "kind": KIND, "partition": PARTITION, "out": OUT, "table": TABLE}),
 }
 
 

@@ -174,9 +174,12 @@ def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition,
     conjugate to one of these. On the equality partition, the hits of r
     against every class a <= b are expanded to b's other members through the
     conjugators the class records: since test(r, h) = test(r^x, h^x), the
-    member r^x is joined to the conjugates by x of the hits. A pair of
-    conjugacy or order classes is related through the verdicts on the pairs
-    of conjugacy classes they hold.
+    member r^x is joined to the conjugates by x of the hits (r itself, whose
+    conjugator is the identity, to the hits). The graph is built as one int
+    mask per element, with no edge list: each member's hits are ORed into its
+    row and the transposed bit is set in each hit's row. A pair of conjugacy
+    or order classes is related through the verdicts on the pairs of
+    conjugacy classes they hold.
     """
     classes = group.conjugacy_classes()
 
@@ -189,15 +192,21 @@ def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition,
     labels = _class_labels(group, partition)
     if partition.kind == "equality":
         mul, inv = group.mul, group.inv
-
-        def edges():
-            for b, cls in enumerate(classes):
-                hits = [h for a in range(b + 1) for orbit, ok in verdicts(a, b) if ok for h in orbit]
-                for m, x in zip(cls.members, cls.conjugators):
+        masks = [0] * group.order
+        for b, cls in enumerate(classes):
+            hits = [h for a in range(b + 1) for orbit, ok in verdicts(a, b) if ok for h in orbit]
+            for m, x in zip(cls.members, cls.conjugators):
+                if x:
                     x_inv = inv(x)
-                    yield from ((m, mul(mul(x_inv, h), x)) for h in hits)
-
-        return Graph(labels, edges())
+                    row = [mul(mul(x_inv, h), x) for h in hits]
+                else:
+                    row = hits
+                bit, mask = 1 << m, 0
+                for h in row:
+                    masks[h] |= bit
+                    mask |= 1 << h
+                masks[m] |= mask
+        return Graph._from_masks(labels, masks)
     parts = [[] for _ in partition.classes]
     for c, cls in enumerate(classes):
         parts[partition.class_of[cls.representative]].append(c)

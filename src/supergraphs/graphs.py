@@ -15,8 +15,10 @@ operations per vertex, and `edges()` reads the bits back in sorted order.
 
 The Wiener index and both composition formulas share one all-sources distance
 sum over radius balls held as int bitmasks, the module's only distance
-kernel: at most diameter * 2m big-int ORs, so the supergraphs (diameter at
-most 2) are cheap and long paths are the slow case.
+kernel: at most diameter * 2m big-int ORs, and long paths are the slow case.
+A graph with a universal vertex has diameter at most 2 and costs n bit counts
+and no OR, as every supergraph and every quotient delta does: the identity,
+or its class, is universal.
 
 A composition delta[F_1, ..., F_k] whose factors are all complete or all
 empty is given by delta and its classes of vertices alone: `blow_up` builds
@@ -216,9 +218,12 @@ def _distance_sum(graph: Graph, weights, message: str) -> int:
     OR of its neighbours' balls one radius down, the neighbours read from its
     mask at each step and kept no longer. The weight inside a ball is a few
     bit counts, one per distinct weight. One step per radius up to the
-    diameter, each at most 2m big-int ORs: cheap for the supergraphs
-    (diameter at most 2), slowest on long paths. A ball that stops growing before it is full
-    marks a disconnected graph and raises with `message`.
+    diameter, each at most 2m big-int ORs, slowest on long paths. If some
+    radius-1 ball is full, its vertex is universal and lies in every radius-1
+    ball, so every radius-2 ball is full and the sum ends after radius 1:
+    n bit counts per distinct weight, no OR. That is every supergraph and
+    every quotient delta. A ball that stops growing before it is full marks
+    a disconnected graph and raises with `message`.
     """
     by_weight: dict[int, int] = {}
     for v, w in enumerate(weights):
@@ -228,10 +233,13 @@ def _distance_sum(graph: Graph, weights, message: str) -> int:
     total = sum(w * (total_weight - w) for w in weights)
     balls = [mask | 1 << v for v, mask in enumerate(graph.masks)]
     frontier = [v for v in range(graph.n) if balls[v] != full]
+    universal = len(frontier) < graph.n
     while frontier:
         total += total_weight * sum(weights[v] for v in frontier)
         for w, mask in by_weight.items():
             total -= w * sum(weights[v] * (balls[v] & mask).bit_count() for v in frontier)
+        if universal:
+            break
         grown = [
             reduce(or_, map(balls.__getitem__, _bits(graph.masks[v])), balls[v])
             for v in frontier

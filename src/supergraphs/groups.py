@@ -645,6 +645,14 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _list(value, field: str) -> list:
+    """A list of a spec; anything else, a string or an object included, is
+    refused by its field rather than iterated."""
+    if not isinstance(value, list):
+        raise InvalidGroupSpec(f"{field} must be a list, got {type(value).__name__}")
+    return value
+
+
 def make_group(spec) -> FiniteGroup:
     """Build a group from a JSON-style spec dict.
 
@@ -669,9 +677,9 @@ def make_group(spec) -> FiniteGroup:
         if kind == "alternating":
             return alternating(_integer(spec["n"], "n"))
         if kind == "product":
-            parts = spec["of"]
-            if not isinstance(parts, list) or len(parts) != 2:
-                raise InvalidGroupSpec("product spec needs exactly two factors")
+            parts = _list(spec["of"], "of")
+            if len(parts) != 2 or not all(isinstance(part, dict) for part in parts):
+                raise InvalidGroupSpec("of must list exactly two group specs")
             return product(make_group(parts[0]), make_group(parts[1]))
         if kind == "permgens":
             degree = _integer(spec["degree"], "degree")
@@ -684,14 +692,18 @@ def make_group(spec) -> FiniteGroup:
                     f"{element_cap()}; set SUPERGRAPH_CAP to raise it"
                 )
             gens = [
-                perms.perm_from_cycles(
-                    degree, [[_integer(p, "cycle point") for p in cyc] for cyc in cyc_list]
-                )
-                for cyc_list in spec["gens"]
+                perms.perm_from_cycles(degree, [
+                    [_integer(p, "cycle point") for p in _list(cyc, "each cycle in gens")]
+                    for cyc in _list(cyc_list, "each cycle list in gens")
+                ])
+                for cyc_list in _list(spec["gens"], "gens")
             ]
             return from_perm_generators(degree, gens)
         if kind == "table":
-            return from_table([[_integer(x, "table entry") for x in row] for row in spec["rows"]])
+            return from_table([
+                [_integer(x, "table entry") for x in _list(row, "each row of rows")]
+                for row in _list(spec["rows"], "rows")
+            ])
     except KeyError as exc:
         raise InvalidGroupSpec(f"missing field {exc} in {kind} spec") from exc
     except (TypeError, ValueError) as exc:

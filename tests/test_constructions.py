@@ -177,6 +177,28 @@ def test_supergraph_matches_definition_brute_force():
                 )
 
 
+EQUALITY_MASK_GROUPS = {
+    "S4": lambda: sg.symmetric(4),
+    "A5": lambda: sg.alternating(5),
+    "D40": lambda: sg.dihedral(20),
+    "Q48": lambda: sg.quaternion(12),
+    "S3xC4": lambda: sg.product(sg.symmetric(3), sg.cyclic(4)),
+}
+
+
+@pytest.mark.parametrize("name", EQUALITY_MASK_GROUPS)
+def test_equality_delta_rows_match_base_adjacency_on_every_pair(name):
+    """The rows that the equality scan ORs together, with the transposed
+    bits it sets, hold exactly the base adjacency of every pair."""
+    group = EQUALITY_MASK_GROUPS[name]()
+    for kind in KINDS:
+        expected = Graph(group.labels(), [
+            (g, h) for g, h in itertools.combinations(range(group.order), 2)
+            if base_adjacent(group, kind, g, h)
+        ])
+        assert quotient_supergraph(group, kind, "equality").delta == expected, kind
+
+
 def test_trivial_group_edge_cases():
     c1 = sg.cyclic(1)
     assert build_supergraph(c1, "power", "conjugacy").n == 1

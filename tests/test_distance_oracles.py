@@ -1,5 +1,6 @@
 """Distance sums against networkx: the Wiener index, the composition and
-supergraph formulas, and disconnection from every entry point."""
+supergraph formulas, the stop after radius 1 on a graph with a universal
+vertex, and disconnection from every entry point."""
 
 import itertools
 import math
@@ -7,6 +8,9 @@ import random
 
 import pytest
 
+from supergraphs import graphs
+from supergraphs.cli import DEFAULT_CATALOG
+from supergraphs.constructions import KINDS, PARTITIONS, expand_quotient, quotient_supergraph
 from supergraphs.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -14,6 +18,7 @@ from supergraphs.graphs import (
     wiener_supergraph_formula,
     wiener_via_composition,
 )
+from supergraphs.groups import make_group
 
 nx = pytest.importorskip("networkx")
 
@@ -98,6 +103,77 @@ def test_composition_with_all_empty_factors():
     assert wiener_via_composition(base, sizes, ["empty"] * 5) == inner + weighted_sum_oracle(
         base, sizes
     )
+
+
+def count_ball_growth(monkeypatch) -> list:
+    """Record each neighbour read of the distance kernel: it reads
+    neighbours only to grow balls past radius 1."""
+    reads, bits = [], graphs._bits
+
+    def counting_bits(mask, offset=0):
+        reads.append(mask)
+        return bits(mask, offset)
+
+    monkeypatch.setattr(graphs, "_bits", counting_bits)
+    return reads
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG, ids=lambda spec: make_group(spec).label)
+def test_supergraph_distance_sums_stop_at_radius_one_and_stay_exact(spec, monkeypatch):
+    """The identity is universal in every supergraph and its class in every
+    delta, so both sums stop after radius 1: the Wiener index is then
+    n(n - 1) - m, and the weighted sum is still the weighted oracle."""
+    group = make_group(spec)
+    for kind in KINDS:
+        for pkind in PARTITIONS:
+            q = quotient_supergraph(group, kind, pkind)
+            graph = expand_quotient(group, q)
+            reads = count_ball_growth(monkeypatch)
+            w = wiener_index(graph)
+            formula = wiener_supergraph_formula(q.delta, q.sizes)
+            assert not reads, (kind, pkind)
+            monkeypatch.undo()
+            n, m = graph.n, graph.num_edges
+            assert w == nx.wiener_index(to_networkx(graph)) == n * (n - 1) - m, (kind, pkind)
+            inner = sum(math.comb(s, 2) for s in q.sizes)
+            assert formula == inner + weighted_sum_oracle(q.delta, q.sizes), (kind, pkind)
+
+
+def subdivided_star(leaves: int) -> Graph:
+    """A star with one edge subdivided: the centre misses one vertex, and
+    the diameter is 3."""
+    edges = [(0, i) for i in range(1, leaves + 1)] + [(leaves, leaves + 1)]
+    return Graph([str(i) for i in range(leaves + 2)], edges)
+
+
+NO_UNIVERSAL_VERTEX = {
+    "C4": Graph.cycle(4),
+    "C5": Graph.cycle(5),
+    "K3,3": Graph([str(i) for i in range(6)], [(u, v) for u in range(3) for v in range(3, 6)]),
+    "Petersen": Graph([str(i) for i in range(10)], [
+        edge for i in range(5) for edge in ((i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5))
+    ]),
+    "subdivided star": subdivided_star(6),
+    "P7": Graph.path(7),
+    "C12": Graph.cycle(12),
+}
+
+
+@pytest.mark.parametrize("name", NO_UNIVERSAL_VERTEX)
+def test_distance_sums_without_a_universal_vertex_grow_the_balls(name, monkeypatch):
+    """With no universal vertex the balls grow past radius 1, on graphs of
+    diameter 2 and beyond, and the sums match networkx."""
+    graph = NO_UNIVERSAL_VERTEX[name]
+    assert all(graph.degree(v) < graph.n - 1 for v in range(graph.n))
+    reads = count_ball_growth(monkeypatch)
+    w = wiener_index(graph)
+    sizes = [v % 3 + 1 for v in range(graph.n)]
+    weighted = wiener_supergraph_formula(graph, sizes)
+    assert reads
+    monkeypatch.undo()
+    assert w == nx.wiener_index(to_networkx(graph))
+    inner = sum(math.comb(s, 2) for s in sizes)
+    assert weighted == inner + weighted_sum_oracle(graph, sizes)
 
 
 def two_components() -> Graph:

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import re
 
 import pytest
 from test_oracles import (
@@ -166,3 +167,50 @@ def test_malformed_cayley_tables_exit_2(rows, kind):
     assert code == 2 and not out.getvalue()
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# a value of each JSON type; a container of a spec is replaced by one of another type
+JSON_VALUES = [5, 1.5, "ab", True, None, {"a": 1}, [[1]]]
+
+
+@st.composite
+def wrong_shapes(draw):
+    """A valid table, permgens or product spec with one of its containers
+    (the rows or a row, the gens, a cycle list or a cycle, the factor list
+    or a factor) replaced by a value of another JSON type, and the field the
+    error must name."""
+    field = draw(st.sampled_from(["rows", "gens", "of"]))
+    if field == "rows":
+        spec = {"kind": "table", "rows": draw(cayley_tables())}
+        places = [(spec["rows"], i) for i in range(len(spec["rows"]))]
+    elif field == "gens":
+        spec = draw(permgens(4))
+        places = [(spec["gens"], i) for i in range(len(spec["gens"]))]
+        places += [(cycles, j) for cycles in spec["gens"] for j in range(len(cycles))]
+    else:
+        spec = draw(products())
+        places = [(spec["of"], 0), (spec["of"], 1)]
+    container, key = draw(st.sampled_from([(spec, field)] + places))
+    kind = type(container[key])
+    container[key] = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not kind]))
+    return spec, field
+
+
+COMMANDS = {
+    "graph": ["graph", "--kind", "power"],
+    "wiener": ["wiener", "--kind", "commuting", "--partition", "conjugacy"],
+    "igg": ["igg"],
+}
+
+
+@settings(SEEDED, max_examples=150)
+@given(wrong_shapes(), st.sampled_from(sorted(COMMANDS)))
+def test_wrong_shaped_spec_containers_exit_2_naming_the_field(case, command):
+    spec, field = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(COMMANDS[command] + ["--group", json.dumps(spec)])
+    assert code == 2 and not out.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert re.search(rf"\b{field}\b", lines[0]), lines

@@ -11,6 +11,8 @@ from supergraphs.generation import (
     generating_graph,
     invariable_generating_graph,
 )
+from supergraphs.graphs import Graph
+from supergraphs.groups import closure_set
 
 
 def test_generating_graph_cyclic5_complete():
@@ -82,6 +84,15 @@ def test_fixed_representative_scan_equals_full_double_scan():
                 for h in range(order)
             )
             assert igg.has_edge(x, y) == full
+
+
+@pytest.mark.parametrize("group", [sg.symmetric(4), sg.dihedral(20)], ids=["S4", "D40"])
+def test_generating_graph_rows_match_pairwise_closures(group):
+    expected = Graph(group.labels(), [
+        (g, h) for g, h in itertools.combinations(range(group.order), 2)
+        if len(closure_set(group.mul, 0, [g, h])) == group.order
+    ])
+    assert generating_graph(group) == expected
 
 
 def test_containment_s3_minimal_non_abelian():
