@@ -37,7 +37,7 @@ from .constructions import (
     quotient_supergraph,
 )
 from .graphs import Graph, wiener_index, wiener_supergraph_formula
-from .groups import InvalidGroupSpec, SizeCapError, make_group
+from .groups import SizeCapError, make_group
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -64,13 +64,6 @@ PRODUCT_CATALOG = [
     {"kind": "dihedral", "n": 4},
     {"kind": "quaternion", "n": 2},
 ]
-
-FAMILY_RANGES = {
-    "escom-d": (3, 20),
-    "cscom-d": (3, 20),
-    "escom-q": (2, 12),
-    "cscom-q": (2, 12),
-}
 
 
 def _render(value, pad: str) -> str:
@@ -160,6 +153,13 @@ def _emit(report: dict, args, rows: list[dict]) -> None:
         sys.stderr.write(_render_table(rows))
 
 
+def _emit_verdict(args, command: list, records: list[dict], passed: bool) -> int:
+    """Write a checking command's records and verdict; exit 1 unless it passed."""
+    verdict = "pass" if passed else "fail"
+    _emit({"command": command, "records": records, "verdict": verdict}, args, records)
+    return EXIT_OK if passed else EXIT_VERIFICATION
+
+
 def cmd_graph(args) -> int:
     if args.compressed and args.quotient:
         raise UsageError("--compressed and --quotient are mutually exclusive")
@@ -169,19 +169,17 @@ def cmd_graph(args) -> int:
     group = make_group(_load_spec(args.group))
     if args.compressed:
         graph = build_compressed(group, args.kind)
-        payload = graph.to_json_dict()
     elif args.quotient:
         decomposition = quotient_supergraph(group, args.kind, args.partition)
         graph = decomposition.delta
-        payload = graph.to_json_dict()
-        if args.json:
-            sidecar = Path(args.json).with_suffix(".sizes.json")
-            sidecar.write_text(json.dumps(list(decomposition.sizes)) + "\n")
-        else:
-            payload = {"delta": payload, "sizes": list(decomposition.sizes)}
     else:
         graph = build_supergraph(group, args.kind, args.partition)
-        payload = graph.to_json_dict()
+    payload = graph.to_json_dict()
+    if args.quotient and args.json:
+        sidecar = Path(args.json).with_suffix(".sizes.json")
+        sidecar.write_text(json.dumps(list(decomposition.sizes)) + "\n")
+    elif args.quotient:
+        payload = {"delta": payload, "sizes": list(decomposition.sizes)}
     if args.json or not args.dot:
         _dump_json(payload, args.json)
     if args.dot:
@@ -193,13 +191,9 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     records: list[dict] = []
     if args.suite in ("structure", "wiener"):
-        fams = [args.family] if args.family else list(FAMILY_RANGES)
-        for family in fams:
-            ns = (
-                _parse_range(args.n)
-                if args.n
-                else range(FAMILY_RANGES[family][0], FAMILY_RANGES[family][1] + 1)
-            )
+        for family in [args.family] if args.family else families.FAMILIES:
+            least, most = families.FAMILY_RANGES[family]
+            ns = _parse_range(args.n) if args.n else range(least, most + 1)
             report = families.verify_family(family, ns)
             for record in report.records:
                 record = dict(record)
@@ -235,16 +229,11 @@ def cmd_verify(args) -> int:
                 records.append(record)
     else:
         raise UsageError(f"unknown suite {args.suite!r}")
-    verdict = all(r.get("passed", True) for r in records)
     elapsed = time.perf_counter() - start
-    report = {
-        "command": ["verify", args.suite],
-        "records": records,
-        "verdict": "pass" if verdict else "fail",
-    }
-    _emit(report, args, records)
+    passed = all(r.get("passed", True) for r in records)
+    code = _emit_verdict(args, ["verify", args.suite], records, passed)
     sys.stderr.write(f"# verify {args.suite}: {elapsed:.2f}s\n")
-    return EXIT_OK if verdict else EXIT_VERIFICATION
+    return code
 
 
 def _catalog_specs(args, default=None) -> list[dict]:
@@ -277,14 +266,7 @@ def cmd_igg(args) -> int:
     if args.check:
         reports = generation.containment_checks(group)
         records = [r.to_json_dict() for r in reports]
-        verdict = all(r.contained for r in reports)
-        payload = {
-            "command": ["igg", group.label],
-            "records": records,
-            "verdict": "pass" if verdict else "fail",
-        }
-        _emit(payload, args, records)
-        return EXIT_OK if verdict else EXIT_VERIFICATION
+        return _emit_verdict(args, ["igg", group.label], records, all(r.contained for r in reports))
     graph = generation.invariable_generating_graph(group)
     _dump_json(graph.to_json_dict(), args.out)
     return EXIT_OK
@@ -312,9 +294,7 @@ def cmd_wiener(args) -> int:
         "wiener_formula": w_formula,
         "passed": w_bfs == w_formula,
     }
-    _emit({"command": ["wiener"], "records": [record],
-           "verdict": "pass" if record["passed"] else "fail"}, args, [record])
-    return EXIT_OK if record["passed"] else EXIT_VERIFICATION
+    return _emit_verdict(args, ["wiener"], [record], record["passed"])
 
 
 class UsageError(ValueError):
@@ -353,7 +333,7 @@ COMMANDS = {
         "quotient": Option("quotient graph plus class-size sidecar", default=False),
         "json": Option("write graph JSON here"), "dot": Option("write DOT here")}),
     "verify": Command(cmd_verify, "run a verification suite", ("suite", SUITES), {
-        "family": Option("family of the structure and wiener suites", tuple(FAMILY_RANGES)),
+        "family": Option("family of the structure and wiener suites", families.FAMILIES),
         "n": Option("range like 3..20"), "catalog": CATALOG, "out": OUT, "table": TABLE}),
     "embed": Command(cmd_embed, "prime-cycle embedding certificate", None, {
         "graph": Option("target graph JSON file", required=True),
@@ -479,8 +459,8 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
-    except (InvalidGroupSpec, UsageError, ValueError, KeyError, OSError,
-            json.JSONDecodeError, RecursionError) as exc:
+    # InvalidGroupSpec, UsageError and json.JSONDecodeError are ValueErrors
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -161,10 +161,12 @@ def _class_labels(group: FiniteGroup, partition: Partition):
     return [group.element_label(rep) for rep in partition.representatives]
 
 
-def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition, every=False) -> Graph:
+def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition) -> Graph:
     """The graph on the partition's classes, in its order, joining two classes
-    when test holds for some pair across them, or for every pair if every is
-    set. The test must be invariant under simultaneous conjugation.
+    when test holds for some pair across them. The test must be invariant
+    under simultaneous conjugation. Classes related when every pair across
+    them passes a test are the complement of the class graph of its negation
+    (see `generation.invariable_generating_graph`).
 
     This is the one place that decides which classes are related, by one
     pinned scan. Conjugacy classes are sorted by size, so of two classes
@@ -210,11 +212,10 @@ def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition,
     parts = [[] for _ in partition.classes]
     for c, cls in enumerate(classes):
         parts[partition.class_of[cls.representative]].append(c)
-    decide = all if every else any
     return Graph(labels, [
         (i, j)
         for i, j in itertools.combinations(range(len(parts)), 2)
-        if decide(ok for a in parts[i] for b in parts[j] for _, ok in verdicts(min(a, b), max(a, b)))
+        if any(ok for a in parts[i] for b in parts[j] for _, ok in verdicts(min(a, b), max(a, b)))
     ])
 
 

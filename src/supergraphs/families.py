@@ -3,7 +3,9 @@ supercommuting graphs of dihedral groups D_2n and generalized quaternion
 groups Q_4n, with a verifier that replays every identity against brute force.
 
 The composition expressions attach factors by class semantics: central classes
-first, rotation classes by ascending exponent, reflection classes last.
+first, rotation classes by ascending exponent, reflection classes last. Q_4n
+takes the forms of D_4n: in both, each x outside <a> (|a| = 2n) commutes with
+just e, a^n, x and a^n x, and the classes have sizes 1, 1, 2 x (n-1), n, n.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ from .constructions import build_supergraph, expand_quotient, quotient_supergrap
 from .graphs import Complete, Composition, Graph, GraphExpr, Join, Union
 from .groups import FiniteGroup, dihedral, quaternion
 
-FAMILIES = ("escom-d", "escom-q", "cscom-d", "cscom-q")
-
-_MIN_PARAM = {"escom-d": 3, "cscom-d": 3, "escom-q": 2, "cscom-q": 2}
+# family: (least n of its closed forms, last n of `verify`'s default range)
+FAMILY_RANGES = {
+    "escom-d": (3, 20),
+    "cscom-d": (3, 20),
+    "escom-q": (2, 12),
+    "cscom-q": (2, 12),
+}
+# `verify structure|wiener` without --family writes the families in this order
+FAMILIES = tuple(FAMILY_RANGES)
 
 
 def escom(group: FiniteGroup) -> Graph:
@@ -31,12 +39,11 @@ def cscom(group: FiniteGroup) -> Graph:
 
 
 def _check_param(family: str, n: int) -> None:
-    if family not in FAMILIES:
+    if family not in FAMILY_RANGES:
         raise ValueError(f"unknown family {family!r}; known {FAMILIES}")
-    if n < _MIN_PARAM[family]:
-        raise ValueError(
-            f"{family} closed forms need n >= {_MIN_PARAM[family]}, got {n}"
-        )
+    least = FAMILY_RANGES[family][0]
+    if n < least:
+        raise ValueError(f"{family} closed forms need n >= {least}, got {n}")
 
 
 def family_group(family: str, n: int) -> FiniteGroup:
@@ -65,63 +72,50 @@ def family_case(family: str, n: int) -> str:
 def structure_expr(family: str, n: int) -> GraphExpr:
     """Expression tree whose evaluation is isomorphic to the family graph."""
     _check_param(family, n)
+    if family.endswith("-q"):
+        return structure_expr(family[:-1] + "d", 2 * n)
     if family == "escom-d":
         if n % 2:
             return Join(Complete(1), Union((Complete(1),) * n + (Complete(n - 1),)))
         return Join(
             Complete(2), Union((Complete(2),) * (n // 2) + (Complete(n - 2),))
         )
-    if family == "escom-q":
-        return Join(Complete(2), Union((Complete(2),) * n + (Complete(2 * n - 2),)))
-    if family == "cscom-d":
-        if n % 2:
-            half = (n - 1) // 2
-            base = Join(Complete(1), Union((Complete(half), Complete(1))))
-            factors = (Complete(1),) + (Complete(2),) * half + (Complete(n),)
-            return Composition(base, factors)
-        half = n // 2 - 1
-        if (n // 2) % 2 == 0:
-            tail: tuple = (Complete(1), Complete(1))
-        else:
-            tail = (Complete(2),)
-        base = Join(Complete(2), Union((Complete(half),) + tail))
-        factors = (
-            (Complete(1), Complete(1))
-            + (Complete(2),) * half
-            + (Complete(n // 2), Complete(n // 2))
-        )
+    # cscom-d
+    if n % 2:
+        half = (n - 1) // 2
+        base = Join(Complete(1), Union((Complete(half), Complete(1))))
+        factors = (Complete(1),) + (Complete(2),) * half + (Complete(n),)
         return Composition(base, factors)
-    # cscom-q
-    if n % 2 == 0:
-        tail = (Complete(1), Complete(1))
+    half = n // 2 - 1
+    if (n // 2) % 2 == 0:
+        tail: tuple = (Complete(1), Complete(1))
     else:
         tail = (Complete(2),)
-    base = Join(Complete(2), Union((Complete(n - 1),) + tail))
+    base = Join(Complete(2), Union((Complete(half),) + tail))
     factors = (
-        (Complete(1), Complete(1)) + (Complete(2),) * (n - 1) + (Complete(n), Complete(n))
+        (Complete(1), Complete(1))
+        + (Complete(2),) * half
+        + (Complete(n // 2), Complete(n // 2))
     )
     return Composition(base, factors)
 
 
 def wiener_closed_form(family: str, n: int) -> int:
     _check_param(family, n)
+    if family.endswith("-q"):
+        return wiener_closed_form(family[:-1] + "d", 2 * n)
     if family == "escom-d":
         return n * (7 * n - 5) // 2 if n % 2 else n * (7 * n - 8) // 2
-    if family == "escom-q":
-        return 14 * n * n - 8 * n
-    if family == "cscom-d":
-        # Quotient class sizes: odd n -> 1, 2 x (n-1)/2, n with the size-n
-        # reflection class pendant on the identity; even n -> 1, 1,
-        # 2 x (n/2-1), n/2, n/2 with the reflection classes at distance 2
-        # from the rotation classes and at distance 1 from each other only
-        # when n/2 is odd.
-        if n % 2:
-            return 3 * n * n - 2 * n
-        if (n // 2) % 2 == 0:
-            return 13 * n * n // 4 - 3 * n
-        return 3 * n * n - 3 * n
-    # cscom-q matches cscom-d at 2n: 13(2n)^2/4 - 6n or 3(2n)^2 - 6n.
-    return (13 if n % 2 == 0 else 12) * n * n - 6 * n
+    # cscom-d. Quotient class sizes: odd n -> 1, 2 x (n-1)/2, n with the
+    # size-n reflection class pendant on the identity; even n -> 1, 1,
+    # 2 x (n/2-1), n/2, n/2 with the reflection classes at distance 2 from
+    # the rotation classes and at distance 1 from each other only when n/2
+    # is odd.
+    if n % 2:
+        return 3 * n * n - 2 * n
+    if (n // 2) % 2 == 0:
+        return 13 * n * n // 4 - 3 * n
+    return 3 * n * n - 3 * n
 
 
 @dataclass

@@ -8,11 +8,12 @@ inside the complement of the matching base graph (equality exactly for the
 minimal non-A groups), and the invariable generating graph sits inside the
 complement of the conjugacy supergraph of the same kind.
 
-Generation is invariant under simultaneous conjugation, so both graphs are
-class graphs (`constructions.class_graph`): the generating graph on the
-equality partition, decided once per orbit of pairs and expanded through
-conjugators; the invariable generating graph on the conjugacy partition,
-where every pinned pair must generate, blown up on the classes with empty
+Generation is invariant under simultaneous conjugation, so both graphs come
+from class graphs (`constructions.class_graph`): the generating graph is the
+class graph of "the pair generates" on the equality partition, decided once
+per orbit of pairs and expanded through conjugators. The invariable
+generating graph is the complement, on the conjugacy classes, of the class
+graph of "some pair fails to generate", blown up on the classes with empty
 factors (`graphs.blow_up`). The base graph is the equality supergraph and,
 like the conjugacy supergraph, is expanded from its quotient (see
 `constructions`).
@@ -29,6 +30,9 @@ from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 GENERATION_KINDS = ("abelian", "nilpotent", "solvable")
 
 _BASE_FOR_KIND = {"abelian": "commuting", "nilpotent": "nilpotent", "solvable": "solvable"}
+
+# each check, and the partition of the supergraph whose complement holds its graph
+_CHECKS = (("generating-vs-base", "equality"), ("invariable-vs-super", "conjugacy"))
 
 
 def _generates(group: FiniteGroup):
@@ -58,12 +62,13 @@ def invariable_generating_graph(group: FiniteGroup) -> Graph:
     for whole pairs of conjugacy classes, and an adjacent pair of classes is
     joined completely. A class never joins itself: the conjugate pairs of x
     include (x, x), and a class with two or more members rules out a cyclic
-    group. So the graph is the blow-up, with empty factors, of the class
-    graph on the conjugacy classes in which every pair generates.
+    group. So the graph is the blow-up, with empty factors, of the
+    complement of the class graph in which some pair fails to generate.
     """
     partition = build_partition(group, "conjugacy")
-    delta = class_graph(group, _generates(group), True, partition, every=True)
-    return blow_up(delta, partition.classes, group.labels(), "empty")
+    generates = _generates(group)
+    fails = class_graph(group, lambda g, h: not generates(g, h), True, partition)
+    return blow_up(fails.complement(), partition.classes, group.labels(), "empty")
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,6 @@ class ContainmentReport:
         }
 
 
-def _containment(small: Graph, big: Graph) -> tuple[bool, bool, tuple]:
-    violations = tuple(edge_difference(small, big).edges())
-    return (not violations, small == big, violations)
-
-
 def containment_checks(group: FiniteGroup) -> list[ContainmentReport]:
     """Both containments for each applicable kind.
 
@@ -100,37 +100,23 @@ def containment_checks(group: FiniteGroup) -> list[ContainmentReport]:
     not applicable): the containments are only claimed for non-A groups.
     """
     reports = []
-    gen = None
-    igg = None
+    generated = None
     flags = group.whole_group_flags()
     for kind in GENERATION_KINDS:
         if getattr(flags, f"is_{kind}"):
-            for check in ("generating-vs-base", "invariable-vs-super"):
+            for check, _ in _CHECKS:
                 reports.append(
                     ContainmentReport(group.label, kind, check, False, True, False, ())
                 )
             continue
-        if gen is None:
-            gen = generating_graph(group)
-            igg = invariable_generating_graph(group)
-        base_complement = build_supergraph(
-            group, _BASE_FOR_KIND[kind], "equality"
-        ).complement()
-        contained, equal, violations = _containment(gen, base_complement)
-        reports.append(
-            ContainmentReport(
-                group.label, kind, "generating-vs-base", True, contained, equal, violations
-            )
-        )
-        super_complement = build_supergraph(
-            group, _BASE_FOR_KIND[kind], "conjugacy"
-        ).complement()
-        contained, equal, violations = _containment(igg, super_complement)
-        reports.append(
-            ContainmentReport(
-                group.label, kind, "invariable-vs-super", True, contained, equal, violations
-            )
-        )
+        if generated is None:
+            generated = (generating_graph(group), invariable_generating_graph(group))
+        for (check, pkind), graph in zip(_CHECKS, generated):
+            complement = build_supergraph(group, _BASE_FOR_KIND[kind], pkind).complement()
+            violations = tuple(edge_difference(graph, complement).edges())
+            reports.append(ContainmentReport(
+                group.label, kind, check, True, not violations, graph == complement, violations
+            ))
     return reports
 
 

@@ -25,6 +25,7 @@ elements cost no conjugation.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -51,17 +52,6 @@ class InvalidGroupSpec(ValueError):
 
 class SizeCapError(RuntimeError):
     """Raised when an operation would exceed the element-enumeration cap."""
-
-
-@dataclass(frozen=True, eq=False)
-class Subgroup:
-    parent: "FiniteGroup"
-    members: tuple[int, ...]
-    generators: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -91,7 +81,8 @@ class FiniteGroup:
     caches with itself. It caches only facts that cost a closure or a
     conjugation walk: cyclic subgroups, centralizer generators, the members
     of the subgroup a pair generates, subgroup flags, and the conjugacy
-    classes, generators and labels, computed once each.
+    classes, generators and labels, computed once each. One frozenset per
+    cyclic subgroup, stored under each of its generators, not one per element.
     """
 
     rep = "cayley"
@@ -132,16 +123,19 @@ class FiniteGroup:
         return len(self.cyclic_subgroup(g))
 
     def cyclic_subgroup(self, g: int) -> frozenset[int]:
+        """<g>, walked once and stored under each generator g^k, k prime to |g|."""
         cached = self._cyclic_cache.get(g)
         if cached is not None:
             return cached
-        members = {0}
+        powers = [0]
         acc = g
         while acc != 0:
-            members.add(acc)
+            powers.append(acc)
             acc = self.mul(acc, g)
-        result = frozenset(members)
-        self._cyclic_cache[g] = result
+        result = frozenset(powers)
+        for k, power in enumerate(powers):
+            if math.gcd(k, len(powers)) == 1:  # k = 0 only for the identity
+                self._cyclic_cache[power] = result
         return result
 
     def commutes(self, g: int, h: int) -> bool:
@@ -151,9 +145,9 @@ class FiniteGroup:
         """x^-1 * g * x."""
         return self.mul(self.mul(self.inv(x), g), x)
 
-    def centralizer(self, g: int) -> Subgroup:
-        members = tuple(h for h in self.elements() if self.commutes(g, h))
-        return Subgroup(self, members, _greedy_generators(self, members))
+    def centralizer(self, g: int) -> tuple[int, ...]:
+        """The sorted members of C(g)."""
+        return tuple(h for h in self.elements() if self.commutes(g, h))
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set of the whole group."""
@@ -207,7 +201,7 @@ class FiniteGroup:
             return [members]
         gens = self._centralizer_gens.get(g)
         if gens is None:
-            gens = self._centralizer_gens[g] = self.centralizer(g).generators
+            gens = self._centralizer_gens[g] = _greedy_generators(self, self.centralizer(g))
         unseen = set(members)
         orbits = []
         for h in members:
@@ -653,6 +647,11 @@ def _list(value, field: str) -> list:
     return value
 
 
+# the kinds a spec gives by one integer, n
+_BY_N = {"cyclic": cyclic, "dihedral": dihedral, "quaternion": quaternion,
+         "symmetric": symmetric, "alternating": alternating}
+
+
 def make_group(spec) -> FiniteGroup:
     """Build a group from a JSON-style spec dict.
 
@@ -666,19 +665,13 @@ def make_group(spec) -> FiniteGroup:
         raise InvalidGroupSpec("group spec must be a dict with a 'kind' field")
     kind = spec["kind"]
     try:
-        if kind == "cyclic":
-            return cyclic(_integer(spec["n"], "n"))
-        if kind == "dihedral":
-            return dihedral(_integer(spec["n"], "n"))
-        if kind == "quaternion":
-            return quaternion(_integer(spec["n"], "n"))
-        if kind == "symmetric":
-            return symmetric(_integer(spec["n"], "n"))
-        if kind == "alternating":
-            return alternating(_integer(spec["n"], "n"))
+        # a list or object kind is unhashable: it is no key, and unknown below
+        if isinstance(kind, str) and kind in _BY_N:
+            return _BY_N[kind](_integer(spec["n"], "n"))
         if kind == "product":
             parts = _list(spec["of"], "of")
-            if len(parts) != 2 or not all(isinstance(part, dict) for part in parts):
+            if len(parts) != 2 or not all(isinstance(part, dict) and "kind" in part
+                                          for part in parts):
                 raise InvalidGroupSpec("of must list exactly two group specs")
             return product(make_group(parts[0]), make_group(parts[1]))
         if kind == "permgens":

@@ -162,25 +162,13 @@ class EmbeddingCertificate:
 def _factor_for_nonedge(
     target: Graph, nonedge: tuple[int, int] | None, prime_set: list[int], kind: str
 ) -> FactorCertificate:
-    """One intersection factor: primes assigned so the nonedge carries the two
-    largest, adjacency decided per prime pair by `class_adjacency`."""
+    """One intersection factor: the nonedge's ends carry the two largest
+    primes and the other vertices the rest, in order; adjacency by `class_adjacency`."""
     n = target.n
     ps = sorted(prime_set)
     degree = ps[-1] + ps[-2] - (1 if nonedge else 0)
-    vertex_primes = [0] * n
-    if nonedge is None:
-        for v in range(n):
-            vertex_primes[v] = ps[v]
-    else:
-        i, j = nonedge
-        rest = iter(ps[:-2])
-        for v in range(n):
-            if v == i:
-                vertex_primes[v] = ps[-2]
-            elif v == j:
-                vertex_primes[v] = ps[-1]
-            else:
-                vertex_primes[v] = next(rest)
+    ends, rest = dict(zip(nonedge or (), ps[-2:])), iter(ps)
+    vertex_primes = [ends[v] if v in ends else next(rest) for v in range(n)]
     edges = [
         (u, v)
         for u, v in itertools.combinations(range(n), 2)

@@ -101,6 +101,25 @@ def test_malformed_integer_fields_exit_2(capsys, spec):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ('{"kind":"product","of":[{"a":1},{"kind":"cyclic","n":2}]}',
+         "of must list exactly two group specs"),
+        ('{"kind":"product","of":[3,{"kind":"cyclic","n":2}]}',
+         "of must list exactly two group specs"),
+        ('{"kind":["cyclic"],"n":3}', "unknown group kind ['cyclic']"),
+        ('{"kind":{"a":1}}', "unknown group kind {'a': 1}"),
+    ],
+    ids=["factor-without-kind", "factor-not-an-object", "list-kind", "object-kind"],
+)
+def test_malformed_spec_names_its_fault(capsys, spec, error):
+    """A product factor with no kind is an `of` error, and a kind that is
+    not a string is unknown, not an unhashable-type error."""
+    code, out, err = run_cli(capsys, "graph", "--group", spec, "--kind", "commuting")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_non_associative_table_exit_2(capsys):
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
     spec = json.dumps({"kind": "table", "rows": loop})

@@ -2,6 +2,7 @@
 the two-dimensional containment hierarchy."""
 
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -402,6 +403,38 @@ def test_complete_delta_is_built_in_bounded_memory(group, kind):
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert delta == Graph.complete(3000, group.labels())
+
+
+def test_order_partition_stores_one_set_per_cyclic_subgroup():
+    """C2000's order partition walks each cyclic subgroup once and shares
+    its set among the subgroup's generators; one set per element took a
+    130 MB peak."""
+    group = sg.cyclic(2000)
+    tracemalloc.start()
+    try:
+        partition = build_partition(group, "order")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert len(partition.classes) == 20  # one per divisor of 2000
+
+
+@pytest.mark.parametrize("group", [sg.cyclic(12), sg.quaternion(6), sg.symmetric(4)],
+                         ids=["C12", "Q24", "S4"])
+def test_cyclic_subgroup_is_one_object_for_its_generators(group):
+    """<g> is g's powers, and g^k returns the same object for each k prime
+    to the order d of g."""
+    for g in range(group.order):
+        sub = group.cyclic_subgroup(g)
+        d = group.element_order(g)
+        powers = [0]
+        for _ in range(d - 1):
+            powers.append(group.mul(powers[-1], g))
+        assert sub == frozenset(powers) and len(sub) == d
+        for k, power in enumerate(powers):
+            if math.gcd(k, d) == 1:
+                assert group.cyclic_subgroup(power) is sub
 
 
 @pytest.mark.parametrize("group, tests", [(sg.symmetric(5), 353), (sg.dihedral(20), 168),

@@ -95,6 +95,22 @@ def test_generating_graph_rows_match_pairwise_closures(group):
     assert generating_graph(group) == expected
 
 
+@pytest.mark.parametrize("group, requests", [(sg.symmetric(4), 7), (sg.alternating(5), 16),
+                                             (sg.dihedral(20), 21)], ids=["S4", "A5", "D40"])
+def test_invariable_generating_graph_closes_a_fixed_number_of_pairs(group, requests, monkeypatch):
+    """The class scan for a pair that fails to generate stops where a scan
+    for every pair generating would: the pinned pairs it closes are fixed."""
+    members, calls = group.pair_subgroup_members, []
+
+    def counting(g, h):
+        calls.append((g, h))
+        return members(g, h)
+
+    monkeypatch.setattr(group, "pair_subgroup_members", counting)
+    invariable_generating_graph(group)
+    assert len(calls) == requests
+
+
 def test_containment_s3_minimal_non_abelian():
     reports = {(r.kind, r.check): r for r in containment_checks(sg.symmetric(3))}
     r = reports[("abelian", "generating-vs-base")]

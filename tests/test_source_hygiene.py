@@ -1,11 +1,13 @@
-"""Library modules import only names they use."""
+"""Library modules and test modules import only names they use."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "supergraphs").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "supergraphs").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -23,7 +25,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
