@@ -27,7 +27,8 @@ which are unions of conjugacy classes, fold the verdicts on the conjugacy
 class pairs they hold. Two shortcuts skip closures: if the whole group is
 abelian (commuting), cyclic (enhanced), nilpotent or solvable, that kind's
 delta is complete and built as such, with no edge list, and a commuting pair
-is nilpotent- and solvable-adjacent.
+is nilpotent- and solvable-adjacent. Only the solvable test closes the
+subgroup a pair generates; the nilpotent test reads the pair's Sylow parts.
 """
 
 from __future__ import annotations
@@ -76,11 +77,13 @@ class Partition:
 def _pair_test(group: FiniteGroup, kind: str):
     """The base adjacency of kind as a test on two distinct elements.
 
-    Only nilpotent and solvable tests close the subgroup a pair generates, and
-    only for a pair that does not commute: a commuting pair generates an
-    abelian group, which is both. Commuting g and h generate a group of order
-    |<g>||<h>| / |<g> & <h>|, which is cyclic exactly when that is
-    lcm(|g|, |h|), that is when |<g> & <h>| = gcd(|g|, |h|).
+    A commuting pair generates an abelian group, which is nilpotent and
+    solvable. A pair that does not commute is nilpotent-adjacent by a test on
+    the Sylow parts of g and h (see `FiniteGroup.pair_is_nilpotent`), which
+    closes only pairs of p-elements, within |G|_p elements; only the solvable
+    test closes the subgroup the pair generates. Commuting g and h generate a
+    group of order |<g>||<h>| / |<g> & <h>|, which is cyclic exactly when
+    that is lcm(|g|, |h|), that is when |<g> & <h>| = gcd(|g|, |h|).
     """
     commutes, cyclic = group.commutes, group.cyclic_subgroup
     if kind == "commuting":
@@ -91,19 +94,15 @@ def _pair_test(group: FiniteGroup, kind: str):
         return lambda g, h: commutes(g, h) and len(cyclic(g) & cyclic(h)) == math.gcd(
             len(cyclic(g)), len(cyclic(h))
         )
-
-    def closes(g, h):
-        if commutes(g, h):
-            return True
-        flags = group.subgroup_flags(group.pair_subgroup_members(g, h), (g, h))
-        return flags.is_nilpotent if kind == "nilpotent" else flags.is_solvable
-
-    return closes
+    if kind == "nilpotent":
+        return lambda g, h: commutes(g, h) or group.pair_is_nilpotent(g, h)
+    return lambda g, h: commutes(g, h) or group.subgroup_flags(
+        group.pair_subgroup_members(g, h), (g, h)).is_solvable
 
 
-# kinds whose test closes a subgroup: worth one test per centralizer orbit;
-# the others cost less than the conjugations that find the orbits
-_CLOSURE_KINDS = ("nilpotent", "solvable")
+# kinds whose test closes the subgroup a pair generates: worth one test per
+# centralizer orbit; the others cost less than the conjugations that find the orbits
+_CLOSURE_KINDS = ("solvable",)
 
 
 def base_adjacent(group: FiniteGroup, kind: str, g: int, h: int) -> bool:

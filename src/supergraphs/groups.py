@@ -78,11 +78,13 @@ class FiniteGroup:
     """Base class: subclasses provide mul/inv/element_label.
 
     Cache policy: a group caches per instance, without bound, and frees its
-    caches with itself. It caches only facts that cost a closure or a
-    conjugation walk: cyclic subgroups, centralizer generators, the members
-    of the subgroup a pair generates, subgroup flags, and the conjugacy
-    classes, generators and labels, computed once each. One frozenset per
-    cyclic subgroup, stored under each of its generators, not one per element.
+    caches with itself. It caches only facts that cost a closure, a
+    conjugation walk or repeated products: cyclic subgroups, centralizer
+    generators, the members of the subgroup a pair generates (all pairs that
+    generate the group share one tuple), subgroup flags, each element's
+    Sylow parts, and the conjugacy classes, generators and labels, computed
+    once each. One frozenset per cyclic subgroup, stored under each of its
+    generators, not one per element.
     """
 
     rep = "cayley"
@@ -95,6 +97,8 @@ class FiniteGroup:
         self._generators: tuple[int, ...] | None = None
         self._centralizer_gens: dict[int, tuple[int, ...]] = {}
         self._pair_members: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._whole: tuple[int, ...] | None = None
+        self._parts: dict[int, tuple[tuple[int, int], ...]] = {}
         self._flags_cache: dict[frozenset[int], SubgroupFlags] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
         self._labels: tuple[str, ...] | None = None
@@ -229,13 +233,91 @@ class FiniteGroup:
         return conjugator
 
     def pair_subgroup_members(self, g: int, h: int) -> tuple[int, ...]:
-        """Members of the subgroup generated by {g, h}, cached per pair."""
+        """Members of the subgroup generated by {g, h}, cached per pair.
+
+        By Lagrange's theorem a proper subgroup has at most |G|/p elements, p
+        the least prime dividing |G|, so the closure stops as soon as it
+        passes that bound, and every pair that generates G gets the group's
+        one whole-group tuple.
+        """
         key = (g, h) if g <= h else (h, g)
         cached = self._pair_members.get(key)
         if cached is None:
-            cached = tuple(sorted(closure_set(self.mul, 0, key)))
+            limit = self.order // min(_prime_factors(self.order), default=1)
+            try:
+                cached = tuple(sorted(closure_set(self.mul, 0, key, limit=limit)))
+            except SizeCapError:
+                cached = self._whole_group()
             self._pair_members[key] = cached
         return cached
+
+    def _whole_group(self) -> tuple[int, ...]:
+        if self._whole is None:
+            self._whole = tuple(self.elements())
+        return self._whole
+
+    def pair_is_nilpotent(self, g: int, h: int) -> bool:
+        """Whether <g, h> is nilpotent, decided from the Sylow parts of g and
+        h with no closure of <g, h>.
+
+        Write g_p for the p-part of g, the power of g of p-power order with
+        g = prod g_p over the primes p dividing |g|. Then <g, h> is nilpotent
+        iff (i) g_p commutes with h_q for all primes p != q, and (ii) for each
+        p dividing both orders, <g_p, h_p> is a p-group. If (i) and (ii)
+        hold, the groups P_p = <g_p, h_p> (or <g_p>, or <h_p>) are p-groups
+        whose generators commute across distinct primes, since parts of one
+        element commute; so they commute elementwise, their product is a
+        direct product of p-groups, hence nilpotent, and it contains g and h
+        and lies in <g, h>, so it is <g, h>. Conversely a nilpotent <g, h> is
+        the direct product of its Sylow subgroups: each part lies in the
+        Sylow subgroup of its prime, so parts of distinct primes commute and
+        <g_p, h_p> lies in a p-group. A p-subgroup of G has at most |G|_p
+        elements, so the closure of (ii) stops past that bound, with the
+        answer no. Each part costs at most 2 log2 |g| products.
+        """
+        commutes, h_parts, same = self.commutes, self._p_parts(h), []
+        for p, x in self._p_parts(g):
+            for q, y in h_parts:
+                if not commutes(x, y):
+                    if p != q:
+                        return False
+                    same.append((x, y, p))  # commuting p-elements generate a p-group
+        return all(self._generates_p_group(x, y, p) for x, y, p in same)
+
+    def _p_parts(self, g: int) -> tuple[tuple[int, int], ...]:
+        """The pairs (p, g_p) over the primes p dividing |g|, cached per
+        element: with |g| = q k, q the p-power part, g_p = g^(k (k^-1 mod q)),
+        by binary powering."""
+        parts = self._parts.get(g)
+        if parts is None:
+            n = self.element_order(g)
+            parts = []
+            for p in _prime_factors(n):
+                q = _prime_power_part(n, p)
+                k = n // q
+                parts.append((p, self._power(g, k * pow(k, -1, q) % n)))
+            parts = self._parts[g] = tuple(parts)
+        return parts
+
+    def _power(self, g: int, e: int) -> int:
+        mul = self.mul
+        result = 0
+        while e:
+            if e & 1:
+                result = mul(result, g)
+            e >>= 1
+            if e:
+                g = mul(g, g)
+        return result
+
+    def _generates_p_group(self, x: int, y: int, p: int) -> bool:
+        """Whether p-elements x and y generate a p-group: their closure stays
+        within |G|_p elements and its size is a power of p."""
+        try:
+            size = len(closure_set(self.mul, 0, (x, y), limit=_prime_power_part(self.order, p)))
+        except SizeCapError:
+            return False
+        return _prime_power_part(size, p) == size
 
     def subgroup_flags(self, members: tuple[int, ...], gens: tuple[int, ...]) -> SubgroupFlags:
         key = frozenset(members)
@@ -259,7 +341,7 @@ class FiniteGroup:
         return SubgroupFlags(False, False, nilpotent, solvable)
 
     def whole_group_flags(self) -> SubgroupFlags:
-        return self.subgroup_flags(tuple(self.elements()), self.generators())
+        return self.subgroup_flags(self._whole_group(), self.generators())
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.label} order={self.order} rep={self.rep}>"
@@ -290,6 +372,28 @@ def closure_set(mul, identity, gens, limit=None):
                 raise SizeCapError(f"closure exceeds {limit} elements")
         frontier = fresh
     return members
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The primes dividing n, increasing, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _prime_power_part(n: int, p: int) -> int:
+    """The largest power of the prime p dividing n."""
+    q = 1
+    while n % (q * p) == 0:
+        q *= p
+    return q
 
 
 def _greedy_generators(group: FiniteGroup, members) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import supergraphs as sg
+from supergraphs import generation
 from supergraphs.generation import (
     containment_checks,
     equality_scan,
@@ -12,7 +13,7 @@ from supergraphs.generation import (
     invariable_generating_graph,
 )
 from supergraphs.graphs import Graph
-from supergraphs.groups import closure_set
+from supergraphs.groups import closure_set, make_group
 
 
 def test_generating_graph_cyclic5_complete():
@@ -162,3 +163,29 @@ def test_equality_scan_records_d10_and_bad_specs():
     kinds = {r["kind"] for r in report.records if r.get("applicable")}
     assert "nilpotent" in kinds and "abelian" in kinds
     assert any("skipped" in r for r in report.records)
+
+
+def test_equality_scan_builds_only_the_invariable_check(monkeypatch):
+    """The scan reads only the invariable-vs-super records, so it builds no
+    generating graph and no equality base graph, and its records are those
+    of the full containment checks."""
+    specs = [{"kind": "symmetric", "n": 4}, {"kind": "alternating", "n": 5}, {"kind": "dihedral", "n": 6}]
+    expected = [
+        (r.kind, r.applicable, r.contained, r.equal)
+        for spec in specs
+        for r in containment_checks(make_group(spec))
+        if r.check == "invariable-vs-super"
+    ]
+
+    def refuse(group):
+        raise AssertionError("the scan built a generating graph")
+
+    partitions, build = [], generation.build_supergraph
+    monkeypatch.setattr(generation, "generating_graph", refuse)
+    monkeypatch.setattr(
+        generation, "build_supergraph",
+        lambda group, kind, pkind: partitions.append(pkind) or build(group, kind, pkind),
+    )
+    report = equality_scan(specs)
+    assert set(partitions) == {"conjugacy"}
+    assert [(r["kind"], r["applicable"], r["contained"], r["equal"]) for r in report.records] == expected

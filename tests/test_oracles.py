@@ -254,11 +254,17 @@ def test_permutation_multiplication_matches_perms(group):
 def test_whole_group_shortcut_fires_only_when_the_property_holds(group, monkeypatch):
     """Every supergraph is complete when the whole group has the kind's
     property, and the nilpotent and solvable base graphs close no pair
-    exactly then."""
+    exactly then: neither a pair nor, for the nilpotent kind, a pair of
+    p-parts. A group that is not nilpotent has a Sylow subgroup that is not
+    abelian or not normal, so two of its p-elements do not commute, and the
+    nilpotent scan closes them."""
     closed = []
-    close_pair = group.pair_subgroup_members
+    close_pair, close_parts = group.pair_subgroup_members, group._generates_p_group
     monkeypatch.setattr(
         group, "pair_subgroup_members", lambda g, h: closed.append((g, h)) or close_pair(g, h)
+    )
+    monkeypatch.setattr(
+        group, "_generates_p_group", lambda x, y, p: closed.append((x, y)) or close_parts(x, y, p)
     )
     whole = frozenset(range(group.order))
     for kind, holds in PROPERTY.items():
@@ -275,8 +281,9 @@ def test_whole_group_shortcut_fires_only_when_the_property_holds(group, monkeypa
 def test_shortcut_separates_solvable_from_nilpotent():
     s4 = sg.symmetric(4)
     closed = []
-    close_pair = s4.pair_subgroup_members
+    close_pair, close_parts = s4.pair_subgroup_members, s4._generates_p_group
     s4.pair_subgroup_members = lambda g, h: closed.append((g, h)) or close_pair(g, h)
+    s4._generates_p_group = lambda x, y, p: closed.append((x, y)) or close_parts(x, y, p)
     assert build_supergraph(s4, "solvable", "equality").num_edges == 24 * 23 // 2
     assert not closed
     nilpotent = build_supergraph(s4, "nilpotent", "equality")
