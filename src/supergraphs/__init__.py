@@ -54,7 +54,6 @@ from .groups import (
     FiniteGroup,
     InvalidGroupSpec,
     SizeCapError,
-    SubgroupFlags,
     alternating,
     cyclic,
     dihedral,

@@ -24,11 +24,13 @@ tested against the smaller class once per orbit of the centralizer C(r). On
 the equality partition, r's hits are expanded to the other members of its
 class through the conjugators the class records; conjugacy and order classes,
 which are unions of conjugacy classes, fold the verdicts on the conjugacy
-class pairs they hold. Two shortcuts skip closures: if the whole group is
-abelian (commuting), cyclic (enhanced), nilpotent or solvable, that kind's
-delta is complete and built as such, with no edge list, and a commuting pair
+class pairs they hold. Two shortcuts skip closures: if the whole group has
+the kind's property (`PROPERTY_OF_KIND`: abelian for commuting, cyclic for
+enhanced, nilpotent, solvable), a fact the group computes once, that kind's
+delta is complete and built as such, with no edge list; and a commuting pair
 is nilpotent- and solvable-adjacent. Only the solvable test closes the
-subgroup a pair generates; the nilpotent test reads the pair's Sylow parts.
+subgroup a pair generates (`FiniteGroup.pair_is_solvable`); the nilpotent
+test reads the pair's Sylow parts (`FiniteGroup.generates_nilpotent`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ from .groups import FiniteGroup
 
 KINDS = ("power", "enhanced", "commuting", "nilpotent", "solvable")
 PARTITIONS = ("equality", "conjugacy", "order")
+
+# the whole-group property that makes every pair of a kind adjacent
+PROPERTY_OF_KIND = {"commuting": "abelian", "enhanced": "cyclic",
+                    "nilpotent": "nilpotent", "solvable": "solvable"}
 
 _PARTITION_ALIASES = {"same_order": "order", "same-order": "order"}
 
@@ -79,7 +85,7 @@ def _pair_test(group: FiniteGroup, kind: str):
 
     A commuting pair generates an abelian group, which is nilpotent and
     solvable. A pair that does not commute is nilpotent-adjacent by a test on
-    the Sylow parts of g and h (see `FiniteGroup.pair_is_nilpotent`), which
+    the Sylow parts of g and h (see `FiniteGroup.generates_nilpotent`), which
     closes only pairs of p-elements, within |G|_p elements; only the solvable
     test closes the subgroup the pair generates. Commuting g and h generate a
     group of order |<g>||<h>| / |<g> & <h>|, which is cyclic exactly when
@@ -95,9 +101,8 @@ def _pair_test(group: FiniteGroup, kind: str):
             len(cyclic(g)), len(cyclic(h))
         )
     if kind == "nilpotent":
-        return lambda g, h: commutes(g, h) or group.pair_is_nilpotent(g, h)
-    return lambda g, h: commutes(g, h) or group.subgroup_flags(
-        group.pair_subgroup_members(g, h), (g, h)).is_solvable
+        return lambda g, h: commutes(g, h) or group.generates_nilpotent((g, h))
+    return lambda g, h: commutes(g, h) or group.pair_is_solvable(g, h)
 
 
 # kinds whose test closes the subgroup a pair generates: worth one test per
@@ -115,17 +120,8 @@ def base_adjacent(group: FiniteGroup, kind: str, g: int, h: int) -> bool:
 
 def _complete_on(group: FiniteGroup, kind: str) -> bool:
     """Whether the whole group has the property that makes every pair
-    adjacent: abelian for commuting, cyclic for enhanced, nilpotent or
-    solvable for those kinds. Then every supergraph of kind is complete."""
-    if kind == "power" or (kind in ("commuting", "enhanced") and not group.is_abelian()):
-        return False
-    flags = group.whole_group_flags()
-    return {
-        "commuting": flags.is_abelian,
-        "enhanced": flags.is_cyclic,
-        "nilpotent": flags.is_nilpotent,
-        "solvable": flags.is_solvable,
-    }[kind]
+    adjacent (`PROPERTY_OF_KIND`). Then every supergraph of kind is complete."""
+    return kind in PROPERTY_OF_KIND and getattr(group, f"is_{PROPERTY_OF_KIND[kind]}")()
 
 
 def build_partition(group: FiniteGroup, pkind: str) -> Partition:

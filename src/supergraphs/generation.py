@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constructions import build_partition, build_supergraph, class_graph
+from .constructions import PROPERTY_OF_KIND, build_partition, build_supergraph, class_graph
 from .graphs import Graph, blow_up, edge_difference
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
 GENERATION_KINDS = ("abelian", "nilpotent", "solvable")
 
-_BASE_FOR_KIND = {"abelian": "commuting", "nilpotent": "nilpotent", "solvable": "solvable"}
+_BASE_FOR_KIND = {prop: kind for kind, prop in PROPERTY_OF_KIND.items() if prop in GENERATION_KINDS}
 
 # each check, and the partition of the supergraph whose complement holds its graph
 _CHECKS = (("generating-vs-base", "equality"), ("invariable-vs-super", "conjugacy"))
@@ -102,9 +102,8 @@ def containment_checks(group: FiniteGroup, checks=_CHECKS) -> list[ContainmentRe
     """
     reports = []
     generated = {}
-    flags = group.whole_group_flags()
     for kind in GENERATION_KINDS:
-        if getattr(flags, f"is_{kind}"):
+        if getattr(group, f"is_{kind}")():
             for check, _ in checks:
                 reports.append(
                     ContainmentReport(group.label, kind, check, False, True, False, ())

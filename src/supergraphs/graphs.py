@@ -13,7 +13,7 @@ knows that layout. Complement, intersection, the subgraph test, the edge
 difference, compositions, strong products and the blow-up are a few big-int
 operations per vertex, and `edges()` reads the bits back in sorted order.
 
-The Wiener index and both composition formulas share one all-sources distance
+The Wiener index and the composition formula share one all-sources distance
 sum over radius balls held as int bitmasks, the module's only distance
 kernel: at most diameter * 2m big-int ORs, and long paths are the slow case.
 A graph with a universal vertex has diameter at most 2 and costs n bit counts
@@ -451,13 +451,7 @@ def wiener_via_composition(base: Graph, sizes, kinds) -> int:
 
 def wiener_supergraph_formula(delta: Graph, sizes) -> int:
     """Wiener index of delta composed with complete factors of the given sizes."""
-    sizes = tuple(sizes)
-    if len(sizes) != delta.n:
-        raise ValueError("one size per delta vertex required")
-    if any(s < 1 for s in sizes):
-        raise ValueError("sizes must be positive")
-    inner = sum(math.comb(s, 2) for s in sizes if s > 1)
-    return inner + _distance_sum(delta, sizes, "delta must be connected")
+    return wiener_via_composition(delta, sizes, ("complete",) * delta.n)
 
 
 # --- isomorphism ---

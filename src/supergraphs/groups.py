@@ -66,14 +66,6 @@ class ConjugacyClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SubgroupFlags:
-    is_cyclic: bool
-    is_abelian: bool
-    is_nilpotent: bool
-    is_solvable: bool
-
-
 class FiniteGroup:
     """Base class: subclasses provide mul/inv/element_label.
 
@@ -81,10 +73,12 @@ class FiniteGroup:
     caches with itself. It caches only facts that cost a closure, a
     conjugation walk or repeated products: cyclic subgroups, centralizer
     generators, the members of the subgroup a pair generates (all pairs that
-    generate the group share one tuple), subgroup flags, each element's
-    Sylow parts, and the conjugacy classes, generators and labels, computed
-    once each. One frozenset per cyclic subgroup, stored under each of its
-    generators, not one per element.
+    generate the group share one tuple), whether each such proper subgroup is
+    solvable (keyed by its members tuple), each element's Sylow parts, the
+    whole group's facts (abelian, cyclic, nilpotent, solvable), and the
+    conjugacy classes, generators and labels, computed once each. One
+    frozenset per cyclic subgroup, stored under each of its generators, not
+    one per element.
     """
 
     rep = "cayley"
@@ -99,7 +93,8 @@ class FiniteGroup:
         self._pair_members: dict[tuple[int, int], tuple[int, ...]] = {}
         self._whole: tuple[int, ...] | None = None
         self._parts: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._flags_cache: dict[frozenset[int], SubgroupFlags] = {}
+        self._solvable: dict[tuple[int, ...], bool] = {}
+        self._facts: dict[str, bool] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
         self._labels: tuple[str, ...] | None = None
 
@@ -159,8 +154,29 @@ class FiniteGroup:
             self._generators = _greedy_generators(self, tuple(self.elements()))
         return self._generators
 
+    # --- whole-group facts, each computed once ---
+
+    def _fact(self, name: str, compute) -> bool:
+        if name not in self._facts:
+            self._facts[name] = compute()
+        return self._facts[name]
+
     def is_abelian(self) -> bool:
-        return all(self.commutes(a, b) for a, b in itertools.combinations(self.generators(), 2))
+        return self._fact("abelian", lambda: all(
+            self.commutes(a, b) for a, b in itertools.combinations(self.generators(), 2)))
+
+    def is_cyclic(self) -> bool:
+        """Abelian with exponent |G|: the exponent of an abelian group is the
+        lcm of its generators' orders, and some element has that order."""
+        return self._fact("cyclic", lambda: self.is_abelian() and math.lcm(
+            *map(self.element_order, self.generators())) == self.order)
+
+    def is_nilpotent(self) -> bool:
+        return self._fact("nilpotent", lambda: self.generates_nilpotent(self.generators()))
+
+    def is_solvable(self) -> bool:
+        return self._fact("solvable", lambda: self.is_abelian() or is_solvable_gens(
+            self, self.generators()))
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         """Classes sorted by (size, least member); representative = least member.
@@ -247,42 +263,54 @@ class FiniteGroup:
             try:
                 cached = tuple(sorted(closure_set(self.mul, 0, key, limit=limit)))
             except SizeCapError:
-                cached = self._whole_group()
+                if self._whole is None:
+                    self._whole = tuple(self.elements())
+                cached = self._whole
             self._pair_members[key] = cached
         return cached
 
-    def _whole_group(self) -> tuple[int, ...]:
-        if self._whole is None:
-            self._whole = tuple(self.elements())
-        return self._whole
+    def pair_is_solvable(self, g: int, h: int) -> bool:
+        """Whether <g, h> is solvable: the group's fact for a generating
+        pair, else the derived series of (g, h), walked once per subgroup."""
+        members = self.pair_subgroup_members(g, h)
+        if len(members) == self.order:
+            return self.is_solvable()
+        solvable = self._solvable.get(members)
+        if solvable is None:
+            solvable = self._solvable[members] = is_solvable_gens(self, (g, h))
+        return solvable
 
-    def pair_is_nilpotent(self, g: int, h: int) -> bool:
-        """Whether <g, h> is nilpotent, decided from the Sylow parts of g and
-        h with no closure of <g, h>.
+    def generates_nilpotent(self, gens) -> bool:
+        """Whether <gens> is nilpotent, decided from the Sylow parts of the
+        generators with no closure of <gens>.
 
-        Write g_p for the p-part of g, the power of g of p-power order with
-        g = prod g_p over the primes p dividing |g|. Then <g, h> is nilpotent
-        iff (i) g_p commutes with h_q for all primes p != q, and (ii) for each
-        p dividing both orders, <g_p, h_p> is a p-group. If (i) and (ii)
-        hold, the groups P_p = <g_p, h_p> (or <g_p>, or <h_p>) are p-groups
-        whose generators commute across distinct primes, since parts of one
-        element commute; so they commute elementwise, their product is a
-        direct product of p-groups, hence nilpotent, and it contains g and h
-        and lies in <g, h>, so it is <g, h>. Conversely a nilpotent <g, h> is
-        the direct product of its Sylow subgroups: each part lies in the
-        Sylow subgroup of its prime, so parts of distinct primes commute and
-        <g_p, h_p> lies in a p-group. A p-subgroup of G has at most |G|_p
-        elements, so the closure of (ii) stops past that bound, with the
-        answer no. Each part costs at most 2 log2 |g| products.
+        Write s_p for the p-part of s, the power of s of p-power order with
+        s = prod s_p over the primes p dividing |s|. Then <gens> is nilpotent
+        iff (i) for all primes p != q, s_p commutes with t_q for any two
+        generators s != t, and (ii) for each prime p such that two p-parts do
+        not commute, the p-parts of all generators generate a p-group. If (i)
+        and (ii) hold, each P_p = <s_p : s in gens> is a p-group (abelian and
+        generated by p-elements when its generators commute), and the
+        generators of P_p and P_q, p != q, commute: by (i), or as powers of
+        one element. So the P_p commute elementwise, their product is a
+        direct product of p-groups, hence nilpotent, and it contains every
+        generator and lies in <gens>, so it is <gens>. Conversely a nilpotent
+        <gens> is the direct product of its Sylow subgroups: each p-part lies
+        in the Sylow subgroup of its prime, so parts of distinct primes
+        commute and the p-parts generate a p-group. A p-subgroup of G has at
+        most |G|_p elements, so the closure of (ii) stops past that bound,
+        with the answer no. Each part costs at most 2 log2 |s| products.
         """
-        commutes, h_parts, same = self.commutes, self._p_parts(h), []
-        for p, x in self._p_parts(g):
-            for q, y in h_parts:
-                if not commutes(x, y):
-                    if p != q:
-                        return False
-                    same.append((x, y, p))  # commuting p-elements generate a p-group
-        return all(self._generates_p_group(x, y, p) for x, y, p in same)
+        commutes, parts, clashes = self.commutes, list(map(self._p_parts, gens)), {}
+        for s_parts, t_parts in itertools.combinations(parts, 2):
+            for p, x in s_parts:
+                for q, y in t_parts:
+                    if not commutes(x, y):
+                        if p != q:
+                            return False
+                        clashes[p] = True
+        return all(self._generates_p_group([x for s_parts in parts for q, x in s_parts if q == p], p)
+                   for p in clashes)
 
     def _p_parts(self, g: int) -> tuple[tuple[int, int], ...]:
         """The pairs (p, g_p) over the primes p dividing |g|, cached per
@@ -310,44 +338,20 @@ class FiniteGroup:
                 g = mul(g, g)
         return result
 
-    def _generates_p_group(self, x: int, y: int, p: int) -> bool:
-        """Whether p-elements x and y generate a p-group: their closure stays
+    def _generates_p_group(self, xs: list[int], p: int) -> bool:
+        """Whether the p-elements xs generate a p-group: their closure stays
         within |G|_p elements and its size is a power of p."""
         try:
-            size = len(closure_set(self.mul, 0, (x, y), limit=_prime_power_part(self.order, p)))
+            size = len(closure_set(self.mul, 0, xs, limit=_prime_power_part(self.order, p)))
         except SizeCapError:
             return False
         return _prime_power_part(size, p) == size
-
-    def subgroup_flags(self, members: tuple[int, ...], gens: tuple[int, ...]) -> SubgroupFlags:
-        key = frozenset(members)
-        cached = self._flags_cache.get(key)
-        if cached is None:
-            cached = self._classify(members, gens)
-            self._flags_cache[key] = cached
-        return cached
-
-    def _classify(self, members: tuple[int, ...], gens: tuple[int, ...]) -> SubgroupFlags:
-        size = len(members)
-        if size == 1:
-            return SubgroupFlags(True, True, True, True)
-        gens = gens or members
-        abelian = all(self.commutes(a, b) for a, b in itertools.combinations(gens, 2))
-        cyclic = abelian and any(self.element_order(g) == size for g in members)
-        if abelian:
-            return SubgroupFlags(cyclic, True, True, True)
-        solvable = is_solvable_gens(self, gens)
-        nilpotent = solvable and is_nilpotent_gens(self, gens)
-        return SubgroupFlags(False, False, nilpotent, solvable)
-
-    def whole_group_flags(self) -> SubgroupFlags:
-        return self.subgroup_flags(self._whole_group(), self.generators())
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.label} order={self.order} rep={self.rep}>"
 
 
-# --- closure (elements may be ints or tuples) and series on a group ---
+# --- closure (elements may be ints or tuples) and the derived series ---
 
 
 def closure_set(mul, identity, gens, limit=None):
@@ -431,44 +435,26 @@ def _normal_closure(group: FiniteGroup, ambient_gens, seeds):
     return members, gens
 
 
-def _series_reaches_identity(group: FiniteGroup, gens, lower_central: bool) -> bool:
-    """Whether the derived series (lower_central False) or the lower central
-    series (True) of the subgroup generated by gens reaches e.
+def is_solvable_gens(group: FiniteGroup, gens) -> bool:
+    """Whether the derived series of the subgroup generated by gens reaches e.
 
-    Each term is the normal closure of commutators: of pairs of the current
-    term's generators, normal in the current term, for the derived series;
-    of current times top generators, normal in the whole subgroup, for the
-    lower central series. A term as large as the one before it is the limit.
+    Each term is the normal closure, in the term before it, of the
+    commutators of pairs of that term's generators. A term as large as the
+    one before it is the limit.
     """
     mul, inv = group.mul, group.inv
-    top_gens = [g for g in gens if g != 0]
-    if not top_gens:
+    cur_gens = [g for g in gens if g != 0]
+    if not cur_gens:
         return True
-    cur_gens = top_gens
     cur_size = len(closure_set(mul, 0, cur_gens))
     while True:
-        if lower_central:
-            pairs = ((x, h) for x in cur_gens for h in top_gens)
-        else:
-            pairs = itertools.combinations(cur_gens, 2)
-        seeds = [mul(mul(inv(a), inv(b)), mul(a, b)) for a, b in pairs]
-        ambient = top_gens if lower_central else cur_gens
-        members, next_gens = _normal_closure(group, ambient, seeds)
+        seeds = [mul(mul(inv(a), inv(b)), mul(a, b)) for a, b in itertools.combinations(cur_gens, 2)]
+        members, next_gens = _normal_closure(group, cur_gens, seeds)
         if len(members) == 1:
             return True
         if len(members) == cur_size:
             return False
         cur_gens, cur_size = next_gens, len(members)
-
-
-def is_solvable_gens(group: FiniteGroup, gens) -> bool:
-    """Whether the derived series of the subgroup generated by gens reaches e."""
-    return _series_reaches_identity(group, gens, lower_central=False)
-
-
-def is_nilpotent_gens(group: FiniteGroup, gens) -> bool:
-    """Whether the lower central series of the subgroup generated by gens reaches e."""
-    return _series_reaches_identity(group, gens, lower_central=True)
 
 
 # --- concrete representations ---

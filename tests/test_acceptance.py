@@ -285,13 +285,16 @@ def test_criterion_9_property_suites():
                     cls.size * len(group.centralizer(cls.representative))
                     == group.order
                 )
-            # classification flags are monotone
+            # cyclic => abelian => nilpotent => solvable on pair subgroups
             pairs = list(itertools.combinations(range(n), 2))
             for g, h in rng.sample(pairs, min(25, len(pairs))):
-                flags = group.subgroup_flags(group.pair_subgroup_members(g, h), (g, h))
-                assert (not flags.is_cyclic or flags.is_abelian)
-                assert (not flags.is_abelian or flags.is_nilpotent)
-                assert (not flags.is_nilpotent or flags.is_solvable)
+                members = group.pair_subgroup_members(g, h)
+                cyclic = any(group.element_order(x) == len(members) for x in members)
+                abelian = group.commutes(g, h)
+                nilpotent = group.generates_nilpotent((g, h))
+                assert (not cyclic or abelian)
+                assert (not abelian or nilpotent)
+                assert (not nilpotent or group.pair_is_solvable(g, h))
             # class-restricted scans lose nothing (order <= 24 groups)
             if group.order <= 24:
                 part = build_partition(group, "conjugacy")

@@ -185,7 +185,7 @@ def test_disconnection_raises_from_every_entry_point():
     graph = two_components()
     with pytest.raises(DisconnectedGraphError, match="Wiener index needs a connected graph"):
         wiener_index(graph)
-    with pytest.raises(DisconnectedGraphError, match="delta must be connected"):
+    with pytest.raises(DisconnectedGraphError, match="composition base must be connected"):
         wiener_supergraph_formula(graph, [1, 2, 3, 4, 5])
     with pytest.raises(DisconnectedGraphError, match="composition base must be connected"):
         wiener_via_composition(graph, [2] * 5, ["complete"] * 5)

@@ -9,7 +9,7 @@ import pytest
 
 import supergraphs as sg
 from supergraphs import perms
-from supergraphs.constructions import KINDS, PARTITIONS, build_supergraph
+from supergraphs.constructions import KINDS, PARTITIONS, PROPERTY_OF_KIND, build_supergraph
 from supergraphs.generation import generating_graph, invariable_generating_graph
 from supergraphs.groups import PermutationGroup, make_group
 
@@ -257,16 +257,20 @@ def test_whole_group_shortcut_fires_only_when_the_property_holds(group, monkeypa
     exactly then: neither a pair nor, for the nilpotent kind, a pair of
     p-parts. A group that is not nilpotent has a Sylow subgroup that is not
     abelian or not normal, so two of its p-elements do not commute, and the
-    nilpotent scan closes them."""
+    nilpotent scan closes them. The whole-group facts are computed, and
+    checked against the definitions, before the hooks go in: the nilpotent
+    one may close p-parts itself."""
+    whole = frozenset(range(group.order))
+    for kind, holds in PROPERTY.items():
+        assert getattr(group, f"is_{PROPERTY_OF_KIND[kind]}")() == holds(group, whole), kind
     closed = []
     close_pair, close_parts = group.pair_subgroup_members, group._generates_p_group
     monkeypatch.setattr(
         group, "pair_subgroup_members", lambda g, h: closed.append((g, h)) or close_pair(g, h)
     )
     monkeypatch.setattr(
-        group, "_generates_p_group", lambda x, y, p: closed.append((x, y)) or close_parts(x, y, p)
+        group, "_generates_p_group", lambda xs, p: closed.append(tuple(xs)) or close_parts(xs, p)
     )
-    whole = frozenset(range(group.order))
     for kind, holds in PROPERTY.items():
         has_property = holds(group, whole)
         for pkind in PARTITIONS:
@@ -280,10 +284,11 @@ def test_whole_group_shortcut_fires_only_when_the_property_holds(group, monkeypa
 
 def test_shortcut_separates_solvable_from_nilpotent():
     s4 = sg.symmetric(4)
+    assert s4.is_solvable() and not s4.is_nilpotent()  # before the hooks
     closed = []
     close_pair, close_parts = s4.pair_subgroup_members, s4._generates_p_group
     s4.pair_subgroup_members = lambda g, h: closed.append((g, h)) or close_pair(g, h)
-    s4._generates_p_group = lambda x, y, p: closed.append((x, y)) or close_parts(x, y, p)
+    s4._generates_p_group = lambda xs, p: closed.append(tuple(xs)) or close_parts(xs, p)
     assert build_supergraph(s4, "solvable", "equality").num_edges == 24 * 23 // 2
     assert not closed
     nilpotent = build_supergraph(s4, "nilpotent", "equality")
