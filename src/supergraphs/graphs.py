@@ -11,7 +11,9 @@ A graph holds its adjacency as one int bitmask per vertex: bit v of
 `masks[u]` is set iff u and v are adjacent. This module is the only one that
 knows that layout. Complement, intersection, the subgraph test, the edge
 difference, compositions, strong products and the blow-up are a few big-int
-operations per vertex, and `edges()` reads the bits back in sorted order.
+operations per vertex. `edge_rows()` reads the bits back, one row of higher
+neighbours per vertex, in sorted order, for `edges()`, `to_dot` and the
+CLI's JSON writer.
 
 The Wiener index and the composition formula share one all-sources distance
 sum over radius balls held as int bitmasks, the module's only distance
@@ -132,11 +134,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return self.masks[u] >> v & 1 == 1
 
+    def edge_rows(self):
+        """(u, [v, ...]) for each u with a neighbour v > u, those neighbours
+        increasing: the edges (u, v), u < v, grouped by u, in increasing order."""
+        for u, mask in enumerate(self.masks):
+            above = mask >> u + 1
+            if above:
+                yield u, _bits(above, u + 1)
+
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in increasing order."""
-        return [
-            (u, v) for u, mask in enumerate(self.masks) for v in _bits(mask >> u + 1, u + 1)
-        ]
+        return [(u, v) for u, vs in self.edge_rows() for v in vs]
 
     @property
     def num_edges(self) -> int:
@@ -203,8 +211,8 @@ class Graph:
         lines = [f"graph {name} {{"]
         for i, lbl in enumerate(self.labels):
             lines.append(f'  v{i} [label="{lbl}"];')
-        for u, v in self.edges():
-            lines.append(f"  v{u} -- v{v};")
+        for u, vs in self.edge_rows():
+            lines.extend(f"  v{u} -- v{v};" for v in vs)
         lines.append("}")
         return "\n".join(lines) + "\n"
 

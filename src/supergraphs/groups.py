@@ -176,7 +176,7 @@ class FiniteGroup:
 
     def is_solvable(self) -> bool:
         return self._fact("solvable", lambda: self.is_abelian() or is_solvable_gens(
-            self, self.generators()))
+            self, self.generators(), self.order))
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         """Classes sorted by (size, least member); representative = least member.
@@ -277,7 +277,7 @@ class FiniteGroup:
             return self.is_solvable()
         solvable = self._solvable.get(members)
         if solvable is None:
-            solvable = self._solvable[members] = is_solvable_gens(self, (g, h))
+            solvable = self._solvable[members] = is_solvable_gens(self, (g, h), len(members))
         return solvable
 
     def generates_nilpotent(self, gens) -> bool:
@@ -435,18 +435,19 @@ def _normal_closure(group: FiniteGroup, ambient_gens, seeds):
     return members, gens
 
 
-def is_solvable_gens(group: FiniteGroup, gens) -> bool:
-    """Whether the derived series of the subgroup generated by gens reaches e.
+def is_solvable_gens(group: FiniteGroup, gens, order: int) -> bool:
+    """Whether the derived series of the subgroup generated by gens, of the
+    given order, reaches e.
 
     Each term is the normal closure, in the term before it, of the
     commutators of pairs of that term's generators. A term as large as the
-    one before it is the limit.
+    one before it is the limit. Every caller knows the subgroup's order (a
+    pair's members, or the whole group), so the first term is not closed.
     """
-    mul, inv = group.mul, group.inv
-    cur_gens = [g for g in gens if g != 0]
-    if not cur_gens:
+    if order == 1:
         return True
-    cur_size = len(closure_set(mul, 0, cur_gens))
+    mul, inv = group.mul, group.inv
+    cur_gens, cur_size = [g for g in gens if g != 0], order
     while True:
         seeds = [mul(mul(inv(a), inv(b)), mul(a, b)) for a, b in itertools.combinations(cur_gens, 2)]
         members, next_gens = _normal_closure(group, cur_gens, seeds)

@@ -156,9 +156,9 @@ def test_whole_group_facts_are_computed_once_per_group(monkeypatch, tmp_path, ca
 
     is_solvable_gens, generates_nilpotent = groups.is_solvable_gens, s4.generates_nilpotent
 
-    def solvable_walk(group, gens):
+    def solvable_walk(group, gens, order):
         walks["solvable"] += gens is group.generators()
-        return is_solvable_gens(group, gens)
+        return is_solvable_gens(group, gens, order)
 
     def nilpotent_test(gens):
         walks["nilpotent"] += gens is s4.generators()
