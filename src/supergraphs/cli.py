@@ -74,15 +74,11 @@ def _render(value, pad: str) -> str:
     A Graph is written from its adjacency masks, one Graph.edge_rows() row
     at a time: each row is one str.join of vertex-number strings, with the
     row's fixed head and close as separator, and the whole object is one
-    final join. No list of edge pairs is made. On the S6 commuting graph of
-    the order partition (118,440 edges, 4.0 MB of text) that took 16 ms and
-    a traced peak of 8.1 MB, against 86-94 ms and 22.9 MB through
-    to_json_dict() and the pair path below (Python 3.11, shared 2-core Xeon).
+    final join. No list of edge pairs is made.
 
-    Lists of ints, of strings and of int pairs (the edges of a report that
-    is not a graph: violations, embedding certificates) are each one join,
-    so no per-item encoder call is made for them; `type(x) is int` keeps
-    bools, which json writes as true/false, off those paths.
+    Lists of ints and of strings are each one join, so no per-item encoder
+    call is made for them; `type(x) is int` keeps bools, which json writes
+    as true/false, off those paths.
     """
     if isinstance(value, Graph):
         return _render_graph(value, pad)
@@ -100,13 +96,6 @@ def _render(value, pad: str) -> str:
         body = sep.join(map(str, value))
     elif types == {str}:
         body = sep.join(map(json.dumps, value))
-    elif (
-        types <= {list, tuple}
-        and set(map(len, value)) == {2}
-        and set(map(type, itertools.chain.from_iterable(value))) == {int}
-    ):
-        pair = f"[\n{inner}  %d,\n{inner}  %d\n{inner}]"
-        body = sep.join([pair] * len(value)) % tuple(itertools.chain.from_iterable(value))
     else:
         body = sep.join([_render(v, inner) for v in value])
     return "[\n" + inner + body + "\n" + pad + "]"
@@ -139,10 +128,7 @@ def _dump_json(data, out: str | None) -> None:
     those of json.dumps(data, indent=2, sort_keys=True) + "\n", a Graph read
     as its to_json_dict(), which the tests check on every command. _render
     writes them directly because json's indenting encoder is pure Python and
-    cost more than building a dense graph. Through to_json_dict() and the
-    pair path, writing took 0.41 s of the 1.27 s of one benchmark pass of
-    element graphs, and 50-80% of each S6 graph operation (Python 3.11,
-    shared 2-core Xeon).
+    cost more than building a dense graph.
     """
     text = _render(data, "") + "\n"
     if out:

@@ -597,8 +597,8 @@ def test_graph_reports_are_written_from_the_masks(tmp_path, monkeypatch, capsys)
 
     No graph report lists the edges as pairs: neither Graph.edges nor
     Graph.to_json_dict is called. The S6 commuting graph on the order
-    partition has 118,440 edges and 4.0 MB of JSON; written through
-    to_json_dict() and the pair path, its traced peak was 5.7 times the
+    partition has 118,440 edges and 4.0 MB of JSON; written from
+    to_json_dict()'s list of edge pairs, its traced peak was 5.7 times the
     text (22.9 MB), and row by row it is about 2.0 times."""
     calls = collections.Counter()
     for name in ("edges", "to_json_dict"):
