@@ -18,19 +18,20 @@ supergraph. Also provides the containment hierarchy report.
 Every base adjacency is invariant under simultaneous conjugation, and so is
 generation of the group. `class_graph` is the one place that decides which
 classes of a partition are related under such a relation, for quotients and
-for both generating graphs (see `generation`), by one pinned scan over pairs
-of conjugacy classes: the larger class's representative r is pinned and
-tested against the smaller class once per orbit of the centralizer C(r). On
-the equality partition, r's hits are expanded to the other members of its
-class through the conjugators the class records; conjugacy and order classes,
-which are unions of conjugacy classes, fold the verdicts on the conjugacy
-class pairs they hold. Two shortcuts skip closures: if the whole group has
-the kind's property (`PROPERTY_OF_KIND`: abelian for commuting, cyclic for
-enhanced, nilpotent, solvable), a fact the group computes once, that kind's
-delta is complete and built as such, with no edge list; and a commuting pair
-is nilpotent- and solvable-adjacent. Only the solvable test closes the
-subgroup a pair generates (`FiniteGroup.pair_is_solvable`); the nilpotent
-test reads the pair's Sylow parts (`FiniteGroup.generates_nilpotent`).
+for both generating graphs (see `generation`), by one loop over pairs of
+conjugacy classes that serves every partition: the larger class's
+representative r is pinned and tested against the smaller class once per
+orbit of the centralizer C(r). On the equality partition, r's hits are
+expanded to the other members of its class through the conjugators the class
+records; on the others, a pair stops at its first hit and is skipped when its
+partition classes are already related. Two shortcuts skip closures: if the
+whole group has the kind's property (`PROPERTY_OF_KIND`: abelian for
+commuting, cyclic for enhanced, nilpotent, solvable), a fact the group
+computes once, that kind's delta is complete and built as such, with no edge
+list; and a commuting pair is nilpotent- and solvable-adjacent. Only the
+solvable test closes the subgroup a pair generates
+(`FiniteGroup.pair_is_solvable`); the nilpotent test reads the pair's Sylow
+parts (`FiniteGroup.generates_nilpotent`).
 """
 
 from __future__ import annotations
@@ -164,54 +165,54 @@ def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition)
     (see `generation.invariable_generating_graph`).
 
     This is the one place that decides which classes are related, by one
-    pinned scan. Conjugacy classes are sorted by size, so of two classes
-    a <= b, b is the larger: b's representative r is pinned, and r is tested
-    against class a once per orbit of the centralizer C(r) if per_orbit is
-    set, else once per member, since every pair across the classes is
-    conjugate to one of these. On the equality partition, the hits of r
-    against every class a <= b are expanded to b's other members through the
-    conjugators the class records: since test(r, h) = test(r^x, h^x), the
+    pinned scan for every partition. Conjugacy classes are sorted by size, so
+    of two classes a <= b, b is the larger: b's representative r is pinned,
+    and r is tested against class a once per orbit of the centralizer C(r) if
+    per_orbit is set, else once per member, since every pair across the
+    classes is conjugate to one of these. On the equality partition, the hits
+    of r against every class a <= b are expanded to b's other members through
+    the conjugators the class records: since test(r, h) = test(r^x, h^x), the
     member r^x is joined to the conjugates by x of the hits (r itself, whose
-    conjugator is the identity, to the hits). The graph is built as one int
-    mask per element, with no edge list: each member's hits are ORed into its
-    row and the transposed bit is set in each hit's row. A pair of conjugacy
-    or order classes is related through the verdicts on the pairs of
-    conjugacy classes they hold.
+    conjugator is the identity, to the hits). Conjugacy and order classes are
+    unions of conjugacy classes, so a pair a, b in partition classes i and j
+    is skipped when i == j or i and j are already related, and stops at its
+    first hit. The graph is one int mask per class, with no edge list.
     """
     classes = group.conjugacy_classes()
-
-    def verdicts(a: int, b: int):
-        r = classes[b].representative
-        members = classes[a].members
-        orbits = group.centralizer_orbits(r, members) if per_orbit else [(h,) for h in members]
-        return ((orbit, test(r, orbit[0])) for orbit in orbits if orbit[0] != r)
-
-    labels = _class_labels(group, partition)
-    if partition.kind == "equality":
-        mul, inv = group.mul, group.inv
-        masks = [0] * group.order
-        for b, cls in enumerate(classes):
-            hits = [h for a in range(b + 1) for orbit, ok in verdicts(a, b) if ok for h in orbit]
-            for m, x in zip(cls.members, cls.conjugators):
-                if x:
-                    x_inv = inv(x)
-                    row = [mul(mul(x_inv, h), x) for h in hits]
+    equality = partition.kind == "equality"
+    part_of, mul, inv = partition.class_of, group.mul, group.inv
+    masks = [0] * len(partition.classes)
+    for b, cls in enumerate(classes):
+        r = cls.representative
+        j, hits = part_of[r], []
+        for a in range(b + 1):
+            members = classes[a].members
+            i = part_of[members[0]]
+            if not equality and (i == j or masks[j] >> i & 1):
+                continue
+            for orbit in group.centralizer_orbits(r, members) if per_orbit else zip(members):
+                if orbit[0] == r or not test(r, orbit[0]):
+                    continue
+                if equality:
+                    hits.extend(orbit)
                 else:
-                    row = hits
-                bit, mask = 1 << m, 0
-                for h in row:
-                    masks[h] |= bit
-                    mask |= 1 << h
-                masks[m] |= mask
-        return Graph._from_masks(labels, masks)
-    parts = [[] for _ in partition.classes]
-    for c, cls in enumerate(classes):
-        parts[partition.class_of[cls.representative]].append(c)
-    return Graph(labels, [
-        (i, j)
-        for i, j in itertools.combinations(range(len(parts)), 2)
-        if any(ok for a in parts[i] for b in parts[j] for _, ok in verdicts(min(a, b), max(a, b)))
-    ])
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+                    break
+        if not hits:
+            continue
+        for m, x in zip(cls.members, cls.conjugators):
+            if x:
+                x_inv = inv(x)
+                row = [mul(mul(x_inv, h), x) for h in hits]
+            else:
+                row = hits
+            bit, mask = 1 << m, 0
+            for h in row:
+                masks[h] |= bit
+                mask |= 1 << h
+            masks[m] |= mask
+    return Graph._from_masks(_class_labels(group, partition), masks)
 
 
 @dataclass(frozen=True)

@@ -208,8 +208,11 @@ class Graph:
         return Graph(data["labels"], [tuple(e) for e in edges])
 
     def to_dot(self, name: str = "G") -> str:
+        """The graph in DOT, one quoted label per vertex, with backslashes and
+        double quotes escaped so that any label reads back unchanged."""
         lines = [f"graph {name} {{"]
         for i, lbl in enumerate(self.labels):
+            lbl = lbl.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  v{i} [label="{lbl}"];')
         for u, vs in self.edge_rows():
             lines.extend(f"  v{u} -- v{v};" for v in vs)

@@ -10,6 +10,7 @@ import pytest
 import supergraphs as sg
 from supergraphs.constructions import (
     KINDS,
+    _pair_test,
     base_adjacent,
     build_compressed,
     build_partition,
@@ -456,3 +457,56 @@ def test_equality_scan_tests_each_class_pair_from_its_larger_class(group, tests)
     assert graph == Graph(group.labels(), [
         (g, h) for g, h in itertools.combinations(range(group.order), 2) if group.commutes(g, h)
     ])
+
+
+def contract(delta, partition):
+    """delta contracted onto the partition: classes i != j are joined when
+    some vertex of i has a neighbour in j, read from one OR mask per class."""
+    rows, members = [0] * len(partition.classes), [0] * len(partition.classes)
+    for v, mask in enumerate(delta.masks):
+        rows[partition.class_of[v]] |= mask
+        members[partition.class_of[v]] |= 1 << v
+    return [
+        sum(1 << j for j, cls in enumerate(members) if j != i and row & cls)
+        for i, row in enumerate(rows)
+    ]
+
+
+@pytest.mark.parametrize("name", [*EQUALITY_MASK_GROUPS, "S5"])
+def test_coarse_deltas_are_contractions_of_the_equality_delta(name):
+    """A conjugacy or order class is a union of elements, so its delta is the
+    equality delta contracted onto the partition. The brute-force check above
+    stops at order 8; these groups reach order 120, and their order classes
+    hold several conjugacy classes each, whose pairs the scan skips once the
+    order classes are related."""
+    group = {**EQUALITY_MASK_GROUPS, "S5": lambda: sg.symmetric(5)}[name]()
+    for kind in KINDS:
+        fine = quotient_supergraph(group, kind, "equality").delta
+        for pkind in ("conjugacy", "order"):
+            delta = quotient_supergraph(group, kind, pkind).delta
+            assert list(delta.masks) == contract(fine, build_partition(group, pkind)), (kind, pkind)
+
+
+@pytest.mark.parametrize("kind, pkind, tests", [("power", "order", 1280),
+                                                ("commuting", "order", 1126),
+                                                ("commuting", "conjugacy", 1612)])
+def test_coarse_scan_stops_at_the_first_hit_of_each_class_pair(kind, pkind, tests):
+    """On S6, no test pairs two elements of one partition class, and no test
+    follows the first hit that relates its two partition classes."""
+    group = sg.symmetric(6)
+    partition = build_partition(group, pkind)
+    base = _pair_test(group, kind)
+    calls, related = [], set()
+
+    def recording_test(g, h):
+        pair = frozenset((partition.class_of[g], partition.class_of[h]))
+        assert len(pair) == 2 and pair not in related, (g, h)
+        calls.append(pair)
+        ok = base(g, h)
+        if ok:
+            related.add(pair)
+        return ok
+
+    delta = class_graph(group, recording_test, False, partition)
+    assert len(calls) == tests
+    assert related == {frozenset(e) for e in delta.edges()}

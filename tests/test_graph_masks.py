@@ -1,9 +1,11 @@
 """Seeded property tests of the bitmask graph operations against set-based
-definitions, on random graphs with at most 40 vertices."""
+definitions, on random graphs with at most 40 vertices, and of the JSON and
+DOT round trips."""
 
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -89,6 +91,47 @@ def test_json_round_trip(graph):
     assert data["edges"] == [list(e) for e in graph.edges()]
     again = Graph.from_json_dict(data)
     assert again == graph and hash(again) == hash(graph)
+
+
+# a DOT vertex statement; a quoted label ends at the first quote that no
+# backslash escapes
+DOT_VERTEX = re.compile(r'  v(\d+) \[label="((?:[^"\\]|\\.)*)"\];\n', re.DOTALL)
+DOT_EDGE = re.compile(r"  v(\d+) -- v(\d+);\n")
+
+
+def parse_dot(text):
+    """The labels and edges of a graph that `Graph.to_dot` wrote."""
+    assert text.startswith("graph G {\n") and text.endswith("}\n")
+    body, pos, labels, edges = text[:-2], len("graph G {\n"), [], []
+    while match := DOT_VERTEX.match(body, pos):
+        assert int(match[1]) == len(labels)
+        labels.append(re.sub(r"\\(.)", r"\1", match[2], flags=re.DOTALL))
+        pos = match.end()
+    while match := DOT_EDGE.match(body, pos):
+        edges.append((int(match[1]), int(match[2])))
+        pos = match.end()
+    assert pos == len(body), body[pos:]
+    return Graph(labels, edges)
+
+
+# any text, with the characters that DOT quoting must handle drawn often
+label_text = st.text(st.sampled_from('"\\\n') | st.characters(), max_size=8)
+
+
+@SEEDED
+@given(graphs(max_n=12), st.lists(label_text, min_size=12, max_size=12, unique=True))
+def test_dot_round_trip_keeps_every_label(graph, labels):
+    """Quotes, backslashes (a trailing one too) and newlines in labels are
+    written so that each label reads back as it was."""
+    graph = Graph._from_masks(labels[: graph.n], graph.masks)
+    assert parse_dot(graph.to_dot()) == graph
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    dot = Graph(['say "hi"', "C:\\", "e"], [(0, 1)]).to_dot()
+    assert 'v0 [label="say \\"hi\\""];' in dot
+    assert 'v1 [label="C:\\\\"];' in dot
+    assert 'v2 [label="e"];' in dot
 
 
 @SEEDED
