@@ -14,17 +14,20 @@ class graph of "the pair generates" on the equality partition, decided once
 per orbit of pairs and expanded through conjugators. The invariable
 generating graph is the complement, on the conjugacy classes, of the class
 graph of "some pair fails to generate", blown up on the classes with empty
-factors (`graphs.blow_up`). The base graph is the equality supergraph and,
-like the conjugacy supergraph, is expanded from its quotient (see
-`constructions`).
+factors (`graphs.blow_up`).
+
+The containment checks compare each check's relation on classes (on the
+equality partition, the generating graph itself) with the supergraph's delta
+on the same classes and expand no supergraph: the violations are read from
+the blow-up of the class pairs joined in both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constructions import PROPERTY_OF_KIND, build_partition, build_supergraph, class_graph
-from .graphs import Graph, blow_up, edge_difference
+from .constructions import PROPERTY_OF_KIND, build_partition, class_graph, quotient_supergraph
+from .graphs import Graph, blow_up, intersection
 from .groups import FiniteGroup, InvalidGroupSpec, SizeCapError, make_group
 
 GENERATION_KINDS = ("abelian", "nilpotent", "solvable")
@@ -55,6 +58,13 @@ def generating_graph(group: FiniteGroup) -> Graph:
     return class_graph(group, _generates(group), True, build_partition(group, "equality"))
 
 
+def _invariable_classes(group: FiniteGroup) -> Graph:
+    """The conjugacy classes every pair across which generates the group."""
+    generates = _generates(group)
+    partition = build_partition(group, "conjugacy")
+    return class_graph(group, lambda g, h: not generates(g, h), True, partition).complement()
+
+
 def invariable_generating_graph(group: FiniteGroup) -> Graph:
     """x ~ y iff every conjugate pair generates the group.
 
@@ -62,13 +72,11 @@ def invariable_generating_graph(group: FiniteGroup) -> Graph:
     for whole pairs of conjugacy classes, and an adjacent pair of classes is
     joined completely. A class never joins itself: the conjugate pairs of x
     include (x, x), and a class with two or more members rules out a cyclic
-    group. So the graph is the blow-up, with empty factors, of the
-    complement of the class graph in which some pair fails to generate.
+    group. So the graph is the blow-up, with empty factors, of the class
+    graph `_invariable_classes`.
     """
-    partition = build_partition(group, "conjugacy")
-    generates = _generates(group)
-    fails = class_graph(group, lambda g, h: not generates(g, h), True, partition)
-    return blow_up(fails.complement(), partition.classes, group.labels(), "empty")
+    classes = build_partition(group, "conjugacy").classes
+    return blow_up(_invariable_classes(group), classes, group.labels(), "empty")
 
 
 @dataclass(frozen=True)
@@ -98,10 +106,14 @@ def containment_checks(group: FiniteGroup, checks=_CHECKS) -> list[ContainmentRe
 
     Kinds whose property the whole group already has are skipped (reported as
     not applicable): the containments are only claimed for non-A groups. A
-    check's graph is built once, when the first applicable kind needs it.
+    check's relation on classes is built once, when the first applicable
+    kind needs it. Its graph and the supergraph are blow-ups over the same
+    classes, with empty and complete factors, so the graph is the
+    supergraph's complement iff the relation is delta's complement, and its
+    violations blow up the class pairs joined in both.
     """
     reports = []
-    generated = {}
+    relations = {}
     for kind in GENERATION_KINDS:
         if getattr(group, f"is_{kind}")():
             for check, _ in checks:
@@ -110,14 +122,16 @@ def containment_checks(group: FiniteGroup, checks=_CHECKS) -> list[ContainmentRe
                 )
             continue
         for check, pkind in checks:
-            if check not in generated:
-                build = generating_graph if check == "generating-vs-base" else invariable_generating_graph
-                generated[check] = build(group)
-            graph = generated[check]
-            complement = build_supergraph(group, _BASE_FOR_KIND[kind], pkind).complement()
-            violations = tuple(edge_difference(graph, complement).edges())
+            if check not in relations:
+                build = generating_graph if check == "generating-vs-base" else _invariable_classes
+                relations[check] = build(group)
+            relation = relations[check]
+            quotient = quotient_supergraph(group, _BASE_FOR_KIND[kind], pkind)
+            clash = intersection(relation, quotient.delta)
+            violations = tuple(blow_up(clash, quotient.classes, group.labels(), "empty").edges())
             reports.append(ContainmentReport(
-                group.label, kind, check, True, not violations, graph == complement, violations
+                group.label, kind, check, True, not violations,
+                relation == quotient.delta.complement(), violations,
             ))
     return reports
 

@@ -24,8 +24,9 @@ or its class, is universal.
 
 A composition delta[F_1, ..., F_k] whose factors are all complete or all
 empty is given by delta and its classes of vertices alone: `blow_up` builds
-it, and `wiener_via_composition` reads its Wiener index from delta, the
-factor sizes and the factor kinds.
+it, `contract` reads delta back from a graph and its classes, and
+`wiener_via_composition` reads its Wiener index from delta, the factor sizes
+and the factor kinds.
 
 Comparability is decided by Gallai's theorem, with no search: one union-find
 merges the arcs whose orientations force each other, and the graph is a
@@ -383,6 +384,21 @@ def blow_up(delta: Graph, classes, labels, factor: str) -> Graph:
         row = reduce(or_, adjacent, class_masks[i] * own)
         for v in members:
             masks[v] = row ^ own << v
+    return Graph._from_masks(labels, masks)
+
+
+def contract(graph: Graph, classes, labels) -> Graph:
+    """The inverse of `blow_up`: vertex i, labelled labels[i], merges the
+    vertices of classes[i], which partition graph's vertices. Classes i != j
+    are joined when the OR of i's vertex masks, less i's vertices, meets j's."""
+    if len(classes) != len(labels) or sorted(itertools.chain(*classes)) != list(range(graph.n)):
+        raise ValueError("contraction needs a label per class and a partition of the vertices")
+    class_masks = [sum(1 << v for v in members) for members in classes]
+    bits = [1 << j for j in range(len(classes))]
+    masks = []
+    for members, own in zip(classes, class_masks):
+        row = reduce(or_, map(graph.masks.__getitem__, members), 0) & ~own
+        masks.append(sum(itertools.compress(bits, map(and_, itertools.repeat(row), class_masks))))
     return Graph._from_masks(labels, masks)
 
 

@@ -140,10 +140,6 @@ class FiniteGroup:
     def commutes(self, g: int, h: int) -> bool:
         return self.mul(g, h) == self.mul(h, g)
 
-    def conjugate(self, g: int, x: int) -> int:
-        """x^-1 * g * x."""
-        return self.mul(self.mul(self.inv(x), g), x)
-
     def centralizer(self, g: int) -> tuple[int, ...]:
         """The sorted members of C(g)."""
         return tuple(h for h in self.elements() if self.commutes(g, h))

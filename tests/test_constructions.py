@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 import supergraphs as sg
+from supergraphs import constructions
 from supergraphs.constructions import (
     KINDS,
     _pair_test,
@@ -19,7 +20,16 @@ from supergraphs.constructions import (
     hierarchy_report,
     quotient_supergraph,
 )
-from supergraphs.graphs import Complete, Empty, Graph, Join, compose_graphs, eval_expr
+from supergraphs.graphs import (
+    Complete,
+    Empty,
+    Graph,
+    Join,
+    compose_graphs,
+    contract,
+    eval_expr,
+    is_subgraph,
+)
 
 
 def small_catalog():
@@ -359,6 +369,36 @@ def test_hierarchy_s4():
     assert hierarchy_report(sg.symmetric(4)).passed
 
 
+def test_hierarchy_catches_a_spurious_edge_that_containment_misses(monkeypatch):
+    """One spurious edge in S4's nilpotent order delta, which has 4 of 6
+    edges, joining the classes of orders 4 and 3. The solvable order delta is
+    complete, so the kind chain still holds, and so does the element-level
+    containment of the conjugacy supergraph in the order supergraph: only the
+    contraction identity breaks, on that one link."""
+    s4 = sg.symmetric(4)
+    real = constructions.quotient_supergraph
+    honest = real(s4, "nilpotent", "order")
+    assert honest.delta.labels[1:3] == ("(1 2 3 4)", "(2 3 4)")
+    assert honest.delta.num_edges == 4 and not honest.delta.has_edge(1, 2)
+    planted = constructions.QuotientDecomposition(
+        Graph(honest.delta.labels, [*honest.delta.edges(), (1, 2)]), honest.classes
+    )
+
+    def quotient(group, kind, pkind):
+        return planted if (kind, pkind) == ("nilpotent", "order") else real(group, kind, pkind)
+
+    monkeypatch.setattr(constructions, "quotient_supergraph", quotient)
+    assert is_subgraph(
+        build_supergraph(s4, "nilpotent", "conjugacy"), build_supergraph(s4, "nilpotent", "order")
+    )
+    report = hierarchy_report(s4)
+    assert not report.passed and report.order_coincidence
+    assert all(link["holds"] for link in report.kind_chain)
+    broken = [(link["kind"], link["lower"], link["upper"])
+              for link in report.partition_chain if not link["holds"]]
+    assert broken == [("nilpotent", "conjugacy", "order")]
+
+
 def test_kind_chain_strict_in_s4():
     """Each base-graph inclusion is strict somewhere in S4 except
     power=enhanced; the solvable graph there is complete."""
@@ -459,19 +499,6 @@ def test_equality_scan_tests_each_class_pair_from_its_larger_class(group, tests)
     ])
 
 
-def contract(delta, partition):
-    """delta contracted onto the partition: classes i != j are joined when
-    some vertex of i has a neighbour in j, read from one OR mask per class."""
-    rows, members = [0] * len(partition.classes), [0] * len(partition.classes)
-    for v, mask in enumerate(delta.masks):
-        rows[partition.class_of[v]] |= mask
-        members[partition.class_of[v]] |= 1 << v
-    return [
-        sum(1 << j for j, cls in enumerate(members) if j != i and row & cls)
-        for i, row in enumerate(rows)
-    ]
-
-
 @pytest.mark.parametrize("name", [*EQUALITY_MASK_GROUPS, "S5"])
 def test_coarse_deltas_are_contractions_of_the_equality_delta(name):
     """A conjugacy or order class is a union of elements, so its delta is the
@@ -484,7 +511,8 @@ def test_coarse_deltas_are_contractions_of_the_equality_delta(name):
         fine = quotient_supergraph(group, kind, "equality").delta
         for pkind in ("conjugacy", "order"):
             delta = quotient_supergraph(group, kind, pkind).delta
-            assert list(delta.masks) == contract(fine, build_partition(group, pkind)), (kind, pkind)
+            classes = build_partition(group, pkind).classes
+            assert contract(fine, classes, delta.labels) == delta, (kind, pkind)
 
 
 @pytest.mark.parametrize("kind, pkind, tests", [("power", "order", 1280),

@@ -12,7 +12,8 @@ from supergraphs.generation import (
     generating_graph,
     invariable_generating_graph,
 )
-from supergraphs.graphs import Graph
+from supergraphs.constructions import QuotientDecomposition
+from supergraphs.graphs import Graph, blow_up, edge_difference
 from supergraphs.groups import closure_set, make_group
 
 
@@ -77,10 +78,13 @@ def test_fixed_representative_scan_equals_full_double_scan():
         assert group.order <= 24
         order = group.order
         igg = invariable_generating_graph(group)
+
+        def conjugate(g, x):
+            return group.mul(group.mul(group.inv(x), g), x)
+
         for x, y in itertools.combinations(range(order), 2):
             full = all(
-                len(group.pair_subgroup_members(group.conjugate(x, g), group.conjugate(y, h)))
-                == order
+                len(group.pair_subgroup_members(conjugate(x, g), conjugate(y, h))) == order
                 for g in range(order)
                 for h in range(order)
             )
@@ -145,6 +149,38 @@ def test_containment_a5_solvable_kind():
     assert reports[("solvable", "generating-vs-base")].equal
 
 
+def test_planted_class_pair_is_reported_element_by_element(monkeypatch):
+    """One extra class pair in A5's conjugacy solvable delta, between two
+    classes that the invariable generating graph joins. The check compares
+    classes, yet its violations are exactly the element-level ones: the
+    edges of the invariable generating graph missing from the complement of
+    the planted supergraph."""
+    a5 = sg.alternating(5)
+    real = generation.quotient_supergraph
+    honest = real(a5, "solvable", "conjugacy")
+    igg = invariable_generating_graph(a5)
+    i, j = next(
+        (i, j) for i, j in itertools.combinations(range(honest.delta.n), 2)
+        if not honest.delta.has_edge(i, j) and igg.has_edge(honest.classes[i][0], honest.classes[j][0])
+    )
+    planted = QuotientDecomposition(
+        Graph(honest.delta.labels, [*honest.delta.edges(), (i, j)]), honest.classes
+    )
+
+    def quotient(group, kind, pkind):
+        return planted if (kind, pkind) == ("solvable", "conjugacy") else real(group, kind, pkind)
+
+    monkeypatch.setattr(generation, "quotient_supergraph", quotient)
+    reports = {(r.kind, r.check): r for r in containment_checks(a5)}
+    supergraph = blow_up(planted.delta, planted.classes, a5.labels(), "complete")
+    expected = edge_difference(igg, supergraph.complement()).edges()
+    r = reports[("solvable", "invariable-vs-super")]
+    assert not r.contained and not r.equal
+    assert list(r.violations) == expected
+    assert len(expected) == len(honest.classes[i]) * len(honest.classes[j])
+    assert all(r.contained for key, r in reports.items() if key != ("solvable", "invariable-vs-super"))
+
+
 def test_equality_scan_flags_s3():
     report = equality_scan([{"kind": "symmetric", "n": 3}])
     assert report.passed
@@ -180,10 +216,10 @@ def test_equality_scan_builds_only_the_invariable_check(monkeypatch):
     def refuse(group):
         raise AssertionError("the scan built a generating graph")
 
-    partitions, build = [], generation.build_supergraph
+    partitions, build = [], generation.quotient_supergraph
     monkeypatch.setattr(generation, "generating_graph", refuse)
     monkeypatch.setattr(
-        generation, "build_supergraph",
+        generation, "quotient_supergraph",
         lambda group, kind, pkind: partitions.append(pkind) or build(group, kind, pkind),
     )
     report = equality_scan(specs)

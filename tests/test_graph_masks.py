@@ -17,6 +17,7 @@ from supergraphs.graphs import (  # noqa: E402
     Graph,
     blow_up,
     compose_graphs,
+    contract,
     edge_difference,
     intersection,
     is_subgraph,
@@ -177,6 +178,28 @@ def test_blow_up_matches_pairwise_expansion(delta, rng, factor):
     labels = [f"g{v}" for v in range(len(vertices))]
     expected = pairwise_blow_up(delta, classes, labels, factor)
     assert blow_up(delta, classes, labels, factor) == expected
+
+
+@SEEDED
+@given(graphs(max_n=8), rngs, st.sampled_from(("complete", "empty")))
+def test_contract_inverts_blow_up(delta, rng, factor):
+    """Contracting a blow-up onto its classes gives delta back, whatever the
+    factors: edges inside a class are dropped."""
+    sizes = [rng.randint(1, 4) for _ in range(delta.n)]
+    vertices = list(range(sum(sizes)))
+    rng.shuffle(vertices)
+    classes = [sorted(vertices[a:a + size])
+               for a, size in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    labels = [f"g{v}" for v in range(len(vertices))]
+    assert contract(blow_up(delta, classes, labels, factor), classes, delta.labels) == delta
+
+
+def test_contract_needs_a_partition_and_a_label_per_class():
+    graph = Graph.complete(3)
+    for classes in ([(0,), (1,)], [(0, 1), (1, 2)], [(0,), (1, 3)], [(0, 1, 2)]):
+        with pytest.raises(ValueError):
+            contract(graph, classes, ["a", "b"])
+    assert contract(graph, [(0, 2), (1,)], ["a", "b"]) == Graph.complete(2, ["a", "b"])
 
 
 def test_blow_up_needs_a_partition():

@@ -1,5 +1,5 @@
 """Graph operations against networkx: the isomorphism test and its witness,
-and the strong product."""
+the strong product, and the contraction onto classes of vertices."""
 
 import itertools
 import math
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from supergraphs.graphs import Graph, is_isomorphic, strong_product
+from supergraphs.graphs import Graph, contract, is_isomorphic, strong_product
 
 nx = pytest.importorskip("networkx")
 
@@ -64,3 +64,20 @@ def test_strong_product_matches_networkx(seed):
     assert set(product.edges()) == {
         tuple(sorted((u * rn + v, x * rn + y))) for (u, v), (x, y) in expected.edges()
     }
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_contract_matches_networkx_quotient_graph(seed):
+    """Vertex i of the contraction is the block classes[i] of the quotient."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    graph = random_graph(rng, n, rng.randint(0, math.comb(n, 2)))
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    classes = [sorted(vertices[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    labels = [f"c{i}" for i in range(len(classes))]
+    quotient = nx.quotient_graph(to_networkx(graph), [set(c) for c in classes])
+    index = {frozenset(c): i for i, c in enumerate(classes)}
+    expected = {tuple(sorted((index[b], index[c]))) for b, c in quotient.edges()}
+    assert contract(graph, classes, labels) == Graph(labels, expected)
