@@ -17,8 +17,6 @@ from .constructions import (
 )
 from .families import (
     FAMILIES,
-    cscom,
-    escom,
     family_graph,
     structure_expr,
     verify_family,
@@ -40,10 +38,10 @@ from .graphs import (
     Join,
     Union,
     compose_graphs,
+    cotree_isomorphic,
     eval_expr,
     intersection,
     is_comparability,
-    is_isomorphic,
     strong_product,
     wiener_index,
     wiener_supergraph_formula,

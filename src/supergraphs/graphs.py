@@ -1,7 +1,8 @@
 """Finite simple graphs and the operations the supergraph constructions need:
 join, disjoint union, intersection, strong product, generalized composition,
 the blow-up of a quotient graph into complete or empty factors, distances,
-Wiener index, isomorphism with witness, and comparability testing.
+Wiener index, isomorphism of cographs by their cotrees, and comparability
+testing.
 
 Graphs are immutable, vertices carry unique string labels, and every operation
 defines a deterministic output order (factors in base order, products in
@@ -28,6 +29,10 @@ it, `contract` reads delta back from a graph and its classes, and
 `wiener_via_composition` reads its Wiener index from delta, the factor sizes
 and the factor kinds.
 
+Isomorphism is decided for cographs only, with no search: iterated twin
+reduction builds each graph's canonical cotree as one interned id, and a graph
+that does not reduce to one vertex holds an induced P4.
+
 Comparability is decided by Gallai's theorem, with no search: one union-find
 merges the arcs whose orientations force each other, and the graph is a
 comparability graph iff no class holds an arc and its reverse.
@@ -43,7 +48,7 @@ from operator import and_, or_
 
 from .groups import SizeCapError
 
-ISO_VERTEX_CAP = 64
+COMPARABILITY_VERTEX_CAP = 64
 
 FACTOR_KINDS = ("complete", "empty")
 
@@ -481,71 +486,63 @@ def wiener_supergraph_formula(delta: Graph, sizes) -> int:
     return wiener_via_composition(delta, sizes, ("complete",) * delta.n)
 
 
-# --- isomorphism ---
+# --- isomorphism of cographs ---
 
 
-def _signatures(graph: Graph) -> list[tuple]:
-    return [
-        (
-            graph.degree(v),
-            tuple(sorted(graph.degree(u) for u in _bits(graph.masks[v]))),
-        )
-        for v in range(graph.n)
-    ]
+def cotree_isomorphic(left: Graph, right: Graph) -> bool:
+    """Whether two cographs are isomorphic, read from their canonical cotrees.
 
-
-def check_isomorphism_cap(n: int) -> None:
-    """Raise SizeCapError if an n-vertex graph is beyond the isomorphism search."""
-    if n > ISO_VERTEX_CAP:
-        raise SizeCapError(f"isomorphism search capped at {ISO_VERTEX_CAP} vertices")
-
-
-def is_isomorphic(left: Graph, right: Graph) -> tuple[bool, list[int] | None]:
-    """Backtracking isomorphism test with degree-signature pruning.
-
-    Returns (answer, witness); the witness maps left vertex i to right vertex
-    witness[i]. Capped at 64 vertices per side.
+    Each round merges every twin class of the live vertices into its first
+    member: false twins share `mask & alive`, true twins share
+    `(mask | 1 << v) & alive`. A class is a module, so the live graph stays
+    the quotient by the merged classes. No vertex has twins of both kinds (a
+    true twin of u is adjacent to u, hence to every false twin of u, which
+    would then be adjacent to u), so both kinds merge in the same round. A
+    merge is interned as (0 for a union, 1 for a join, sorted child ids) in
+    one table both graphs share, a child of the same kind flattened into its
+    parent, so equal ids mean isomorphic subtrees. A graph reduces to one
+    vertex iff it is a cograph, and then its id names its canonical cotree,
+    which fixes the graph up to isomorphism (Corneil, Lerchs & Stewart,
+    Discrete Appl. Math. 3, 1981). A residue of two or more vertices has no
+    twins, which every cograph of two or more vertices has, so the graph
+    holds an induced P4. A cograph is never isomorphic to a graph with a
+    residue; two graphs with residues raise ValueError.
     """
-    check_isomorphism_cap(max(left.n, right.n))
-    if left.n != right.n or left.num_edges != right.num_edges:
-        return False, None
-    sig_l = _signatures(left)
-    sig_r = _signatures(right)
-    if sorted(sig_l) != sorted(sig_r):
-        return False, None
-
-    candidates = {
-        v: [w for w in range(right.n) if sig_r[w] == sig_l[v]]
-        for v in range(left.n)
-    }
-    order = sorted(range(left.n), key=lambda v: (len(candidates[v]), -left.degree(v), v))
-    mapping = [-1] * left.n
-    used = [False] * right.n
-
-    def backtrack(pos: int) -> bool:
-        if pos == left.n:
-            return True
-        v = order[pos]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in order[:pos]:
-                if left.has_edge(v, u) != right.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(pos + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    if backtrack(0):
-        return True, mapping
-    return False, None
+    nodes = [(-1, ())]  # node 0 is a single vertex
+    table: dict[tuple, int] = {}
+    roots = []
+    for graph in (left, right):
+        ids = [0] * graph.n
+        alive = (1 << graph.n) - 1
+        merged = True
+        while merged and alive & alive - 1:
+            classes: dict[tuple, list[int]] = {}
+            for v in _bits(alive):
+                closed = (graph.masks[v] | 1 << v) & alive
+                classes.setdefault((0, closed ^ 1 << v), []).append(v)
+                classes.setdefault((1, closed), []).append(v)
+            merged = False
+            for (kind, _), members in classes.items():
+                if len(members) < 2:
+                    continue
+                children = itertools.chain.from_iterable(
+                    nodes[ids[v]][1] if nodes[ids[v]][0] == kind else (ids[v],)
+                    for v in members
+                )
+                key = (kind, tuple(sorted(children)))
+                if key not in table:
+                    table[key] = len(nodes)
+                    nodes.append(key)
+                ids[members[0]] = table[key]
+                alive ^= sum(1 << v for v in members[1:])
+                merged = True
+        if alive & alive - 1:
+            roots.append(None)  # a residue: no twins left among its vertices
+        else:
+            roots.append(ids[alive.bit_length() - 1] if alive else -1)
+    if roots == [None, None]:
+        raise ValueError("neither graph is a cograph: both hold an induced P4")
+    return roots[0] == roots[1]
 
 
 # --- comparability (transitive orientation) ---
@@ -562,8 +559,8 @@ def is_comparability(graph: Graph) -> bool:
     Perfect Graphs, ch. 5). No search: two unions per vertex u and pair of
     non-adjacent neighbours v < w of u.
     """
-    if graph.n > ISO_VERTEX_CAP:
-        raise SizeCapError(f"comparability search capped at {ISO_VERTEX_CAP} vertices")
+    if graph.n > COMPARABILITY_VERTEX_CAP:
+        raise SizeCapError(f"comparability search capped at {COMPARABILITY_VERTEX_CAP} vertices")
     parent = {arc: arc for u, v in graph.edges() for arc in ((u, v), (v, u))}
 
     def find(arc):

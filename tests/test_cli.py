@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from supergraphs import cli
+from supergraphs import cli, families
 from supergraphs.cli import COMMANDS, main
 from supergraphs.constructions import build_supergraph
 from supergraphs.graphs import Graph
@@ -226,14 +226,25 @@ def test_verify_empty_range_exit_2(capsys, suite):
 
 
 @pytest.mark.parametrize("suite", ["structure", "wiener"])
-def test_verify_beyond_isomorphism_cap_exits_before_building(capsys, suite):
-    """D_1600 has 1600 vertices; building its commuting graph first took
-    over 2 s and 250 MB before the same exit 3."""
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", suite, "--family", "escom-d", "--n", "800..801")
-    assert code == 3 and not out
-    assert "isomorphism search capped at 64 vertices" in err
-    assert time.perf_counter() - start < 1.0
+@pytest.mark.parametrize("family,n,order", [("escom-d", 33, 66), ("cscom-q", 17, 68)])
+def test_verify_runs_past_64_vertices(capsys, suite, family, n, order):
+    """D66 and Q68: the family suites have no vertex cap."""
+    code, out, _ = run_cli(capsys, "verify", suite, "--family", family, "--n", str(n))
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert [(r["n"], r["vertices"], r["passed"]) for r in report["records"]] == [(n, order, True)]
+
+
+def test_verify_structure_exits_1_on_a_wrong_expression(capsys, monkeypatch):
+    """A planted defect: the n + 1 expression for every n."""
+    wrong = families.structure_expr
+    monkeypatch.setattr(families, "structure_expr", lambda family, n: wrong(family, n + 1))
+    code, out, _ = run_cli(capsys, "verify", "structure", "--family", "cscom-d", "--n", "5..6")
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert [(r["isomorphic"], r["passed"]) for r in report["records"]] == [(False, False)] * 2
 
 
 @pytest.mark.parametrize("cap", ["abc", "-5", "0", "1.5"])

@@ -3,10 +3,8 @@ generalized quaternion families."""
 
 import pytest
 
-import supergraphs as sg
+from supergraphs import families
 from supergraphs.families import (
-    cscom,
-    escom,
     family_case,
     family_graph,
     structure_expr,
@@ -18,6 +16,7 @@ from supergraphs.graphs import (
     Composition,
     Join,
     Union,
+    cotree_isomorphic,
     eval_expr,
     wiener_index,
 )
@@ -60,12 +59,11 @@ def test_structure_expr_cscom_d6():
 
 
 def test_escom_q8_matches_structure():
-    actual = escom(sg.quaternion(2))
+    actual = family_graph("escom-q", 2)
     expected = eval_expr(
         Join(Complete(2), Union((Complete(2), Complete(2), Complete(2))))
     )
-    ok, witness = sg.is_isomorphic(actual, expected)
-    assert ok and witness is not None
+    assert cotree_isomorphic(actual, expected)
 
 
 @pytest.mark.parametrize(
@@ -118,16 +116,28 @@ def test_quaternion_graphs_match_even_dihedral():
     """ESCom and CSCom of the quaternion group of order 4n coincide with those
     of the dihedral group of order 4n."""
     for n in range(2, 7):
-        q = sg.quaternion(n)
-        d = sg.dihedral(2 * n)
-        assert sg.is_isomorphic(escom(q), escom(d))[0]
-        assert sg.is_isomorphic(cscom(q), cscom(d))[0]
+        assert cotree_isomorphic(family_graph("escom-q", n), family_graph("escom-d", 2 * n))
+        assert cotree_isomorphic(family_graph("cscom-q", n), family_graph("cscom-d", 2 * n))
 
 
 def test_dominant_vertex_counts():
-    assert dominant_count(escom(sg.dihedral(5))) == 1
-    assert dominant_count(escom(sg.dihedral(7))) == 1
-    assert dominant_count(escom(sg.dihedral(4))) == 2
-    assert dominant_count(escom(sg.dihedral(6))) == 2
+    assert dominant_count(family_graph("escom-d", 5)) == 1
+    assert dominant_count(family_graph("escom-d", 7)) == 1
+    assert dominant_count(family_graph("escom-d", 4)) == 2
+    assert dominant_count(family_graph("escom-d", 6)) == 2
     for n in range(2, 6):
-        assert dominant_count(escom(sg.quaternion(n))) == 2
+        assert dominant_count(family_graph("escom-q", n)) == 2
+
+
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_verify_family_fails_on_a_wrong_expression(monkeypatch, family):
+    """A planted defect: the n + 1 expression for every n must fail the
+    structure check, and only it, since the Wiener values stay right."""
+    wrong = families.structure_expr
+    monkeypatch.setattr(families, "structure_expr", lambda family, n: wrong(family, n + 1))
+    least = families.FAMILY_RANGES[family][0]
+    report = verify_family(family, range(least, least + 4))
+    assert not report.passed
+    for record in report.records:
+        assert not record["isomorphic"] and not record["passed"]
+        assert record["wiener_bfs"] == record["wiener_formula"] == record["wiener_closed"]

@@ -15,11 +15,11 @@ from supergraphs.graphs import (
     Empty,
     Graph,
     compose_graphs,
+    cotree_isomorphic,
     disjoint_union,
     eval_expr,
     intersection,
     is_comparability,
-    is_isomorphic,
     join,
     strong_product,
     wiener_index,
@@ -143,7 +143,7 @@ def test_intersection_basics():
     minus2 = Graph(k4.labels, [e for e in k4.edges() if e != (2, 3)])
     got = intersection(minus1, minus2)
     assert got.num_edges == 4
-    assert is_isomorphic(got, Graph.cycle(4))[0]
+    assert cotree_isomorphic(got, Graph.cycle(4))
     g = Graph.path(4)
     assert intersection(g, g) == g
     assert intersection(g, Graph.empty(4, g.labels)).num_edges == 0
@@ -268,42 +268,38 @@ def test_wiener_formula_matches_composition_all_complete():
         assert wiener_supergraph_formula(base, sizes) == via_composition
 
 
-# --- isomorphism ---
+# --- isomorphism of cographs ---
 
 
 def test_isomorphic_c4_vs_k4_minus_matching():
-    ok, witness = is_isomorphic(Graph.cycle(4), k4_minus_matching())
-    assert ok and witness is not None
+    assert cotree_isomorphic(Graph.cycle(4), k4_minus_matching())
 
 
 def test_not_isomorphic_p3_k3():
-    assert is_isomorphic(Graph.path(3), Graph.complete(3)) == (False, None)
+    assert not cotree_isomorphic(Graph.path(3), Graph.complete(3))
 
 
-def test_isomorphism_reflexive_symmetric_and_witness_exact():
+def test_cotree_isomorphism_reflexive_and_symmetric():
+    """P4 and C5 hold an induced P4: paired with each other or themselves
+    they raise, and against a cograph they are not isomorphic."""
     graphs = corpus()
-    for g in graphs:
-        ok, w = is_isomorphic(g, g)
-        assert ok and w is not None
-    for left, right in itertools.combinations(graphs, 2):
-        fwd, w_fwd = is_isomorphic(left, right)
-        bwd, _ = is_isomorphic(right, left)
-        assert fwd == bwd
-        if fwd:
-            for u, v in itertools.combinations(range(left.n), 2):
-                assert left.has_edge(u, v) == right.has_edge(w_fwd[u], w_fwd[v])
-
-
-def test_isomorphism_cap():
-    with pytest.raises(SizeCapError):
-        is_isomorphic(Graph.empty(65), Graph.empty(65))
+    cographs = [g for g in graphs if g not in (Graph.path(4), Graph.cycle(5))]
+    assert len(cographs) == len(graphs) - 2
+    for left, right in itertools.product(graphs, repeat=2):
+        if left not in cographs and right not in cographs:
+            with pytest.raises(ValueError, match="induced P4"):
+                cotree_isomorphic(left, right)
+            continue
+        fwd = cotree_isomorphic(left, right)
+        assert fwd == cotree_isomorphic(right, left) == _brute_force_isomorphic(left, right)
 
 
 def test_isomorphism_distinguishes_same_degree_sequence():
-    # C6 vs 2x C3: both 2-regular on 6 vertices
+    # C6 vs 2x C3: both 2-regular on 6 vertices, and only C6 holds a P4
     c6 = Graph.cycle(6)
     two_triangles = disjoint_union([Graph.complete(3), Graph.complete(3)])
-    assert is_isomorphic(c6, two_triangles) == (False, None)
+    assert not cotree_isomorphic(c6, two_triangles)
+    assert not cotree_isomorphic(two_triangles, c6)
 
 
 # --- comparability ---
@@ -412,17 +408,21 @@ def _brute_force_isomorphic(left, right):
 
 
 def test_isomorphism_matches_brute_force_on_four_vertex_graphs():
+    """The 12 labellings of P4 are the only 4-vertex graphs that are not
+    cographs: a pair of them raises."""
     pairs = list(itertools.combinations(range(4), 2))
     graphs = [
         Graph("abcd", [e for i, e in enumerate(pairs) if mask >> i & 1])
         for mask in range(2 ** len(pairs))
     ]
+    paths = [g for g in graphs if _brute_force_isomorphic(g, Graph.path(4))]
+    assert len(paths) == 12
     for left, right in itertools.combinations(graphs, 2):
-        got, witness = is_isomorphic(left, right)
-        assert got == _brute_force_isomorphic(left, right)
-        if got:
-            for u, v in itertools.combinations(range(4), 2):
-                assert left.has_edge(u, v) == right.has_edge(witness[u], witness[v])
+        if left in paths and right in paths:
+            with pytest.raises(ValueError):
+                cotree_isomorphic(left, right)
+        else:
+            assert cotree_isomorphic(left, right) == _brute_force_isomorphic(left, right)
 
 
 # --- serialization ---
