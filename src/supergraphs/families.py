@@ -122,12 +122,8 @@ def wiener_closed_form(family: str, n: int) -> int:
 
 @dataclass
 class FamilyReport:
-    family: str
     records: list[dict] = field(default_factory=list)
     passed: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "records": self.records, "passed": self.passed}
 
 
 def verify_family(family: str, ns) -> FamilyReport:
@@ -138,7 +134,7 @@ def verify_family(family: str, ns) -> FamilyReport:
     agree exactly: the distance sum over the element graph, the
     composition-of-completes formula over the quotient, and the closed form.
     """
-    report = FamilyReport(family)
+    report = FamilyReport()
     for n in ns:
         group = family_group(family, n)
         quotient = quotient_supergraph(group, "commuting", FAMILY_PARTITIONS[family])

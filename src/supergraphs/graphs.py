@@ -25,9 +25,10 @@ or its class, is universal.
 
 A composition delta[F_1, ..., F_k] whose factors are all complete or all
 empty is given by delta and its classes of vertices alone: `blow_up` builds
-it, `contract` reads delta back from a graph and its classes, and
-`wiener_via_composition` reads its Wiener index from delta, the factor sizes
-and the factor kinds.
+it, and `contract` reads delta back from a graph and its classes. The Wiener
+index of any composition over a connected delta needs only delta, the factor
+sizes and the factors' edge counts (Schwenk's identity), and
+`wiener_via_composition` reads it from those.
 
 Isomorphism is decided for cographs only, with no search: iterated twin
 reduction builds each graph's canonical cotree as one interned id, and a graph
@@ -213,10 +214,11 @@ class Graph:
             raise ValueError("graph edges must be pairs of integer vertex indices")
         return Graph(data["labels"], [tuple(e) for e in edges])
 
-    def to_dot(self, name: str = "G") -> str:
-        """The graph in DOT, one quoted label per vertex, with backslashes and
-        double quotes escaped so that any label reads back unchanged."""
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        """The graph in DOT, named G, one quoted label per vertex, with
+        backslashes and double quotes escaped so that any label reads back
+        unchanged."""
+        lines = ["graph G {"]
         for i, lbl in enumerate(self.labels):
             lbl = lbl.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  v{i} [label="{lbl}"];')
@@ -322,22 +324,14 @@ def eval_expr(expr: GraphExpr) -> Graph:
             raise ValueError("empty graphs need n >= 1")
         return Graph.empty(expr.n)
     if isinstance(expr, Join):
-        return join(eval_expr(expr.left), eval_expr(expr.right))
+        return compose_graphs(Graph.complete(2), [eval_expr(expr.left), eval_expr(expr.right)])
     if isinstance(expr, Union):
-        return disjoint_union([eval_expr(p) for p in expr.parts])
+        return compose_graphs(Graph.empty(len(expr.parts)), [eval_expr(p) for p in expr.parts])
     if isinstance(expr, Composition):
         base = eval_expr(expr.base)
         factors = [eval_expr(f) for f in expr.factors]
         return compose_graphs(base, factors)
     raise TypeError(f"not a graph expression: {expr!r}")
-
-
-def disjoint_union(parts: list[Graph]) -> Graph:
-    return compose_graphs(Graph.empty(len(parts)), parts)
-
-
-def join(left: Graph, right: Graph) -> Graph:
-    return compose_graphs(Graph.complete(2), [left, right])
 
 
 def compose_graphs(base: Graph, factors: list[Graph]) -> Graph:
@@ -451,39 +445,34 @@ def is_subgraph(small: Graph, big: Graph) -> bool:
 # --- composition-based Wiener identities ---
 
 
-def wiener_via_composition(base: Graph, sizes, kinds) -> int:
-    """Wiener index of base[F_1, ..., F_k], factor F_i complete or empty on
-    sizes[i] vertices as kinds[i] says, computed from factor sizes and base
-    distances alone: pairs inside a complete factor are at distance 1, inside
-    an empty factor at distance 2 (through a neighbouring factor), and pairs
-    in distinct factors at the base distance."""
-    sizes, kinds = tuple(sizes), tuple(kinds)
-    if len(sizes) != base.n:
-        raise ValueError("one factor per base vertex required")
-    if len(kinds) != base.n:
-        raise ValueError("one factor kind per base vertex required")
-    for kind in kinds:
-        if kind not in FACTOR_KINDS:
-            raise ValueError(f"unknown factor kind {kind!r}")
+def wiener_via_composition(base: Graph, sizes, inner_edges) -> int:
+    """Wiener index of base[F_1, ..., F_k], factor F_i on sizes[i] vertices
+    with inner_edges[i] edges, by Schwenk's identity: two vertices of one
+    factor are at distance 1 when adjacent and 2 otherwise (through a
+    neighbouring factor), and two vertices of distinct factors at their base
+    distance, so W = sum_i (2 C(n_i, 2) - e_i) + sum_{i<j} n_i n_j d(i, j)."""
+    sizes, inner_edges = tuple(sizes), tuple(inner_edges)
+    if len(sizes) != base.n or len(inner_edges) != base.n:
+        raise ValueError("one factor size and one edge count per base vertex required")
     if any(s < 1 for s in sizes):
         raise ValueError("factor sizes must be positive")
+    pairs = [math.comb(s, 2) for s in sizes]
+    if not all(0 <= e <= p for e, p in zip(inner_edges, pairs)):
+        raise ValueError("a factor on n vertices has between 0 and C(n, 2) edges")
     # distances first: an isolated base vertex beside others is a disconnection
     total = _distance_sum(base, sizes, "composition base must be connected")
-    for i, (size, kind) in enumerate(zip(sizes, kinds)):
-        if kind == "empty" and size >= 2 and base.degree(i) == 0:
-            raise ValueError(
-                "empty factor of size >= 2 on an isolated base vertex has no "
-                "length-two path between its vertices"
-            )
-    for size, kind in zip(sizes, kinds):
-        inner = math.comb(size, 2)
-        total += inner if kind == "complete" else 2 * inner
-    return total
+    if any(e < p and base.degree(i) == 0 for i, (e, p) in enumerate(zip(inner_edges, pairs))):
+        raise ValueError(
+            "a factor that is not complete on an isolated base vertex has no "
+            "length-two path between its non-adjacent vertices"
+        )
+    return total + sum(2 * p - e for e, p in zip(inner_edges, pairs))
 
 
 def wiener_supergraph_formula(delta: Graph, sizes) -> int:
     """Wiener index of delta composed with complete factors of the given sizes."""
-    return wiener_via_composition(delta, sizes, ("complete",) * delta.n)
+    sizes = tuple(sizes)
+    return wiener_via_composition(delta, sizes, [math.comb(s, 2) for s in sizes])
 
 
 # --- isomorphism of cographs ---

@@ -518,7 +518,7 @@ class MetacyclicGroup(FiniteGroup):
 
 
 class CayleyTableGroup(FiniteGroup):
-    def __init__(self, rows: list[list[int]], label: str = "table"):
+    def __init__(self, rows: list[list[int]]):
         n = len(rows)
         if n == 0:
             raise InvalidGroupSpec("empty table")
@@ -530,7 +530,7 @@ class CayleyTableGroup(FiniteGroup):
                 raise InvalidGroupSpec("element 0 must be a two-sided identity")
             if sorted(rows[i][j] for i in range(n)) != list(range(n)):
                 raise InvalidGroupSpec("table columns must form a Latin square")
-        super().__init__(n, label)
+        super().__init__(n, "table")
         self.rows = rows
         self._inverses = [row.index(0) for row in rows]
         _check_associative(rows, self.generators())
@@ -683,12 +683,12 @@ def product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
     return ProductGroup(left, right)
 
 
-def from_table(rows: list[list[int]], label: str = "table") -> FiniteGroup:
+def from_table(rows: list[list[int]]) -> FiniteGroup:
     _check_order(len(rows), "table")
-    return CayleyTableGroup(rows, label)
+    return CayleyTableGroup(rows)
 
 
-def from_perm_generators(degree: int, gens: list[tuple[int, ...]], label: str | None = None) -> FiniteGroup:
+def from_perm_generators(degree: int, gens: list[tuple[int, ...]]) -> FiniteGroup:
     """Enumerated group generated by permutations. Its closure is the one
     pass over the group and the cap check: it stops after the first
     frontier member whose products pass the cap, so an over-cap group is
@@ -706,7 +706,7 @@ def from_perm_generators(degree: int, gens: list[tuple[int, ...]], label: str | 
             f"{cap}; set SUPERGRAPH_CAP to raise it"
         ) from None
     elements = [ident] + sorted(members - {ident})
-    return PermutationGroup(degree, elements, label or f"perm({degree})")
+    return PermutationGroup(degree, elements, f"perm({degree})")
 
 
 def _check_order(order: int, kind: str) -> None:

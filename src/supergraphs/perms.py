@@ -54,18 +54,17 @@ def cycle_notation(p: tuple[int, ...]) -> str:
     return "".join("(" + " ".join(str(i + 1) for i in cyc) + ")" for cyc in cycles)
 
 
-def perm_from_cycles(n: int, cycles: list[list[int]], one_based: bool = True) -> tuple[int, ...]:
-    """Build a permutation of 0..n-1 from a list of disjoint cycles."""
-    shift = 1 if one_based else 0
+def perm_from_cycles(n: int, cycles: list[list[int]]) -> tuple[int, ...]:
+    """Build a permutation of 0..n-1 from a list of disjoint cycles of 1-based points."""
     out = list(range(n))
     seen: set[int] = set()
     for cyc in cycles:
-        pts = [c - shift for c in cyc]
+        pts = [c - 1 for c in cyc]
         for a in pts:
             if not 0 <= a < n:
-                raise ValueError(f"cycle point {a + shift} out of range for degree {n}")
+                raise ValueError(f"cycle point {a + 1} out of range for degree {n}")
             if a in seen:
-                raise ValueError(f"point {a + shift} repeated across cycles")
+                raise ValueError(f"point {a + 1} repeated across cycles")
             seen.add(a)
         for a, b in zip(pts, pts[1:]):
             out[a] = b

@@ -5,6 +5,7 @@ asserted where stated.
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -146,21 +147,21 @@ def test_criterion_3_composition_formulas():
                 base = Graph([str(i) for i in range(k)], edges)
                 if is_connected(base):
                     break
-            sizes = tuple(rng.randint(1, 5) for _ in range(k))
-            kinds = tuple(
-                "complete"
-                if (base.degree(i) == 0 or rng.random() < 0.5)
-                else "empty"
-                for i in range(k)
-            )
-            factors = [
-                Graph.complete(s) if kd == "complete" else Graph.empty(s)
-                for s, kd in zip(sizes, kinds)
-            ]
+            # arbitrary factors, each with an edge density drawn from [0, 1];
+            # one on an isolated base vertex is complete
+            factors = []
+            for i in range(k):
+                size = rng.randint(1, 5)
+                density = 1.0 if base.degree(i) == 0 else rng.random()
+                pairs = itertools.combinations(range(size), 2)
+                edges = [e for e in pairs if rng.random() < density]
+                factors.append(Graph([str(v) for v in range(size)], edges))
+            sizes = [f.n for f in factors]
             brute = wiener_index(compose_graphs(base, factors))
-            assert wiener_via_composition(base, sizes, kinds) == brute
-            if all(kd == "complete" for kd in kinds):
-                assert wiener_supergraph_formula(base, sizes) == brute
+            assert wiener_via_composition(base, sizes, [f.num_edges for f in factors]) == brute
+            completes = [Graph.complete(s) for s in sizes]
+            brute = wiener_index(compose_graphs(base, completes))
+            assert wiener_supergraph_formula(base, sizes) == brute
         # every quotient decomposition from criterion 2
         jobs = [("dihedral", n) for n in DIHEDRAL_RANGE] + [
             ("quaternion", n) for n in QUATERNION_RANGE
@@ -170,8 +171,8 @@ def test_criterion_3_composition_formulas():
             for pkind in ("equality", "conjugacy"):
                 q = quotient_supergraph(group, "commuting", pkind)
                 brute = wiener_index(build_supergraph(group, "commuting", pkind))
-                complete = ("complete",) * q.delta.n
-                assert wiener_via_composition(q.delta, q.sizes, complete) == brute
+                inner_edges = [math.comb(s, 2) for s in q.sizes]
+                assert wiener_via_composition(q.delta, q.sizes, inner_edges) == brute
                 assert wiener_supergraph_formula(q.delta, q.sizes) == brute
 
 
@@ -310,8 +311,11 @@ def test_criterion_9_property_suites():
             [Graph.complete(2), Graph.path(3), Graph.cycle(4), Graph.empty(3)], 2
         ):
             composed = compose_graphs(Graph.complete(2), [left, right])
-            joined = sg.graphs.join(left, right)
-            assert composed.edges() == joined.edges()
+            cross = left.n * right.n
+            assert composed.num_edges == left.num_edges + right.num_edges + cross
+            assert all(
+                composed.has_edge(u, left.n + v) for u in range(left.n) for v in range(right.n)
+            )
         base = Graph.cycle(5)
         assert compose_graphs(base, [Graph.complete(1)] * 5).edges() == base.edges()
         for g, h in itertools.combinations_with_replacement(

@@ -247,6 +247,23 @@ def test_verify_structure_exits_1_on_a_wrong_expression(capsys, monkeypatch):
     assert [(r["isomorphic"], r["passed"]) for r in report["records"]] == [(False, False)] * 2
 
 
+@pytest.mark.parametrize("family, ns", [("escom-d", "5"), ("cscom-q", "2..4")])
+def test_verify_wiener_passes_on_a_wrong_expression(capsys, monkeypatch, family, ns):
+    """The same planted defect leaves every Wiener value right: `verify wiener`
+    judges only the three values it prints and exits 0, while `verify
+    structure` on the same parameters exits 1."""
+    wrong = families.structure_expr
+    monkeypatch.setattr(families, "structure_expr", lambda family, n: wrong(family, n + 1))
+    code, out, _ = run_cli(capsys, "verify", "wiener", "--family", family, "--n", ns)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert report["records"] and all(r["passed"] for r in report["records"])
+    assert all("isomorphic" not in r for r in report["records"])
+    code, out, _ = run_cli(capsys, "verify", "structure", "--family", family, "--n", ns)
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
 @pytest.mark.parametrize("cap", ["abc", "-5", "0", "1.5"])
 def test_bad_element_cap_exit_2(capsys, monkeypatch, cap):
     monkeypatch.setenv("SUPERGRAPH_CAP", cap)

@@ -1,6 +1,7 @@
-"""Distance sums against networkx: the Wiener index, the composition and
-supergraph formulas, the stop after radius 1 on a graph with a universal
-vertex, and disconnection from every entry point."""
+"""Distance sums against networkx: the Wiener index, Schwenk's identity for
+a composition with arbitrary factors and its complete-factor case, the stop
+after radius 1 on a graph with a universal vertex, and disconnection from
+every entry point."""
 
 import itertools
 import math
@@ -14,6 +15,7 @@ from supergraphs.constructions import KINDS, PARTITIONS, expand_quotient, quotie
 from supergraphs.graphs import (
     DisconnectedGraphError,
     Graph,
+    compose_graphs,
     wiener_index,
     wiener_supergraph_formula,
     wiener_via_composition,
@@ -21,6 +23,12 @@ from supergraphs.graphs import (
 from supergraphs.groups import make_group
 
 nx = pytest.importorskip("networkx")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# derandomized: every run draws the same examples, and nothing is stored
+SEEDED = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 def to_networkx(graph: Graph):
@@ -89,20 +97,75 @@ def test_composition_formula_matches_weighted_oracle(seed):
     rng = random.Random(100 + seed)
     base = connected_gnp(rng.randint(2, 14), rng.choice([0.15, 0.5]), seed)
     sizes = [rng.randint(1, 5) for _ in range(base.n)]
-    kinds = [rng.choice(["complete", "empty"]) for _ in range(base.n)]
-    inner = sum(
-        math.comb(s, 2) * (1 if k == "complete" else 2) for s, k in zip(sizes, kinds)
+    inner_edges = [rng.randint(0, math.comb(s, 2)) for s in sizes]
+    inner = sum(2 * math.comb(s, 2) - e for s, e in zip(sizes, inner_edges))
+    assert wiener_via_composition(base, sizes, inner_edges) == inner + weighted_sum_oracle(
+        base, sizes
     )
-    assert wiener_via_composition(base, sizes, kinds) == inner + weighted_sum_oracle(base, sizes)
 
 
 def test_composition_with_all_empty_factors():
     base = Graph.cycle(5)
     sizes = [3, 1, 4, 1, 5]
     inner = 2 * sum(math.comb(s, 2) for s in sizes)
-    assert wiener_via_composition(base, sizes, ["empty"] * 5) == inner + weighted_sum_oracle(
+    assert wiener_via_composition(base, sizes, [0] * 5) == inner + weighted_sum_oracle(
         base, sizes
     )
+
+
+def drawn_graph(draw, n: int, complete: bool = False) -> Graph:
+    """A graph on n vertices with drawn edges, or complete."""
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = [True] * len(pairs) if complete else draw(
+        st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    )
+    return Graph([str(i) for i in range(n)], itertools.compress(pairs, keep))
+
+
+@st.composite
+def compositions(draw):
+    """A connected base on 1-8 vertices (a drawn spanning path plus drawn
+    edges) and a factor of 1-6 vertices with drawn edges on each base vertex.
+    The factor of a one-vertex base is complete: no other factor shortens
+    its non-adjacent pairs to distance 2."""
+    k = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(k)))
+    base = drawn_graph(draw, k)
+    base = Graph(base.labels, base.edges() + list(zip(order, order[1:])))
+    factors = [drawn_graph(draw, draw(st.integers(1, 6)), complete=k == 1) for _ in range(k)]
+    return base, factors
+
+
+def schwenk_property(formula):
+    """The property that formula(base, sizes, inner_edges) is the Wiener index
+    of the composition, as the distance kernel and networkx compute it."""
+
+    @SEEDED
+    @given(compositions())
+    def check(composition):
+        base, factors = composition
+        composed = compose_graphs(base, factors)
+        got = formula(base, [f.n for f in factors], [f.num_edges for f in factors])
+        assert got == wiener_index(composed) == nx.wiener_index(to_networkx(composed))
+
+    return check
+
+
+def test_schwenk_identity_holds_for_arbitrary_factors():
+    schwenk_property(wiener_via_composition)()
+
+
+def test_schwenk_property_catches_a_planted_inner_term():
+    """A planted defect: the inner term C(n_i, 2) - e_i in place of
+    2 C(n_i, 2) - e_i, wrong by C(n_i, 2) on every factor of two or more
+    vertices."""
+
+    def planted(base, sizes, inner_edges):
+        right = wiener_via_composition(base, sizes, inner_edges)
+        return right - sum(math.comb(s, 2) for s in sizes)
+
+    with pytest.raises(AssertionError):
+        schwenk_property(planted)()
 
 
 def count_ball_growth(monkeypatch) -> list:
@@ -188,7 +251,7 @@ def test_disconnection_raises_from_every_entry_point():
     with pytest.raises(DisconnectedGraphError, match="composition base must be connected"):
         wiener_supergraph_formula(graph, [1, 2, 3, 4, 5])
     with pytest.raises(DisconnectedGraphError, match="composition base must be connected"):
-        wiener_via_composition(graph, [2] * 5, ["complete"] * 5)
+        wiener_via_composition(graph, [2] * 5, [1] * 5)
 
 
 def test_isolated_vertex_is_a_disconnection():
@@ -196,4 +259,4 @@ def test_isolated_vertex_is_a_disconnection():
     with pytest.raises(DisconnectedGraphError):
         wiener_index(graph)
     with pytest.raises(DisconnectedGraphError):
-        wiener_via_composition(graph, [1, 1, 2], ["complete", "complete", "empty"])
+        wiener_via_composition(graph, [1, 1, 2], [0, 0, 0])

@@ -14,13 +14,12 @@ from supergraphs.graphs import (
     DisconnectedGraphError,
     Empty,
     Graph,
+    Union,
     compose_graphs,
     cotree_isomorphic,
-    disjoint_union,
     eval_expr,
     intersection,
     is_comparability,
-    join,
     strong_product,
     wiener_index,
     wiener_supergraph_formula,
@@ -104,11 +103,20 @@ def test_composition_factor_count_mismatch():
 
 
 def test_composition_k2_base_equals_join():
+    """Over K2 the composition is the join: each factor keeps its edges and
+    every vertex of the left factor meets every vertex of the right."""
     for left, right in itertools.combinations(corpus(), 2):
         composed = compose_graphs(Graph.complete(2), [left, right])
-        joined = join(left, right)
-        assert composed.labels == joined.labels
-        assert composed.edges() == joined.edges()
+        shift = left.n
+        joined = (
+            set(left.edges())
+            | {(shift + u, shift + v) for u, v in right.edges()}
+            | {(u, shift + v) for u in range(left.n) for v in range(right.n)}
+        )
+        assert composed.labels == tuple(
+            [f"0:{lbl}" for lbl in left.labels] + [f"1:{lbl}" for lbl in right.labels]
+        )
+        assert set(composed.edges()) == joined
 
 
 # --- strong product & intersection ---
@@ -185,25 +193,31 @@ def test_wiener_basics():
 
 
 def test_wiener_via_composition_examples():
-    assert wiener_via_composition(Graph.complete(2), (1, 2), ("complete", "empty")) == 4  # P3
-    assert wiener_via_composition(Graph.complete(2), (1, 3), ("complete", "empty")) == 9  # star
-    assert wiener_via_composition(Graph.complete(1), (4,), ("complete",)) == 6
+    assert wiener_via_composition(Graph.complete(2), (1, 2), (0, 0)) == 4  # P3
+    assert wiener_via_composition(Graph.complete(2), (1, 3), (0, 0)) == 9  # star
+    assert wiener_via_composition(Graph.complete(2), (1, 3), (0, 2)) == 7  # K1 joined to P3
+    assert wiener_via_composition(Graph.complete(1), (4,), (6,)) == 6
 
 
 def test_wiener_via_composition_preconditions():
-    with pytest.raises(DisconnectedGraphError):
-        wiener_via_composition(Graph.empty(2), (1, 1), ("complete",) * 2)
-    with pytest.raises(ValueError, match="length-two path"):
-        wiener_via_composition(Graph.complete(1), (2,), ("empty",))
+    """One case per precondition: matching lengths, positive sizes, edge
+    counts in [0, C(n, 2)], a connected base, and a complete factor on an
+    isolated base vertex."""
     base = Graph.complete(2)
-    with pytest.raises(ValueError, match="one factor per base vertex"):
-        wiener_via_composition(base, (1,), ("complete",) * 2)
-    with pytest.raises(ValueError, match="one factor kind per base vertex"):
-        wiener_via_composition(base, (1, 1), ("complete",))
-    with pytest.raises(ValueError, match="unknown factor kind 'weird'"):
-        wiener_via_composition(base, (1, 1), ("complete", "weird"))
+    with pytest.raises(ValueError, match="one factor size and one edge count per base vertex"):
+        wiener_via_composition(base, (1,), (0, 0))
+    with pytest.raises(ValueError, match="one factor size and one edge count per base vertex"):
+        wiener_via_composition(base, (1, 1), (0,))
     with pytest.raises(ValueError, match="factor sizes must be positive"):
-        wiener_via_composition(base, (1, 0), ("complete", "complete"))
+        wiener_via_composition(base, (1, 0), (0, 0))
+    with pytest.raises(ValueError, match="between 0 and C"):
+        wiener_via_composition(base, (1, 3), (0, -1))
+    with pytest.raises(ValueError, match="between 0 and C"):
+        wiener_via_composition(base, (1, 3), (0, 4))
+    with pytest.raises(DisconnectedGraphError):
+        wiener_via_composition(Graph.empty(2), (1, 1), (0, 0))
+    with pytest.raises(ValueError, match="length-two path"):
+        wiener_via_composition(Graph.complete(1), (3,), (2,))
 
 
 def test_wiener_supergraph_formula_examples():
@@ -235,27 +249,24 @@ def _random_connected_graph(rng, n):
             return g
 
 
+def _random_factor(rng, n, complete):
+    """A graph on n vertices, complete or with an edge density drawn from [0, 1]."""
+    density = 1.0 if complete else rng.random()
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+    return Graph([str(i) for i in range(n)], edges)
+
+
 def test_wiener_composition_agrees_with_bfs_randomized():
-    """Formula vs BFS on 100 seeded random compositions with mixed factors."""
+    """Formula vs BFS on 100 seeded random compositions with arbitrary
+    factors; a factor on an isolated base vertex is complete."""
     rng = random.Random(20240817)
     for _ in range(100):
         k = rng.randint(1, 8)
         base = _random_connected_graph(rng, k)
-        sizes = tuple(rng.randint(1, 5) for _ in range(k))
-        kinds = tuple(
-            "complete"
-            if (k == 1 or base.degree(i) == 0 or rng.random() < 0.5)
-            else "empty"
-            for i, _ in enumerate(sizes)
-        )
-        factors = [
-            Graph.complete(s) if kd == "complete" else Graph.empty(s)
-            for s, kd in zip(sizes, kinds)
-        ]
+        factors = [_random_factor(rng, rng.randint(1, 5), base.degree(i) == 0) for i in range(k)]
         composed = compose_graphs(base, factors)
-        assert wiener_via_composition(base, sizes, kinds) == wiener_index(composed)
-        if all(kd == "complete" for kd in kinds):
-            assert wiener_supergraph_formula(base, sizes) == wiener_index(composed)
+        sizes, inner_edges = [f.n for f in factors], [f.num_edges for f in factors]
+        assert wiener_via_composition(base, sizes, inner_edges) == wiener_index(composed)
 
 
 def test_wiener_formula_matches_composition_all_complete():
@@ -264,8 +275,8 @@ def test_wiener_formula_matches_composition_all_complete():
         k = rng.randint(1, 8)
         base = _random_connected_graph(rng, k)
         sizes = tuple(rng.randint(1, 5) for _ in range(k))
-        via_composition = wiener_via_composition(base, sizes, ("complete",) * k)
-        assert wiener_supergraph_formula(base, sizes) == via_composition
+        composed = compose_graphs(base, [Graph.complete(s) for s in sizes])
+        assert wiener_supergraph_formula(base, sizes) == wiener_index(composed)
 
 
 # --- isomorphism of cographs ---
@@ -297,7 +308,7 @@ def test_cotree_isomorphism_reflexive_and_symmetric():
 def test_isomorphism_distinguishes_same_degree_sequence():
     # C6 vs 2x C3: both 2-regular on 6 vertices, and only C6 holds a P4
     c6 = Graph.cycle(6)
-    two_triangles = disjoint_union([Graph.complete(3), Graph.complete(3)])
+    two_triangles = eval_expr(Union((Complete(3), Complete(3))))
     assert not cotree_isomorphic(c6, two_triangles)
     assert not cotree_isomorphic(two_triangles, c6)
 

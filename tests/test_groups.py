@@ -392,8 +392,8 @@ def test_capped_closure_stops_within_one_frontier_member_of_the_limit():
     products when it stops."""
     degree, limit = 10, 2000
     gens = [
-        perms.perm_from_cycles(degree, [[i, j]], one_based=False)
-        for i, j in itertools.combinations(range(degree), 2)
+        perms.perm_from_cycles(degree, [[i, j]])
+        for i, j in itertools.combinations(range(1, degree + 1), 2)
     ]
     products = []
 

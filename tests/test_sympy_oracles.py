@@ -21,7 +21,7 @@ def sympy_group(degree, gens):
 
 
 def random_cycle(rng, degree, length):
-    return perms.perm_from_cycles(degree, [rng.sample(range(degree), length)], one_based=False)
+    return perms.perm_from_cycles(degree, [rng.sample(range(1, degree + 1), length)])
 
 
 def random_generators(rng, degree):

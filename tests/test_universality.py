@@ -311,7 +311,7 @@ def test_orbit_key_is_a_centralizer_invariant_conjugate():
         x_len = rng.randint(2, degree)
         x = canonical_cycle(degree, x_len)
         y = perms.perm_from_cycles(
-            degree, [rng.sample(range(degree), rng.randint(2, degree))], one_based=False
+            degree, [rng.sample(range(1, degree + 1), rng.randint(2, degree))]
         )
         if perms.compose(x, y) == perms.compose(y, x):
             continue  # the scan never keys commuting candidates
