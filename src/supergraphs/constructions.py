@@ -20,18 +20,21 @@ built only where a command writes one out and where brute force is the point
 Every base adjacency is invariant under simultaneous conjugation, and so is
 generation of the group. `class_graph` is the one place that decides which
 classes of a partition are related under such a relation, for quotients and
-for both generating graphs (see `generation`), by one loop over pairs of
-conjugacy classes that serves every partition: the larger class's
+for both generating graphs (see `generation`). On the conjugacy and order
+partitions it loops over pairs of conjugacy classes: the larger class's
 representative r is pinned and tested against the smaller class once per
-orbit of the centralizer C(r). On the equality partition, r's hits are
-expanded to the other members of its class through the conjugators the class
-records; on the others, a pair stops at its first hit and is skipped when its
-partition classes are already related. Two shortcuts skip closures: if the
-whole group has the kind's property (`PROPERTY_OF_KIND`: abelian for
-commuting, cyclic for enhanced, nilpotent, solvable), a fact the group
-computes once, that kind's delta is complete and built as such, with no edge
-list; and a commuting pair is nilpotent- and solvable-adjacent. Only the
-solvable test closes the subgroup a pair generates
+orbit of the centralizer C(r), a pair stops at its first hit, and it is
+skipped when its partition classes are already related. On the equality
+partition the same pinned scan runs over orbits of cyclic subgroups under
+conjugation: elements generating one cyclic subgroup are closed twins in
+every base graph, so the delta is the blow-up of a graph on the cyclic
+subgroups, and r's hits are carried to the rest of its orbit one subgroup
+at a time through the conjugators its class records. Two shortcuts skip
+closures: if the whole group has the kind's property (`PROPERTY_OF_KIND`:
+abelian for commuting, cyclic for enhanced, nilpotent, solvable), a fact the
+group computes once, that kind's delta is complete and built as such, with
+no edge list; and a commuting pair is nilpotent- and solvable-adjacent.
+Only the solvable test closes the subgroup a pair generates
 (`FiniteGroup.pair_is_solvable`); the nilpotent test reads the pair's Sylow
 parts (`FiniteGroup.generates_nilpotent`).
 """
@@ -171,50 +174,111 @@ def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition)
     of two classes a <= b, b is the larger: b's representative r is pinned,
     and r is tested against class a once per orbit of the centralizer C(r) if
     per_orbit is set, else once per member, since every pair across the
-    classes is conjugate to one of these. On the equality partition, the hits
-    of r against every class a <= b are expanded to b's other members through
-    the conjugators the class records: since test(r, h) = test(r^x, h^x), the
-    member r^x is joined to the conjugates by x of the hits (r itself, whose
-    conjugator is the identity, to the hits). Conjugacy and order classes are
+    classes is conjugate to one of these. Conjugacy and order classes are
     unions of conjugacy classes, so a pair a, b in partition classes i and j
     is skipped when i == j or i and j are already related, and stops at its
-    first hit. The graph is one int mask per class, with no edge list.
+    first hit. The equality partition is scanned over cyclic subgroups
+    instead (`_subgroup_graph`). The graph is one int mask per class, with
+    no edge list.
     """
+    if partition.kind == "equality":
+        return _subgroup_graph(group, test, per_orbit)
     classes = group.conjugacy_classes()
-    equality = partition.kind == "equality"
-    part_of, mul, inv = partition.class_of, group.mul, group.inv
+    part_of = partition.class_of
     masks = [0] * len(partition.classes)
     for b, cls in enumerate(classes):
         r = cls.representative
-        j, hits = part_of[r], []
+        j = part_of[r]
         for a in range(b + 1):
             members = classes[a].members
             i = part_of[members[0]]
-            if not equality and (i == j or masks[j] >> i & 1):
+            if i == j or masks[j] >> i & 1:
                 continue
             for orbit in group.centralizer_orbits(r, members) if per_orbit else zip(members):
-                if orbit[0] == r or not test(r, orbit[0]):
-                    continue
-                if equality:
-                    hits.extend(orbit)
-                else:
+                if test(r, orbit[0]):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
                     break
-        if not hits:
-            continue
+    return Graph._from_masks(_class_labels(group, partition), masks)
+
+
+def _subgroup_graph(group: FiniteGroup, test, per_orbit: bool) -> Graph:
+    """The class graph on the equality partition, for a test that depends
+    only on the cyclic subgroups <g> and <h>, as every base adjacency and
+    generation do: it is the blow-up of a graph Gamma on the cyclic
+    subgroups (`FiniteGroup.cyclic_classes`) with one factor per subgroup
+    on its generators.
+
+    Conjugation permutes cyclic subgroups, and the orbit of <r> is read from
+    r's conjugacy class: member m = r^x gives <m> = <r>^x and its recorded
+    conjugator x. Orbits are sorted by size; the representative r of orbit
+    b is pinned and tested against one generator of each subgroup of every
+    orbit a <= b, or, if per_orbit is set, once per orbit of C(r) on a's
+    class, which covers the subgroups of the orbit's members. r's hits are
+    carried to each other subgroup <r>^x of its orbit by conjugating one
+    generator of each hit by x. Whether a subgroup's generators are joined
+    to each other is one test of r against r^-1 per orbit: it always holds
+    for the five base kinds, and for generation only when the subgroup is
+    the whole, cyclic, group; a subgroup whose generators are apart has an
+    empty factor.
+    """
+    cyclic = group.cyclic_classes()
+    class_of, generators = cyclic.class_of, cyclic.members
+    mul, inv = group.mul, group.inv
+    placed = [False] * len(generators)
+    orbits = []  # (conjugacy class, its members' subgroups, a conjugator of each)
+    for cls in group.conjugacy_classes():
+        if placed[class_of[cls.representative]]:
+            continue  # <r> lies in an earlier orbit, as when r^k is not conjugate to r
+        subgroups, conjugators = [], []
         for m, x in zip(cls.members, cls.conjugators):
+            k = class_of[m]
+            if not placed[k]:
+                placed[k] = True
+                subgroups.append(k)
+                conjugators.append(x)
+        orbits.append((cls, subgroups, conjugators))
+    orbits.sort(key=lambda orbit: len(orbit[1]))
+    gamma = [0] * len(generators)
+    apart = []
+    for b, (cls, subgroups, conjugators) in enumerate(orbits):
+        r = cls.representative
+        seen, hits = {class_of[r]}, set()
+        for other, others, _ in orbits[:b + 1]:
+            if not per_orbit:
+                hits.update(k for k in others if k not in seen and test(r, generators[k][0]))
+                continue
+            for orbit in group.centralizer_orbits(r, other.members):
+                if class_of[orbit[0]] in seen:
+                    continue
+                covered = {class_of[h] for h in orbit}
+                seen |= covered
+                if test(r, orbit[0]):
+                    hits |= covered
+        if len(generators[subgroups[0]]) > 1 and not test(r, inv(r)):
+            apart.extend(subgroups)
+        hit_generators = [generators[k][0] for k in hits]
+        for k, x in zip(subgroups, conjugators):
             if x:
                 x_inv = inv(x)
-                row = [mul(mul(x_inv, h), x) for h in hits]
+                row = [class_of[mul(mul(x_inv, h), x)] for h in hit_generators]
             else:
                 row = hits
-            bit, mask = 1 << m, 0
+            bit, mask = 1 << k, 0
             for h in row:
-                masks[h] |= bit
+                gamma[h] |= bit
                 mask |= 1 << h
-            masks[m] |= mask
-    return Graph._from_masks(_class_labels(group, partition), masks)
+            gamma[k] |= mask
+    labels = group.labels()
+    delta = Graph._from_masks([labels[gens[0]] for gens in generators], gamma)
+    graph = blow_up(delta, generators, labels, "complete")
+    if not apart:
+        return graph
+    masks = list(graph.masks)
+    for k in apart:
+        for g in generators[k]:
+            masks[g] &= ~cyclic.masks[k]
+    return Graph._from_masks(labels, masks)
 
 
 @dataclass(frozen=True)

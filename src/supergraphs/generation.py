@@ -11,7 +11,9 @@ complement of the conjugacy supergraph of the same kind.
 Generation is invariant under simultaneous conjugation, so both graphs come
 from class graphs (`constructions.class_graph`): the generating graph is the
 class graph of "the pair generates" on the equality partition, decided once
-per orbit of pairs and expanded through conjugators. The invariable
+per orbit of pairs of cyclic subgroups (a pair generates the group or not
+whatever generators of its two subgroups it holds) and blown up onto their
+generators, which join each other only in a cyclic group. The invariable
 generating graph is the complement, on the conjugacy classes, of the class
 graph of "some pair fails to generate", blown up on the classes with empty
 factors (`graphs.blow_up`).

@@ -365,10 +365,13 @@ def blow_up(delta: Graph, classes, labels, factor: str) -> Graph:
 
     Each vertex is joined to every vertex of the classes adjacent to its own
     in delta and, with complete factors, to the rest of its class: its mask
-    is the OR of those classes' masks, less its own bit.
+    is the OR of those classes' masks, less its own bit. When classes[i] is
+    (i,) for every i, the blow-up is delta under the new labels.
     """
     if factor not in FACTOR_KINDS:
         raise ValueError(f"unknown factor kind {factor!r}")
+    if _in_vertex_order(classes, delta.n) and len(labels) == delta.n:
+        return Graph._from_masks(labels, delta.masks)
     own = 1 if factor == "complete" else 0
     class_masks = [sum(1 << v for v in members) for members in classes]
     if (
@@ -386,12 +389,21 @@ def blow_up(delta: Graph, classes, labels, factor: str) -> Graph:
     return Graph._from_masks(labels, masks)
 
 
+def _in_vertex_order(classes, n: int) -> bool:
+    """Whether classes[i] holds vertex i alone, for each of n vertices."""
+    return len(classes) == n and all(len(c) == 1 and i in c for i, c in enumerate(classes))
+
+
 def contract(graph: Graph, classes, labels) -> Graph:
     """The inverse of `blow_up`: vertex i, labelled labels[i], merges the
     vertices of classes[i], which partition graph's vertices. Classes i != j
-    are joined when the OR of i's vertex masks, less i's vertices, meets j's."""
+    are joined when the OR of i's vertex masks, less i's vertices, meets j's.
+    When classes[i] is {i} for every i, the contraction is graph under the
+    new labels."""
     if len(classes) != len(labels) or sorted(itertools.chain(*classes)) != list(range(graph.n)):
         raise ValueError("contraction needs a label per class and a partition of the vertices")
+    if _in_vertex_order(classes, graph.n):
+        return Graph._from_masks(labels, graph.masks)
     class_masks = [sum(1 << v for v in members) for members in classes]
     bits = [1 << j for j in range(len(classes))]
     masks = []

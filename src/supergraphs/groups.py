@@ -66,6 +66,18 @@ class ConjugacyClass:
         return len(self.members)
 
 
+@dataclass(frozen=True)
+class CyclicClasses:
+    """The classes of g ~ h when <g> = <h>: members[k] holds the generators
+    of the k-th cyclic subgroup, increasing, subgroups in order of least
+    generator; class_of[g] is the index of <g>, and masks[k] has the bits
+    of members[k]."""
+
+    class_of: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+
+
 class FiniteGroup:
     """Base class: subclasses provide mul/inv/element_label.
 
@@ -76,9 +88,9 @@ class FiniteGroup:
     generate the group share one tuple), whether each such proper subgroup is
     solvable (keyed by its members tuple), each element's Sylow parts, the
     whole group's facts (abelian, cyclic, nilpotent, solvable), and the
-    conjugacy classes, generators and labels, computed once each. One
-    frozenset per cyclic subgroup, stored under each of its generators, not
-    one per element.
+    conjugacy classes, cyclic classes, generators and labels, computed once
+    each. One frozenset per cyclic subgroup, stored under each of its
+    generators, not one per element.
     """
 
     rep = "cayley"
@@ -96,6 +108,7 @@ class FiniteGroup:
         self._solvable: dict[tuple[int, ...], bool] = {}
         self._facts: dict[str, bool] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
+        self._cyclic_classes: CyclicClasses | None = None
         self._labels: tuple[str, ...] | None = None
 
     def mul(self, i: int, j: int) -> int:
@@ -136,6 +149,23 @@ class FiniteGroup:
             if math.gcd(k, len(powers)) == 1:  # k = 0 only for the identity
                 self._cyclic_cache[power] = result
         return result
+
+    def cyclic_classes(self) -> CyclicClasses:
+        """The elements grouped by the cyclic subgroup they generate: one
+        class per stored subgroup, so one walk of powers per cyclic
+        subgroup; computed once per group."""
+        if self._cyclic_classes is None:
+            index: dict[frozenset[int], int] = {}
+            class_of, members = [], []
+            for g in range(self.order):
+                k = index.setdefault(self.cyclic_subgroup(g), len(index))
+                if k == len(members):
+                    members.append([])
+                members[k].append(g)
+                class_of.append(k)
+            masks = tuple(sum(1 << g for g in gens) for gens in members)
+            self._cyclic_classes = CyclicClasses(tuple(class_of), tuple(map(tuple, members)), masks)
+        return self._cyclic_classes
 
     def commutes(self, g: int, h: int) -> bool:
         return self.mul(g, h) == self.mul(h, g)

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 
 import pytest
+from test_power_edge_counts import cyclic_power_edges
 
 import supergraphs as sg
 from supergraphs import constructions
@@ -31,6 +32,7 @@ from supergraphs.graphs import (
     eval_expr,
     is_subgraph,
 )
+from supergraphs.groups import make_group
 
 
 def small_catalog():
@@ -210,6 +212,54 @@ def test_equality_delta_rows_match_base_adjacency_on_every_pair(name):
             if base_adjacent(group, kind, g, h)
         ])
         assert quotient_supergraph(group, kind, "equality").delta == expected, kind
+
+
+def _frobenius20_rows():
+    """Cayley table of the Frobenius group Z5 : Z4, (a, b)(c, d) =
+    (a + 2^b c, b + d), identity first: an element x of order 4 is not
+    conjugate to x^-1."""
+    elements = [(a, b) for b in range(4) for a in range(5)]
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[(a + pow(2, b, 5) * c) % 5, (b + d) % 4] for c, d in elements]
+            for a, b in elements]
+
+
+# groups whose cyclic subgroups have many generators (C360's whole group has
+# 96), or whose conjugacy classes miss some generators of their members'
+# subgroups (x^2 is not conjugate to x of order 3 in Z7 : Z3, given by
+# permutation generators, nor x^-1 to x of order 4 in the table of Z5 : Z4)
+LARGE_CYCLIC_CLASS_GROUPS = {
+    "C360": lambda: sg.cyclic(360),
+    "C6xC10": lambda: sg.product(sg.cyclic(6), sg.cyclic(10)),
+    "D400": lambda: sg.dihedral(200),
+    "Q400": lambda: sg.quaternion(100),
+    "Q8xS4": lambda: sg.product(sg.quaternion(2), sg.symmetric(4)),
+    "Z7:Z3": lambda: make_group(
+        {"kind": "permgens", "degree": 7, "gens": [[[1, 2, 3, 4, 5, 6, 7]], [[2, 3, 5], [4, 7, 6]]]}),
+    "Z5:Z4": lambda: make_group({"kind": "table", "rows": _frobenius20_rows()}),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CYCLIC_CLASS_GROUPS)
+def test_equality_deltas_match_base_adjacency_where_cyclic_classes_are_large(name):
+    """The equality delta of every kind, and the class graph of every
+    kind's pair test with no whole-group shortcut, hold exactly the base
+    adjacency of every pair. Every group here is solvable, so every pair is
+    solvable-adjacent without a closure."""
+    group = LARGE_CYCLIC_CLASS_GROUPS[name]()
+    assert group.is_solvable()
+    partition = build_partition(group, "equality")
+    for kind in KINDS:
+        if kind == "solvable":
+            expected = Graph.complete(group.order, group.labels())
+        else:
+            expected = Graph(group.labels(), [
+                (g, h) for g, h in itertools.combinations(range(group.order), 2)
+                if base_adjacent(group, kind, g, h)
+            ])
+        assert quotient_supergraph(group, kind, "equality").delta == expected, kind
+        per_orbit = kind in constructions._CLOSURE_KINDS
+        assert class_graph(group, _pair_test(group, kind), per_orbit, partition) == expected, kind
 
 
 def test_trivial_group_edge_cases():
@@ -445,6 +495,26 @@ def test_complete_delta_is_built_in_bounded_memory(group, kind):
     assert delta == Graph.complete(3000, group.labels())
 
 
+@pytest.mark.parametrize("group, kind, edges", [
+    (sg.cyclic(3000), "power", cyclic_power_edges(3000)),
+    (sg.dihedral(1500), "commuting", math.comb(1500, 2) + 5 * 1500 // 2),
+], ids=["C3000-power", "D3000-commuting"])
+def test_dense_equality_delta_is_built_in_bounded_memory(group, kind, edges):
+    """A dense delta that is not complete, built from the graph on cyclic
+    subgroups: C3000 has 32 of them, and D3000 1,524. The rotations of
+    D3000 commute pairwise, and each reflection commutes with e, the
+    central a^750 and one other reflection: C(1500, 2) + 1500 / 2 * 5
+    edges. C3000's count is the closed form m(P(C_n))."""
+    tracemalloc.start()
+    try:
+        delta = quotient_supergraph(group, kind, "equality").delta
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert delta.num_edges == edges
+
+
 def test_order_partition_stores_one_set_per_cyclic_subgroup():
     """C2000's order partition walks each cyclic subgroup once and shares
     its set among the subgroup's generators; one set per element took a
@@ -477,14 +547,42 @@ def test_cyclic_subgroup_is_one_object_for_its_generators(group):
                 assert group.cyclic_subgroup(power) is sub
 
 
-@pytest.mark.parametrize("group, tests", [(sg.symmetric(5), 353), (sg.dihedral(20), 168),
-                                          (sg.symmetric(6), 2709)], ids=["S5", "D40", "S6"])
-def test_equality_scan_tests_each_class_pair_from_its_larger_class(group, tests):
-    """Each pair of conjugacy classes a <= b is decided by pinning b's
-    representative and testing it against every member of a, itself left out:
-    sum over a <= b of |C_a|, less one per class."""
+def _cyclic_subgroup_orbit_sizes(group):
+    """(orbit size, subgroup order) for each orbit of cyclic subgroups
+    under conjugation: each subgroup is walked from an element's powers and
+    conjugated by every element."""
+    mul, inv = group.mul, group.inv
+    subgroups = set()
+    for g in range(group.order):
+        powers, acc = [0], g
+        while acc:
+            powers.append(acc)
+            acc = mul(acc, g)
+        subgroups.add(frozenset(powers))
+    orbits = []
+    while subgroups:
+        sub = subgroups.pop()
+        orbit = {frozenset(mul(mul(inv(x), h), x) for h in sub) for x in range(group.order)}
+        subgroups -= orbit
+        orbits.append((len(orbit), len(sub)))
+    return orbits
+
+
+@pytest.mark.parametrize("group, element_tests", [(sg.symmetric(5), 353), (sg.dihedral(20), 168),
+                                                  (sg.symmetric(6), 2709)], ids=["S5", "D40", "S6"])
+def test_equality_scan_tests_each_class_pair_from_its_larger_class(group, element_tests):
+    """Each pair of orbits of cyclic subgroups a <= b, sorted by size, is
+    decided by pinning b's representative and testing it against one
+    generator of each subgroup of a, its own subgroup left out, plus one
+    test per orbit of subgroups with two or more generators, whether those
+    are joined. Testing every member of every smaller conjugacy class took
+    element_tests: sum over a <= b of |C_a|, less one per class."""
     sizes = [c.size for c in group.conjugacy_classes()]
-    assert tests == sum(sizes[a] for b in range(len(sizes)) for a in range(b + 1)) - len(sizes)
+    assert element_tests == sum(sizes[a] for b in range(len(sizes)) for a in range(b + 1)) - len(sizes)
+    orbits = sorted(_cyclic_subgroup_orbit_sizes(group))
+    tests = sum(size * (len(orbits) - a) for a, (size, _) in enumerate(orbits)) - len(orbits)
+    tests += sum(order > 2 for _, order in orbits)
+    assert tests < element_tests
     calls = []
 
     def counting_commutes(g, h):

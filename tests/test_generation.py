@@ -1,8 +1,10 @@
 """Generating and invariable generating graphs and their containments."""
 
 import itertools
+import math
 
 import pytest
+from test_constructions import LARGE_CYCLIC_CLASS_GROUPS
 
 import supergraphs as sg
 from supergraphs import generation
@@ -98,6 +100,108 @@ def test_generating_graph_rows_match_pairwise_closures(group):
         if len(closure_set(group.mul, 0, [g, h])) == group.order
     ])
     assert generating_graph(group) == expected
+
+
+def _generates_by_closure(group):
+    """Whether g and h generate the group, by closing them over its Cayley
+    table; a closure past half the group is the group, by Lagrange."""
+    rows = [[group.mul(i, j) for j in range(group.order)] for i in range(group.order)]
+
+    def generates(g, h):
+        members, frontier = {0}, [0]
+        while frontier and 2 * len(members) <= group.order:
+            fresh = []
+            for m in frontier:
+                for t in (rows[m][g], rows[m][h]):
+                    if t not in members:
+                        members.add(t)
+                        fresh.append(t)
+            frontier = fresh
+        return 2 * len(members) > group.order
+
+    return generates
+
+
+def _generates_cyclic(n):
+    """a^i and a^j generate C_n iff gcd(i, j, n) = 1."""
+    return lambda i, j: math.gcd(i, j, n) == 1
+
+
+def _generates_metacyclic(m, n):
+    """D_2n (m = n) and Q_4n (m = 2n), a^i at index i < m and a^i b at
+    m + i. Two powers of a never generate; a^i with a^j b generates iff
+    gcd(i, n) = 1, and a^i b with a^j b iff gcd(i - j, n) = 1: each pair
+    holds (a^j b)^2, which is e or a^n, and <a^i, a^n> is <a^gcd(i, n)>."""
+    def generates(g, h):
+        i, j = g % m, h % m
+        if g >= m and h >= m:
+            return math.gcd(i - j, n) == 1
+        if g >= m or h >= m:
+            return math.gcd(j if g >= m else i, n) == 1
+        return False
+
+    return generates
+
+
+def _generation_mismatches(group, graph, generates):
+    """The pairs on which graph disagrees with generates."""
+    return {
+        (g, h) for g, h in itertools.combinations(range(group.order), 2)
+        if graph.has_edge(g, h) != generates(g, h)
+    }
+
+
+def _generates_by_arithmetic(family, n):
+    group = getattr(sg, family)(n)
+    if family == "cyclic":
+        return group, _generates_cyclic(n)
+    return group, _generates_metacyclic(group.m, n)
+
+
+@pytest.mark.parametrize("family, n", [("cyclic", 1), ("cyclic", 12), ("cyclic", 30), ("dihedral", 3),
+                                       ("dihedral", 12), ("quaternion", 2), ("quaternion", 6)])
+def test_arithmetic_generation_agrees_with_closures(family, n):
+    group, generates = _generates_by_arithmetic(family, n)
+    closes = _generates_by_closure(group)
+    assert all(generates(g, h) == closes(g, h)
+               for g, h in itertools.combinations(range(group.order), 2))
+
+
+# the groups whose pairs are decided by arithmetic: (family, n)
+ARITHMETIC_GENERATION = {"C360": ("cyclic", 360), "D400": ("dihedral", 200), "Q400": ("quaternion", 100)}
+
+
+@pytest.mark.parametrize("name", LARGE_CYCLIC_CLASS_GROUPS)
+def test_generating_graph_matches_generation_where_cyclic_classes_are_large(name):
+    """Pairs are closed over the Cayley table, or, on C360, D400 and Q400,
+    decided by arithmetic on exponents."""
+    if name in ARITHMETIC_GENERATION:
+        group, generates = _generates_by_arithmetic(*ARITHMETIC_GENERATION[name])
+    else:
+        group = LARGE_CYCLIC_CLASS_GROUPS[name]()
+        generates = _generates_by_closure(group)
+    assert not _generation_mismatches(group, generating_graph(group), generates)
+
+
+def test_generation_oracle_catches_joined_generators_of_one_subgroup(monkeypatch):
+    """A generating graph that joins the 8 generators of one cyclic
+    subgroup of order 30 in C6 x C10, which is not cyclic, is caught on
+    exactly their 28 pairs."""
+    group = LARGE_CYCLIC_CLASS_GROUPS["C6xC10"]()
+    x = next(g for g in range(group.order) if len(closure_set(group.mul, 0, [g])) == 30)
+    powers = [0]
+    while len(powers) < 30:
+        powers.append(group.mul(powers[-1], x))
+    planted = {powers[k] for k in range(30) if math.gcd(k, 30) == 1}
+    real = generation._generates
+
+    def planted_generates(group):
+        generates = real(group)
+        return lambda g, h: (g in planted and h in planted) or generates(g, h)
+
+    monkeypatch.setattr(generation, "_generates", planted_generates)
+    mismatches = _generation_mismatches(group, generating_graph(group), _generates_by_closure(group))
+    assert mismatches == set(itertools.combinations(sorted(planted), 2))
 
 
 @pytest.mark.parametrize("group, requests", [(sg.symmetric(4), 7), (sg.alternating(5), 16),

@@ -194,6 +194,25 @@ def test_contract_inverts_blow_up(delta, rng, factor):
     assert contract(blow_up(delta, classes, labels, factor), classes, delta.labels) == delta
 
 
+@SEEDED
+@given(graphs(max_n=8), st.sampled_from(("complete", "empty")))
+def test_singleton_classes_in_vertex_order_keep_the_masks(graph, factor):
+    """With classes[i] = (i,), the blow-up and the contraction are the
+    input graph under the new labels, its masks tuple itself; singletons
+    in another order still relabel the vertices."""
+    classes = [(v,) for v in range(graph.n)]
+    labels = [f"x{v}" for v in range(graph.n)]
+    blown = blow_up(graph, classes, labels, factor)
+    assert blown.masks is graph.masks
+    assert blown == pairwise_blow_up(graph, classes, labels, factor)
+    merged = contract(graph, [{v} for v in range(graph.n)], labels)
+    assert merged.masks is graph.masks and merged == blown
+    reversed_classes = classes[::-1]
+    expected = pairwise_blow_up(graph, reversed_classes, labels, factor)
+    assert blow_up(graph, reversed_classes, labels, factor) == expected
+    assert contract(expected, reversed_classes, graph.labels) == graph
+
+
 def test_contract_needs_a_partition_and_a_label_per_class():
     graph = Graph.complete(3)
     for classes in ([(0,), (1,)], [(0, 1), (1, 2)], [(0,), (1, 3)], [(0, 1, 2)]):
