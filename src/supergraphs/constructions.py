@@ -17,23 +17,26 @@ supergraph. The hierarchy report compares the 15 deltas; element graphs are
 built only where a command writes one out and where brute force is the point
 (the `wiener` distance sum and the family suites).
 
-Every base adjacency is invariant under simultaneous conjugation, and so is
-generation of the group. `class_graph` is the one place that decides which
-classes of a partition are related under such a relation, for quotients and
-for both generating graphs (see `generation`). On the conjugacy and order
-partitions it loops over pairs of conjugacy classes: the larger class's
-representative r is pinned and tested against the smaller class once per
-orbit of the centralizer C(r), a pair stops at its first hit, and it is
-skipped when its partition classes are already related. On the equality
-partition the same pinned scan runs over orbits of cyclic subgroups under
-conjugation: elements generating one cyclic subgroup are closed twins in
-every base graph, so the delta is the blow-up of a graph on the cyclic
-subgroups, and r's hits are carried to the rest of its orbit one subgroup
-at a time through the conjugators its class records. Two shortcuts skip
-closures: if the whole group has the kind's property (`PROPERTY_OF_KIND`:
-abelian for commuting, cyclic for enhanced, nilpotent, solvable), a fact the
-group computes once, that kind's delta is complete and built as such, with
-no edge list; and a commuting pair is nilpotent- and solvable-adjacent.
+Every base adjacency, and generation of the group, depends only on the
+cyclic subgroups two elements generate and is invariant under simultaneous
+conjugation. `class_graph` is the one place that decides which classes of a
+partition are related under such a relation, for quotients and for both
+generating graphs (see `generation`), by one pinned scan over the orbits of
+cyclic subgroups under conjugation (`FiniteGroup.cyclic_orbits`). Of two
+orbits, the root of the larger is pinned and tested against the smaller's
+subgroups, once per orbit of the pinned element's centralizer for the
+kinds whose test closes a subgroup. On the equality partition every hit is
+kept and carried to the rest of the pinned orbit through the generators'
+recorded permutations of the subgroups: elements generating one cyclic
+subgroup are closed twins in every base graph, so the delta is the blow-up
+of a graph Gamma on the cyclic subgroups. On the conjugacy and order
+partitions a pair of orbits stops at its first hit and is pulled back onto
+the classes that the orbits meet, which are the classes of their roots'
+generators. Two shortcuts skip closures: if the whole group has the kind's
+property (`PROPERTY_OF_KIND`: abelian for commuting, cyclic for enhanced,
+nilpotent, solvable), a fact the group computes once, that kind's delta is
+complete and built as such, with no edge list; and a commuting pair is
+nilpotent- and solvable-adjacent.
 Only the solvable test closes the subgroup a pair generates
 (`FiniteGroup.pair_is_solvable`); the nilpotent test reads the pair's Sylow
 parts (`FiniteGroup.generates_nilpotent`).
@@ -44,6 +47,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from .graphs import Graph, blow_up, contract, is_subgraph
 from .groups import FiniteGroup
@@ -164,106 +169,103 @@ def _class_labels(group: FiniteGroup, partition: Partition):
 
 def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition) -> Graph:
     """The graph on the partition's classes, in its order, joining two classes
-    when test holds for some pair across them. The test must be invariant
-    under simultaneous conjugation. Classes related when every pair across
-    them passes a test are the complement of the class graph of its negation
-    (see `generation.invariable_generating_graph`).
+    when test holds for some pair across them. The test must depend only on
+    the cyclic subgroups <g> and <h>, as every base adjacency and generation
+    do, and be invariant under simultaneous conjugation. Classes related when
+    every pair across them passes a test are the complement of the class
+    graph of its negation (see `generation.invariable_generating_graph`).
 
     This is the one place that decides which classes are related, by one
-    pinned scan for every partition. Conjugacy classes are sorted by size, so
-    of two classes a <= b, b is the larger: b's representative r is pinned,
-    and r is tested against class a once per orbit of the centralizer C(r) if
-    per_orbit is set, else once per member, since every pair across the
-    classes is conjugate to one of these. Conjugacy and order classes are
-    unions of conjugacy classes, so a pair a, b in partition classes i and j
-    is skipped when i == j or i and j are already related, and stops at its
-    first hit. The equality partition is scanned over cyclic subgroups
-    instead (`_subgroup_graph`). The graph is one int mask per class, with
-    no edge list.
+    pinned scan over the orbits of cyclic subgroups under conjugation
+    (`FiniteGroup.cyclic_orbits`) for every partition. The orbits are sorted
+    by size; of two orbits a <= b, b's root <r> is pinned, and r is tested
+    against one generator of each subgroup of a if per_orbit is not set, else
+    against one per orbit of the centralizer C(r) on a's subgroups, since
+    every pair of subgroups across the orbits is conjugate to one of these.
+    The equality partition takes every hit (`_subgroup_graph`). On the
+    conjugacy and order partitions, whose classes are unions of conjugacy
+    classes, the pair of orbits stops at its first hit: every conjugacy class
+    whose members generate subgroups of an orbit holds a generator of its
+    root, so an orbit meets exactly the partition classes of its root's
+    generators, and one hit relates every class a meets to every class b
+    meets. A pair is skipped when those classes are all related already, as
+    when both orbits meet one order class. Within one orbit, the root itself
+    is tested through a second generator, since two generators of <r> may
+    lie in different classes. The graph is one int mask per class, with no
+    edge list.
     """
+    generators = group.cyclic_classes().members
+    orbits = sorted(group.cyclic_orbits().orbits, key=len)
     if partition.kind == "equality":
-        return _subgroup_graph(group, test, per_orbit)
-    classes = group.conjugacy_classes()
+        return _subgroup_graph(group, test, per_orbit, orbits)
     part_of = partition.class_of
-    masks = [0] * len(partition.classes)
-    for b, cls in enumerate(classes):
-        r = cls.representative
-        j = part_of[r]
+    meets = [tuple({part_of[g] for g in generators[orbit[0]]}) for orbit in orbits]
+    reach = [sum(1 << i for i in classes) for classes in meets]
+    masks = [1 << i for i in range(len(partition.classes))]  # own bits cleared at the end
+    for b, orbit in enumerate(orbits):
+        r = generators[orbit[0]][0]
+        own = part_of[r]
+        related = reduce(and_, map(masks.__getitem__, meets[b]))  # to every class b meets
         for a in range(b + 1):
-            members = classes[a].members
-            i = part_of[members[0]]
-            if i == j or masks[j] >> i & 1:
+            if not reach[a] & ~related:
                 continue
-            for orbit in group.centralizer_orbits(r, members) if per_orbit else zip(members):
-                if test(r, orbit[0]):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
+            for covered in _candidates(group, r, orbits[a], per_orbit):
+                gens = generators[covered[0]]
+                # within one orbit, a generator outside r's class: every subgroup of
+                # an orbit holds one of each class the orbit meets, two or more here
+                h = next(g for g in gens if part_of[g] != own) if a == b else gens[0]
+                if test(r, h):
+                    for i in meets[b]:
+                        masks[i] |= reach[a]
+                    for j in meets[a]:
+                        masks[j] |= reach[b]
+                    related = reduce(and_, map(masks.__getitem__, meets[b]))
                     break
+    masks = [mask ^ 1 << i for i, mask in enumerate(masks)]
     return Graph._from_masks(_class_labels(group, partition), masks)
 
 
-def _subgroup_graph(group: FiniteGroup, test, per_orbit: bool) -> Graph:
-    """The class graph on the equality partition, for a test that depends
-    only on the cyclic subgroups <g> and <h>, as every base adjacency and
-    generation do: it is the blow-up of a graph Gamma on the cyclic
-    subgroups (`FiniteGroup.cyclic_classes`) with one factor per subgroup
-    on its generators.
+def _candidates(group: FiniteGroup, r: int, orbit: tuple[int, ...], per_orbit: bool):
+    """The subgroups of orbit that r is tested against, each with the
+    subgroups its test covers: one per orbit of C(r) if per_orbit, else
+    every one alone."""
+    return group.centralizer_orbits(r, orbit) if per_orbit else zip(orbit)
 
-    Conjugation permutes cyclic subgroups, and the orbit of <r> is read from
-    r's conjugacy class: member m = r^x gives <m> = <r>^x and its recorded
-    conjugator x. Orbits are sorted by size; the representative r of orbit
-    b is pinned and tested against one generator of each subgroup of every
-    orbit a <= b, or, if per_orbit is set, once per orbit of C(r) on a's
-    class, which covers the subgroups of the orbit's members. r's hits are
-    carried to each other subgroup <r>^x of its orbit by conjugating one
-    generator of each hit by x. Whether a subgroup's generators are joined
-    to each other is one test of r against r^-1 per orbit: it always holds
-    for the five base kinds, and for generation only when the subgroup is
-    the whole, cyclic, group; a subgroup whose generators are apart has an
-    empty factor.
+
+def _subgroup_graph(group: FiniteGroup, test, per_orbit: bool, orbits) -> Graph:
+    """The class graph on the equality partition: the blow-up of a graph
+    Gamma on the cyclic subgroups (`FiniteGroup.cyclic_classes`) with one
+    factor per subgroup on its generators.
+
+    r, pinned for orbit b, is tested against every subgroup of each orbit
+    a <= b but its own (`class_graph`), and all of its hits are kept. They
+    are carried to each other subgroup of b along the step of the orbit walk
+    that reaches it: a subgroup k reached from p by the generator s has the
+    hits of p moved by s's permutation of the subgroups, so no element is
+    conjugated. Whether a subgroup's generators are joined to each other is
+    one test of r against r^-1 per orbit: it always holds for the five base
+    kinds, and for generation only when the subgroup is the whole, cyclic,
+    group; a subgroup whose generators are apart has an empty factor.
     """
-    cyclic = group.cyclic_classes()
-    class_of, generators = cyclic.class_of, cyclic.members
-    mul, inv = group.mul, group.inv
-    placed = [False] * len(generators)
-    orbits = []  # (conjugacy class, its members' subgroups, a conjugator of each)
-    for cls in group.conjugacy_classes():
-        if placed[class_of[cls.representative]]:
-            continue  # <r> lies in an earlier orbit, as when r^k is not conjugate to r
-        subgroups, conjugators = [], []
-        for m, x in zip(cls.members, cls.conjugators):
-            k = class_of[m]
-            if not placed[k]:
-                placed[k] = True
-                subgroups.append(k)
-                conjugators.append(x)
-        orbits.append((cls, subgroups, conjugators))
-    orbits.sort(key=lambda orbit: len(orbit[1]))
+    walk = group.cyclic_orbits()
+    generators = group.cyclic_classes().members
     gamma = [0] * len(generators)
     apart = []
-    for b, (cls, subgroups, conjugators) in enumerate(orbits):
-        r = cls.representative
-        seen, hits = {class_of[r]}, set()
-        for other, others, _ in orbits[:b + 1]:
-            if not per_orbit:
-                hits.update(k for k in others if k not in seen and test(r, generators[k][0]))
-                continue
-            for orbit in group.centralizer_orbits(r, other.members):
-                if class_of[orbit[0]] in seen:
-                    continue
-                covered = {class_of[h] for h in orbit}
-                seen |= covered
-                if test(r, orbit[0]):
-                    hits |= covered
-        if len(generators[subgroups[0]]) > 1 and not test(r, inv(r)):
-            apart.extend(subgroups)
-        hit_generators = [generators[k][0] for k in hits]
-        for k, x in zip(subgroups, conjugators):
-            if x:
-                x_inv = inv(x)
-                row = [class_of[mul(mul(x_inv, h), x)] for h in hit_generators]
-            else:
-                row = hits
+    for b, orbit in enumerate(orbits):
+        root = orbit[0]
+        r = generators[root][0]
+        hits = []
+        for other in orbits[:b + 1]:
+            for covered in _candidates(group, r, other, per_orbit):
+                if covered[0] != root and test(r, generators[covered[0]][0]):
+                    hits.extend(covered)
+        if len(generators[root]) > 1 and not test(r, group.inv(r)):
+            apart.extend(orbit)
+        rows = {root: hits}
+        for k in orbit[1:]:  # each reached from a subgroup listed before it
+            parent, t = walk.steps[k]
+            rows[k] = list(map(walk.permutations[t].__getitem__, rows[parent]))
+        for k, row in rows.items():
             bit, mask = 1 << k, 0
             for h in row:
                 gamma[h] |= bit
@@ -276,8 +278,9 @@ def _subgroup_graph(group: FiniteGroup, test, per_orbit: bool) -> Graph:
         return graph
     masks = list(graph.masks)
     for k in apart:
+        together = sum(1 << g for g in generators[k])
         for g in generators[k]:
-            masks[g] &= ~cyclic.masks[k]
+            masks[g] &= ~together
     return Graph._from_masks(labels, masks)
 
 
@@ -361,8 +364,10 @@ def hierarchy_report(group: FiniteGroup) -> HierarchyReport:
     between deltas on shared classes. For each kind they must grow along
     equality, conjugacy, same order, each partition refining the next: delta_B
     must be the contraction of delta_A onto B's classes (`graphs.contract`).
-    Also checks that the order-superenhanced and order-supercommuting graphs
-    coincide.
+    The equality delta keeps every hit of its scan, and each coarser delta
+    pulls back the first hit of each pair of orbits, so a link compares two
+    scans, not one graph on the cyclic subgroups with itself. Also checks
+    that the order-superenhanced and order-supercommuting graphs coincide.
     """
     deltas = {
         (kind, pkind): quotient_supergraph(group, kind, pkind).delta

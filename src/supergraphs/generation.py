@@ -8,15 +8,18 @@ inside the complement of the matching base graph (equality exactly for the
 minimal non-A groups), and the invariable generating graph sits inside the
 complement of the conjugacy supergraph of the same kind.
 
-Generation is invariant under simultaneous conjugation, so both graphs come
-from class graphs (`constructions.class_graph`): the generating graph is the
-class graph of "the pair generates" on the equality partition, decided once
-per orbit of pairs of cyclic subgroups (a pair generates the group or not
-whatever generators of its two subgroups it holds) and blown up onto their
-generators, which join each other only in a cyclic group. The invariable
-generating graph is the complement, on the conjugacy classes, of the class
-graph of "some pair fails to generate", blown up on the classes with empty
-factors (`graphs.blow_up`).
+Generation depends only on the cyclic subgroups of a pair (it generates the
+group or not whatever generators of its two subgroups it holds) and is
+invariant under simultaneous conjugation, so both graphs come from the one
+scan over orbits of cyclic subgroups (`constructions.class_graph`): the
+generating graph is the class graph of "the pair generates" on the equality
+partition, decided once per orbit of pairs of cyclic subgroups under the
+pinned element's centralizer and blown up onto their generators, which join
+each other only in a cyclic group. The invariable generating graph is the
+complement, on the conjugacy classes, of the class graph of "some pair fails
+to generate", whose pairs of orbits stop at their first failure and are
+pulled back onto the classes they meet; it is blown up on the classes with
+empty factors (`graphs.blow_up`).
 
 The containment checks compare each check's relation on classes (on the
 equality partition, the generating graph itself) with the supergraph's delta

@@ -365,8 +365,12 @@ def blow_up(delta: Graph, classes, labels, factor: str) -> Graph:
 
     Each vertex is joined to every vertex of the classes adjacent to its own
     in delta and, with complete factors, to the rest of its class: its mask
-    is the OR of those classes' masks, less its own bit. When classes[i] is
-    (i,) for every i, the blow-up is delta under the new labels.
+    is the OR of those classes' masks, less its own bit. That OR is taken
+    over class i's closed neighbourhood in delta with complete factors, its
+    open one with empty factors, so it is built once per distinct
+    neighbourhood and read back from a vertex of the first class with it:
+    twin classes share it. When classes[i] is (i,) for every i, the blow-up
+    is delta under the new labels.
     """
     if factor not in FACTOR_KINDS:
         raise ValueError(f"unknown factor kind {factor!r}")
@@ -381,9 +385,16 @@ def blow_up(delta: Graph, classes, labels, factor: str) -> Graph:
     ):
         raise ValueError("blow-up needs one class per delta vertex, partitioning the vertices")
     masks = [0] * len(labels)
+    built = {}  # neighbourhood in delta -> a vertex whose row it gave
     for i, members in enumerate(classes):
-        adjacent = map(class_masks.__getitem__, _bits(delta.masks[i]))
-        row = reduce(or_, adjacent, class_masks[i] * own)
+        neighbourhood = delta.masks[i] | own << i
+        v = built.get(neighbourhood)
+        if v is None:
+            row = reduce(or_, map(class_masks.__getitem__, _bits(neighbourhood)), 0)
+            if members:
+                built[neighbourhood] = members[0]
+        else:
+            row = masks[v] ^ own << v
         for v in members:
             masks[v] = row ^ own << v
     return Graph._from_masks(labels, masks)

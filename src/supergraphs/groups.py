@@ -12,13 +12,17 @@ passes the cap is refused before any permutation is built, and the closure of
 permutation generators checks the cap after each frontier member, so it holds
 at most cap + len(gens) elements when it stops.
 
-Conjugation is orbit-based. One breadth-first walk under conjugation by a
-small generating set records a conjugator per orbit member: over the group's
-generators it finds the conjugacy classes, and over one element's centralizer
-`centralizer_orbits` splits a class into that centralizer's orbits. Together
-they let a relation that is invariant under simultaneous conjugation be
-decided once per orbit of pairs, by the one pinned scan that serves every
-partition (see `constructions.class_graph`). Abelian groups and central
+Conjugation is orbit-based, over cyclic subgroups where it can be. One
+breadth-first walk over the indices of the cyclic subgroups, under
+conjugation by the group's generators, records each generator's permutation
+of the subgroups and the step that reaches each subgroup
+(`FiniteGroup.cyclic_orbits`); `centralizer_orbits` splits one of those
+orbits into the orbits of an element's centralizer the same way. Together
+they let a relation that depends only on the cyclic subgroups two elements
+generate, and is invariant under simultaneous conjugation, be decided once
+per orbit of pairs, by the one pinned scan that serves every partition (see
+`constructions.class_graph`). The conjugacy classes, walked over elements,
+are built only for the conjugacy partition. Abelian groups and central
 elements cost no conjugation.
 """
 
@@ -58,8 +62,6 @@ class SizeCapError(RuntimeError):
 class ConjugacyClass:
     representative: int
     members: tuple[int, ...]
-    # conjugators[i] = x with members[i] = x^-1 * representative * x
-    conjugators: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -70,12 +72,24 @@ class ConjugacyClass:
 class CyclicClasses:
     """The classes of g ~ h when <g> = <h>: members[k] holds the generators
     of the k-th cyclic subgroup, increasing, subgroups in order of least
-    generator; class_of[g] is the index of <g>, and masks[k] has the bits
-    of members[k]."""
+    generator, and class_of[g] is the index of <g>."""
 
     class_of: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CyclicOrbits:
+    """The orbits of the cyclic subgroups (indices of `CyclicClasses`) under
+    conjugation. orbits[o] lists one orbit in the order of the walk that
+    found it, its least subgroup, the root, first; permutations[t][k] is the
+    subgroup s^-1 <k> s for the group's t-th generator s; and steps[k] is
+    (p, t) with k = permutations[t][p] for a subgroup p listed before k, or
+    None for a root."""
+
+    orbits: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, int] | None, ...]
+    permutations: tuple[tuple[int, ...], ...]
 
 
 class FiniteGroup:
@@ -88,9 +102,10 @@ class FiniteGroup:
     generate the group share one tuple), whether each such proper subgroup is
     solvable (keyed by its members tuple), each element's Sylow parts, the
     whole group's facts (abelian, cyclic, nilpotent, solvable), and the
-    conjugacy classes, cyclic classes, generators and labels, computed once
-    each. One frozenset per cyclic subgroup, stored under each of its
-    generators, not one per element.
+    conjugacy classes, cyclic classes, orbits of cyclic subgroups under
+    conjugation (with each generator's permutation of them), generators and
+    labels, computed once each. One frozenset per cyclic subgroup, stored
+    under each of its generators, not one per element.
     """
 
     rep = "cayley"
@@ -99,7 +114,6 @@ class FiniteGroup:
         self.order = order
         self.label = label
         self._classes: list[ConjugacyClass] | None = None
-        self._class_of: list[int] = []
         self._generators: tuple[int, ...] | None = None
         self._centralizer_gens: dict[int, tuple[int, ...]] = {}
         self._pair_members: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -109,6 +123,7 @@ class FiniteGroup:
         self._facts: dict[str, bool] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
         self._cyclic_classes: CyclicClasses | None = None
+        self._cyclic_orbits: CyclicOrbits | None = None
         self._labels: tuple[str, ...] | None = None
 
     def mul(self, i: int, j: int) -> int:
@@ -137,35 +152,81 @@ class FiniteGroup:
     def cyclic_subgroup(self, g: int) -> frozenset[int]:
         """<g>, walked once and stored under each generator g^k, k prime to |g|."""
         cached = self._cyclic_cache.get(g)
-        if cached is not None:
-            return cached
+        return cached if cached is not None else self._walk_powers(g)[0]
+
+    def _walk_powers(self, g: int) -> tuple[frozenset[int], list[int]]:
+        """<g> from g's powers, and its generators g^k, k prime to |g|, in
+        order of k; <g> is stored under each of them."""
         powers = [0]
         acc = g
         while acc != 0:
             powers.append(acc)
             acc = self.mul(acc, g)
         result = frozenset(powers)
-        for k, power in enumerate(powers):
-            if math.gcd(k, len(powers)) == 1:  # k = 0 only for the identity
-                self._cyclic_cache[power] = result
-        return result
+        # k = 0 is prime to |g| only for the identity
+        gens = [power for k, power in enumerate(powers) if math.gcd(k, len(powers)) == 1]
+        for power in gens:
+            self._cyclic_cache[power] = result
+        return result, gens
 
     def cyclic_classes(self) -> CyclicClasses:
-        """The elements grouped by the cyclic subgroup they generate: one
-        class per stored subgroup, so one walk of powers per cyclic
-        subgroup; computed once per group."""
+        """The elements grouped by the cyclic subgroup they generate: the
+        least element not yet placed generates the next subgroup, whose
+        generators are placed from one walk of its powers; computed once per
+        group."""
         if self._cyclic_classes is None:
-            index: dict[frozenset[int], int] = {}
-            class_of, members = [], []
+            class_of = [-1] * self.order
+            members = []
             for g in range(self.order):
-                k = index.setdefault(self.cyclic_subgroup(g), len(index))
-                if k == len(members):
-                    members.append([])
-                members[k].append(g)
-                class_of.append(k)
-            masks = tuple(sum(1 << g for g in gens) for gens in members)
-            self._cyclic_classes = CyclicClasses(tuple(class_of), tuple(map(tuple, members)), masks)
+                if class_of[g] < 0:
+                    gens = sorted(self._walk_powers(g)[1])
+                    for h in gens:
+                        class_of[h] = len(members)
+                    members.append(tuple(gens))
+            self._cyclic_classes = CyclicClasses(tuple(class_of), tuple(members))
         return self._cyclic_classes
+
+    def cyclic_orbits(self) -> CyclicOrbits:
+        """The orbits of the cyclic subgroups under conjugation, found by one
+        breadth-first walk over subgroup indices from each least subgroup not
+        yet reached; computed once per group. Each generator s of the group
+        permutes the subgroups, k to the subgroup of s^-1 g s for one
+        generator g of k: two products per subgroup and generator. An
+        abelian group has one orbit per subgroup and conjugates nothing."""
+        if self._cyclic_orbits is None:
+            cyclic = self.cyclic_classes()
+            count = len(cyclic.members)
+            if self.is_abelian():
+                self._cyclic_orbits = CyclicOrbits(tuple((k,) for k in range(count)),
+                                                   (None,) * count, ())
+                return self._cyclic_orbits
+            mul, class_of, members = self.mul, cyclic.class_of, cyclic.members
+            permutations = tuple(
+                tuple(class_of[mul(mul(s_inv, gens[0]), s)] for gens in members)
+                for s_inv, s in self._inverse_pairs(self.generators())
+            )
+            steps: list[tuple[int, int] | None] = [None] * count
+            reached = [False] * count
+            orbits = []
+            for root in range(count):
+                if reached[root]:
+                    continue
+                reached[root] = True
+                orbit = [root]
+                for k in orbit:  # grows while it is walked
+                    for t, permutation in enumerate(permutations):
+                        image = permutation[k]
+                        if not reached[image]:
+                            reached[image] = True
+                            steps[image] = (k, t)
+                            orbit.append(image)
+                orbits.append(tuple(orbit))
+            self._cyclic_orbits = CyclicOrbits(tuple(orbits), tuple(steps), permutations)
+        return self._cyclic_orbits
+
+    def _inverse_pairs(self, gens) -> list[tuple[int, int]]:
+        """(s^-1, s) for each s of gens: conjugation by s is y -> s^-1 y s."""
+        return [(self.inv(s), s) for s in gens]
 
     def commutes(self, g: int, h: int) -> bool:
         return self.mul(g, h) == self.mul(h, g)
@@ -175,7 +236,9 @@ class FiniteGroup:
         return tuple(h for h in self.elements() if self.commutes(g, h))
 
     def generators(self) -> tuple[int, ...]:
-        """A small generating set of the whole group."""
+        """A small generating set of the whole group: the one the group was
+        built from, if its constructor knows one, else a greedy set. Every
+        conjugation walk costs two products per generator and point."""
         if self._generators is None:
             self._generators = _greedy_generators(self, tuple(self.elements()))
         return self._generators
@@ -208,71 +271,65 @@ class FiniteGroup:
         """Classes sorted by (size, least member); representative = least member.
 
         Each class is the orbit of its least member under conjugation by the
-        group's generators, found breadth first; the search records for every
-        member m a conjugator x with m = x^-1 r x. An abelian group has one
+        group's generators, found breadth first. An abelian group has one
         class per element and costs no conjugation.
         """
         if self._classes is not None:
             return self._classes
         if self.is_abelian():
-            classes = [ConjugacyClass(g, (g,), (0,)) for g in range(self.order)]
+            classes = [ConjugacyClass(g, (g,)) for g in range(self.order)]
         else:
+            mul, pairs = self.mul, self._inverse_pairs(self.generators())
             classes = []
             seen = [False] * self.order
             for g in range(self.order):
                 if seen[g]:
                     continue
-                conjugator = self._conjugation_orbit(g, self.generators())
-                members = tuple(sorted(conjugator))
-                for m in members:
-                    seen[m] = True
-                classes.append(ConjugacyClass(g, members, tuple(conjugator[m] for m in members)))
+                seen[g] = True
+                orbit = [g]
+                for y in orbit:  # grows while it is walked
+                    for s_inv, s in pairs:
+                        z = mul(mul(s_inv, y), s)
+                        if not seen[z]:
+                            seen[z] = True
+                            orbit.append(z)
+                classes.append(ConjugacyClass(g, tuple(sorted(orbit))))
             classes.sort(key=lambda c: (c.size, c.representative))
-        self._class_of = [0] * self.order
-        for idx, cls in enumerate(classes):
-            for m in cls.members:
-                self._class_of[m] = idx
         self._classes = classes
         return classes
 
-    def centralizer_orbits(self, g: int, members: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Orbits of the centralizer C(g), acting by conjugation, on the sorted
-        members of one conjugacy class; each orbit sorted, in order of least
-        member. A central g has C(g) = G, whose one orbit is the whole class,
-        so it costs no conjugation; otherwise C(g) is generated by a small set
-        found once per g.
+    def centralizer_orbits(self, g: int, subgroups: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Orbits of the centralizer C(g), acting by conjugation, on one orbit
+        of cyclic subgroups under the whole group (`cyclic_orbits`); each
+        orbit sorted, in order of least subgroup. A central g has C(g) = G,
+        whose one orbit is the whole of subgroups, so it costs no
+        conjugation; otherwise C(g) is generated by a small set found once
+        per g, and each of its generators moves each subgroup it reaches by
+        two products.
         """
-        classes = self.conjugacy_classes()
-        if classes[self._class_of[g]].size == 1 or len(members) == 1:
-            return [members]
+        commutes = self.commutes
+        if len(subgroups) == 1 or all(commutes(g, s) for s in self.generators()):
+            return [tuple(sorted(subgroups))]
         gens = self._centralizer_gens.get(g)
         if gens is None:
             gens = self._centralizer_gens[g] = _greedy_generators(self, self.centralizer(g))
-        unseen = set(members)
+        cyclic = self.cyclic_classes()
+        mul, class_of, members = self.mul, cyclic.class_of, cyclic.members
+        pairs = self._inverse_pairs(gens)
+        unseen = set(subgroups)
         orbits = []
-        for h in members:
-            if h in unseen:
-                orbit = tuple(sorted(self._conjugation_orbit(h, gens)))
-                unseen.difference_update(orbit)
-                orbits.append(orbit)
+        for k in sorted(subgroups):
+            if k in unseen:
+                unseen.discard(k)
+                orbit = [k]
+                for j in orbit:  # grows while it is walked
+                    for s_inv, s in pairs:
+                        image = class_of[mul(mul(s_inv, members[j][0]), s)]
+                        if image in unseen:
+                            unseen.discard(image)
+                            orbit.append(image)
+                orbits.append(tuple(sorted(orbit)))
         return orbits
-
-    def _conjugation_orbit(self, start: int, gens) -> dict[int, int]:
-        """The orbit of start under conjugation by the group that gens
-        generate, found breadth first: {member m: a conjugator x with
-        m = x^-1 start x}."""
-        mul = self.mul
-        pairs = [(self.inv(s), s) for s in gens]
-        conjugator = {start: 0}
-        orbit = [start]
-        for y in orbit:  # grows while it is walked
-            x = conjugator[y]
-            for s_inv, s in pairs:
-                z = mul(mul(s_inv, y), s)
-                if z not in conjugator:
-                    conjugator[z] = mul(x, s)
-                    orbit.append(z)
-        return conjugator
 
     def pair_subgroup_members(self, g: int, h: int) -> tuple[int, ...]:
         """Members of the subgroup generated by {g, h}, cached per pair.
@@ -589,11 +646,12 @@ def _check_associative(rows: list[list[int]], gens) -> None:
 
 
 class PermutationGroup(FiniteGroup):
-    """Group whose elements are explicitly enumerated permutations."""
+    """Group whose elements are explicitly enumerated permutations; gens, if
+    given, are permutations that generate it, and become its generators."""
 
     rep = "permutation"
 
-    def __init__(self, degree: int, elements: list[tuple[int, ...]], label: str):
+    def __init__(self, degree: int, elements: list[tuple[int, ...]], label: str, gens=None):
         ident = perms.identity_perm(degree)
         if elements[0] != ident:
             raise InvalidGroupSpec("element 0 must be the identity permutation")
@@ -610,6 +668,8 @@ class PermutationGroup(FiniteGroup):
             for p in elements
         ]
         self._inverses = [self._index[perms.invert(p)] for p in elements]
+        if gens is not None:
+            self._generators = tuple(dict.fromkeys(self._index[p] for p in gens if p != ident))
 
     def mul(self, i, j):
         return self._index[self._compose_with[i](self.perm_elements[j])]
@@ -622,9 +682,6 @@ class PermutationGroup(FiniteGroup):
 
     def perm(self, i) -> tuple[int, ...]:
         return self.perm_elements[i]
-
-    def index_of(self, p: tuple[int, ...]) -> int:
-        return self._index[p]
 
 
 class ProductGroup(FiniteGroup):
@@ -695,7 +752,10 @@ def symmetric(n: int) -> FiniteGroup:
         raise InvalidGroupSpec("symmetric groups need n >= 1")
     _check_factorial_order(n, f"S{n}", halved=False)
     elements = [tuple(p) for p in itertools.permutations(range(n))]
-    return PermutationGroup(n, elements, f"S{n}")
+    # (1 2) and (1 2 ... n) generate S_n; the greedy set is n - 1 transpositions
+    gens = [perms.perm_from_cycles(n, [cycle])
+            for cycle in ([1, 2], list(range(1, n + 1)))] if n >= 2 else []
+    return PermutationGroup(n, elements, f"S{n}", gens)
 
 
 def alternating(n: int) -> FiniteGroup:
@@ -705,7 +765,11 @@ def alternating(n: int) -> FiniteGroup:
     elements = [
         tuple(p) for p in itertools.permutations(range(n)) if perms.parity(tuple(p)) == 0
     ]
-    return PermutationGroup(n, elements, f"A{n}")
+    # (1 2 3) and the even cycle (1 2 ... n), or (2 3 ... n) for even n,
+    # generate A_n for n >= 3
+    gens = [perms.perm_from_cycles(n, [cycle])
+            for cycle in ([1, 2, 3], list(range(2 - n % 2, n + 1)))] if n >= 3 else []
+    return PermutationGroup(n, elements, f"A{n}", gens)
 
 
 def product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:

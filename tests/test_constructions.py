@@ -6,6 +6,7 @@ import math
 import tracemalloc
 
 import pytest
+from test_groups import index_of
 from test_power_edge_counts import cyclic_power_edges
 
 import supergraphs as sg
@@ -448,6 +449,33 @@ def test_hierarchy_catches_a_spurious_edge_that_containment_misses(monkeypatch):
     assert broken == [("nilpotent", "conjugacy", "order")]
 
 
+def test_hierarchy_catches_a_spurious_edge_of_the_graph_on_cyclic_subgroups(monkeypatch):
+    """One spurious edge in every graph on S4's cyclic subgroups, joining
+    <(0 1 2)> and <(0 1)>, which generate S3: no base graph but the solvable
+    one, complete on S4, joins them. Every equality delta blows up its
+    planted graph, while each coarser delta comes from its own first-hit
+    scan and pulls back the orbits' hits, so the contraction of the
+    equality delta onto the conjugacy classes breaks for each planted kind."""
+    s4 = sg.symmetric(4)
+    cyclic = s4.cyclic_classes()
+    u, v = (cyclic.class_of[index_of(s4, p)] for p in [(1, 2, 0, 3), (1, 0, 2, 3)])
+    real = constructions.blow_up
+
+    def planted(delta, classes, labels, factor):
+        if classes is cyclic.members:
+            assert not delta.has_edge(u, v)
+            delta = Graph(delta.labels, [*delta.edges(), (u, v)])
+        return real(delta, classes, labels, factor)
+
+    monkeypatch.setattr(constructions, "blow_up", planted)
+    report = hierarchy_report(s4)
+    assert not report.passed and report.order_coincidence
+    assert all(link["holds"] for link in report.kind_chain)
+    broken = [(link["kind"], link["lower"], link["upper"])
+              for link in report.partition_chain if not link["holds"]]
+    assert broken == [(kind, "equality", "conjugacy") for kind in KINDS[:4]]
+
+
 def test_kind_chain_strict_in_s4():
     """Each base-graph inclusion is strict somewhere in S4 except
     power=enhanced; the solvable graph there is complete."""
@@ -460,8 +488,8 @@ def test_kind_chain_strict_in_s4():
     assert solvable.num_edges == 24 * 23 // 2  # S4 itself is solvable
     # a 4-cycle and a reflection generate a dihedral 2-group: nilpotent
     # adjacency without commuting
-    four_cycle = s4.index_of((1, 2, 3, 0))
-    swap = s4.index_of((2, 1, 0, 3))
+    four_cycle = index_of(s4, (1, 2, 3, 0))
+    swap = index_of(s4, (2, 1, 0, 3))
     assert not base_adjacent(s4, "commuting", four_cycle, swap)
     assert base_adjacent(s4, "nilpotent", four_cycle, swap)
 
@@ -547,25 +575,78 @@ def test_cyclic_subgroup_is_one_object_for_its_generators(group):
                 assert group.cyclic_subgroup(power) is sub
 
 
-def _cyclic_subgroup_orbit_sizes(group):
-    """(orbit size, subgroup order) for each orbit of cyclic subgroups
-    under conjugation: each subgroup is walked from an element's powers and
-    conjugated by every element."""
-    mul, inv = group.mul, group.inv
-    subgroups = set()
+def _cyclic_subgroups(group):
+    """{cyclic subgroup: its generators, increasing}, in order of least
+    generator: each element's subgroup is walked from its powers."""
+    generators = {}
     for g in range(group.order):
         powers, acc = [0], g
         while acc:
             powers.append(acc)
-            acc = mul(acc, g)
-        subgroups.add(frozenset(powers))
-    orbits = []
-    while subgroups:
-        sub = subgroups.pop()
-        orbit = {frozenset(mul(mul(inv(x), h), x) for h in sub) for x in range(group.order)}
-        subgroups -= orbit
-        orbits.append((len(orbit), len(sub)))
+            acc = group.mul(acc, g)
+        generators.setdefault(frozenset(powers), []).append(g)
+    return generators
+
+
+def _conjugate_subgroup(group, sub, x):
+    return frozenset(group.mul(group.mul(group.inv(x), h), x) for h in sub)
+
+
+def _cyclic_subgroup_orbits(group):
+    """Each orbit of cyclic subgroups under conjugation, in the order a
+    breadth-first walk under conjugation by the group's generators reaches
+    it from its subgroup of least generator; orbits in that order. Each
+    subgroup is conjugated whole."""
+    orbits, reached = [], set()
+    for sub in _cyclic_subgroups(group):
+        if sub not in reached:
+            reached.add(sub)
+            orbit = [sub]
+            for k in orbit:
+                for s in group.generators():
+                    image = _conjugate_subgroup(group, k, s)
+                    if image not in reached:
+                        reached.add(image)
+                        orbit.append(image)
+            orbits.append(orbit)
     return orbits
+
+
+def first_hit_scan(group, test, partition, per_orbit):
+    """The element pairs that the scan of a coarse partition tests, derived
+    from the orbits above: orbits sorted by size; for a <= b, the least
+    generator r of b's first subgroup is tested against a generator of each
+    subgroup of a in walk order, or, with per_orbit, of the least subgroup of
+    each orbit of C(r) on a, up to the first hit; the generator is the least
+    one, or when a == b the least in a partition class other than r's. A
+    pair of orbits is skipped when every two classes that their elements
+    lie in are related already, and a hit relates all of them."""
+    generators = _cyclic_subgroups(group)
+    orbits = sorted(_cyclic_subgroup_orbits(group), key=len)
+    part_of = partition.class_of
+    meets = [{part_of[g] for sub in orbit for g in generators[sub]} for orbit in orbits]
+    related, calls = set(), []
+    for b, orbit in enumerate(orbits):
+        r = generators[orbit[0]][0]
+        centralizer = [x for x in range(group.order) if group.commutes(r, x)]
+        for a in range(b + 1):
+            pairs = {frozenset((i, j)) for i in meets[b] for j in meets[a] if i != j}
+            if pairs <= related:
+                continue
+            candidates, covered = [], set()
+            scanned = sorted(orbits[a], key=generators.get) if per_orbit else orbits[a]
+            for sub in scanned:
+                if sub not in covered:
+                    candidates.append(sub)
+                    if per_orbit:
+                        covered |= {_conjugate_subgroup(group, sub, c) for c in centralizer}
+            for sub in candidates:
+                h = next(g for g in generators[sub] if a < b or part_of[g] != part_of[r])
+                calls.append((r, h))
+                if test(r, h):
+                    related |= pairs
+                    break
+    return calls
 
 
 @pytest.mark.parametrize("group, element_tests", [(sg.symmetric(5), 353), (sg.dihedral(20), 168),
@@ -579,9 +660,9 @@ def test_equality_scan_tests_each_class_pair_from_its_larger_class(group, elemen
     element_tests: sum over a <= b of |C_a|, less one per class."""
     sizes = [c.size for c in group.conjugacy_classes()]
     assert element_tests == sum(sizes[a] for b in range(len(sizes)) for a in range(b + 1)) - len(sizes)
-    orbits = sorted(_cyclic_subgroup_orbit_sizes(group))
-    tests = sum(size * (len(orbits) - a) for a, (size, _) in enumerate(orbits)) - len(orbits)
-    tests += sum(order > 2 for _, order in orbits)
+    orbits = sorted(_cyclic_subgroup_orbits(group), key=len)
+    tests = sum(len(orbit) * (len(orbits) - a) for a, orbit in enumerate(orbits)) - len(orbits)
+    tests += sum(len(orbit[0]) > 2 for orbit in orbits)
     assert tests < element_tests
     calls = []
 
@@ -612,13 +693,10 @@ def test_coarse_deltas_are_contractions_of_the_equality_delta(name):
             assert contract(fine, classes, delta.labels) == delta, (kind, pkind)
 
 
-@pytest.mark.parametrize("kind, pkind, tests", [("power", "order", 1280),
-                                                ("commuting", "order", 1126),
-                                                ("commuting", "conjugacy", 1612)])
-def test_coarse_scan_stops_at_the_first_hit_of_each_class_pair(kind, pkind, tests):
-    """On S6, no test pairs two elements of one partition class, and no test
-    follows the first hit that relates its two partition classes."""
-    group = sg.symmetric(6)
+def _recorded_first_hits(group, kind, pkind):
+    """The coarse scan's tests of kind on the pkind partition, each asserted
+    to pair two partition classes that no earlier hit related, with the
+    tests `first_hit_scan` derives, the class pairs that hit, and delta."""
     partition = build_partition(group, pkind)
     base = _pair_test(group, kind)
     calls, related = [], set()
@@ -626,12 +704,41 @@ def test_coarse_scan_stops_at_the_first_hit_of_each_class_pair(kind, pkind, test
     def recording_test(g, h):
         pair = frozenset((partition.class_of[g], partition.class_of[h]))
         assert len(pair) == 2 and pair not in related, (g, h)
-        calls.append(pair)
+        calls.append((g, h))
         ok = base(g, h)
         if ok:
             related.add(pair)
         return ok
 
     delta = class_graph(group, recording_test, False, partition)
-    assert len(calls) == tests
+    return calls, first_hit_scan(group, base, partition, False), related, delta
+
+
+@pytest.mark.parametrize("kind, pkind, tests", [("power", "order", 681),
+                                                ("commuting", "order", 530),
+                                                ("commuting", "conjugacy", 948)])
+def test_coarse_scan_stops_at_the_first_hit_of_each_class_pair(kind, pkind, tests):
+    """On S6, no test pairs two elements of one partition class, and no test
+    follows the first hit that relates its two partition classes. The tests
+    are exactly those that `first_hit_scan` derives from the orbits of
+    cyclic subgroups; scanning pairs of conjugacy classes took 1,280, 1,126
+    and 1,612. The generators of a cyclic subgroup of S6 are conjugate, so
+    each hit relates one pair of classes."""
+    calls, expected, related, delta = _recorded_first_hits(sg.symmetric(6), kind, pkind)
+    assert len(expected) == tests
+    assert calls == expected
     assert related == {frozenset(e) for e in delta.edges()}
+
+
+@pytest.mark.parametrize("name", ["D400", "Q400", "Z5:Z4"])
+def test_coarse_scan_pairs_two_classes_where_generators_split(name):
+    """The generators of a^k's subgroup lie in several conjugacy classes of
+    D400 and Q400, and x and x^-1 of order 4 in two of Z5:Z4, so an orbit
+    of cyclic subgroups meets several classes: within one orbit the scan
+    still tests two elements of different classes, and one hit relates
+    every class of one orbit to every class of the other."""
+    group = LARGE_CYCLIC_CLASS_GROUPS[name]()
+    for kind in ("power", "commuting"):
+        calls, expected, related, delta = _recorded_first_hits(group, kind, "conjugacy")
+        assert calls == expected, kind
+        assert related < {frozenset(e) for e in delta.edges()}, kind

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from test_constructions import LARGE_CYCLIC_CLASS_GROUPS
+from test_constructions import LARGE_CYCLIC_CLASS_GROUPS, first_hit_scan
 
 import supergraphs as sg
 from supergraphs import generation
@@ -14,7 +14,7 @@ from supergraphs.generation import (
     generating_graph,
     invariable_generating_graph,
 )
-from supergraphs.constructions import QuotientDecomposition
+from supergraphs.constructions import QuotientDecomposition, build_partition
 from supergraphs.graphs import Graph, blow_up, edge_difference
 from supergraphs.groups import closure_set, make_group
 
@@ -204,11 +204,19 @@ def test_generation_oracle_catches_joined_generators_of_one_subgroup(monkeypatch
     assert mismatches == set(itertools.combinations(sorted(planted), 2))
 
 
-@pytest.mark.parametrize("group, requests", [(sg.symmetric(4), 7), (sg.alternating(5), 16),
-                                             (sg.dihedral(20), 21)], ids=["S4", "A5", "D40"])
+@pytest.mark.parametrize("group, requests", [(sg.symmetric(4), 6), (sg.alternating(5), 6),
+                                             (sg.dihedral(20), 11)], ids=["S4", "A5", "D40"])
 def test_invariable_generating_graph_closes_a_fixed_number_of_pairs(group, requests, monkeypatch):
     """The class scan for a pair that fails to generate stops where a scan
-    for every pair generating would: the pinned pairs it closes are fixed."""
+    for every pair generating would: it closes the pairs, none of them
+    commuting, that `first_hit_scan` derives from the orbits of cyclic
+    subgroups. Scanning pairs of conjugacy classes closed 7, 16 and 21."""
+    def fails(g, h):
+        return len(closure_set(group.mul, 0, [g, h])) < group.order
+
+    scanned = first_hit_scan(group, fails, build_partition(group, "conjugacy"), True)
+    closed = [(g, h) for g, h in scanned if not group.commutes(g, h)]
+    assert len(closed) == requests
     members, calls = group.pair_subgroup_members, []
 
     def counting(g, h):
@@ -217,7 +225,26 @@ def test_invariable_generating_graph_closes_a_fixed_number_of_pairs(group, reque
 
     monkeypatch.setattr(group, "pair_subgroup_members", counting)
     invariable_generating_graph(group)
-    assert len(calls) == requests
+    assert calls == closed
+
+
+@pytest.mark.parametrize("build", [generating_graph, invariable_generating_graph])
+def test_centralizer_orbits_run_once_per_pinned_subgroup_and_orbit(build, monkeypatch):
+    """Each scan walks the centralizer orbits of a pinned subgroup on an
+    orbit of cyclic subgroups at most once: D40 has 8 such orbits, one per
+    rotation subgroup and two of reflections, so at most 36 pairs of them."""
+    group = sg.dihedral(20)
+    orbits, real, keys = group.cyclic_orbits().orbits, group.centralizer_orbits, []
+
+    def recording(g, subgroups):
+        keys.append((group.cyclic_classes().class_of[g], subgroups))
+        return real(g, subgroups)
+
+    monkeypatch.setattr(group, "centralizer_orbits", recording)
+    build(group)
+    assert len(orbits) == 8
+    assert 0 < len(keys) == len(set(keys)) <= 36
+    assert {subgroups for _, subgroups in keys} <= set(orbits)
 
 
 def test_containment_s3_minimal_non_abelian():

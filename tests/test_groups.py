@@ -14,6 +14,11 @@ from supergraphs.groups import (
     make_group,
 )
 
+def index_of(group, perm):
+    """The index of the permutation perm among the elements of group."""
+    return group.perm_elements.index(perm)
+
+
 NON_ASSOCIATIVE_LOOP = [
     [0, 1, 2, 3, 4],
     [1, 0, 3, 4, 2],
@@ -271,12 +276,22 @@ def test_class_ordering_and_representatives():
     assert all(c.representative == min(c.members) for c in classes)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_and_alternating_groups_have_two_generators(n):
+    """S_n and A_n keep the two permutations they are built from as their
+    generators, which close to the whole group."""
+    for group in (sg.symmetric(n), sg.alternating(n)):
+        gens = group.generators()
+        assert len(gens) <= 2 and 0 not in gens
+        assert len(closure_set(group.mul, 0, gens)) == group.order, group.label
+
+
 def test_generated_subgroups():
     d5 = sg.dihedral(5)
     assert len(d5.pair_subgroup_members(0, 1)) == 5
     s3 = sg.symmetric(3)
-    t = s3.index_of((1, 0, 2))
-    r = s3.index_of((1, 2, 0))
+    t = index_of(s3, (1, 0, 2))
+    r = index_of(s3, (1, 2, 0))
     assert len(s3.pair_subgroup_members(t, r)) == 6
 
 
@@ -286,7 +301,7 @@ def test_classify_subgroup_flags():
     q8 = sg.quaternion(2)
     assert q8.is_nilpotent()
     s5 = sg.symmetric(5)
-    pair = (s5.index_of((1, 2, 0, 3, 4)), s5.index_of((1, 2, 3, 4, 0)))
+    pair = (index_of(s5, (1, 2, 0, 3, 4)), index_of(s5, (1, 2, 3, 4, 0)))
     members = s5.pair_subgroup_members(*pair)
     assert len(members) == 60
     assert not s5.pair_is_solvable(*pair) and not s5.generates_nilpotent(pair)

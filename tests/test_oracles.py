@@ -211,8 +211,23 @@ def test_generating_graph_matches_the_definition(group):
     assert set(generating_graph(group).edges()) == expected
 
 
+def _subgroup_index(group):
+    """Each cyclic subgroup of cyclic_classes, closed here from its first
+    generator, and its index there."""
+    subgroups = [_close(group, [gens[0]]) for gens in group.cyclic_classes().members]
+    return subgroups, {sub: k for k, sub in enumerate(subgroups)}
+
+
+def _conj_subgroup(group, index, sub, x):
+    return index[frozenset(_conj(group, h, x) for h in sub)]
+
+
 @pytest.mark.parametrize("group", wide_catalog(), ids=_ids)
 def test_conjugacy_classes_and_conjugators(group):
+    """The conjugacy classes, and the conjugation of cyclic subgroups that
+    the orbit walk records: each generator's permutation of the subgroups
+    is conjugation by it, the orbits are those under conjugation by every
+    element, and each subgroup is reached by its recorded step."""
     classes = group.conjugacy_classes()
     assert {frozenset(c.members) for c in classes} == {
         _conjugates(group, g) for g in range(group.order)
@@ -223,20 +238,42 @@ def test_conjugacy_classes_and_conjugators(group):
     for cls in classes:
         assert cls.members == tuple(sorted(cls.members))
         assert cls.representative == cls.members[0]
-        assert [_conj(group, cls.representative, x) for x in cls.conjugators] == list(cls.members)
+    subgroups, index = _subgroup_index(group)
+    assert len(index) == len(subgroups)
+    walk = group.cyclic_orbits()
+    conjugators = () if group.is_abelian() else group.generators()
+    assert len(walk.permutations) == len(conjugators)
+    for s, permutation in zip(conjugators, walk.permutations):
+        assert permutation == tuple(_conj_subgroup(group, index, sub, s) for sub in subgroups)
+    assert sorted(k for orbit in walk.orbits for k in orbit) == list(range(len(subgroups)))
+    assert {frozenset(orbit) for orbit in walk.orbits} == {
+        frozenset(_conj_subgroup(group, index, sub, x) for x in range(group.order))
+        for sub in subgroups
+    }
+    for orbit in walk.orbits:
+        assert orbit[0] == min(orbit) and walk.steps[orbit[0]] is None
+        for position, k in enumerate(orbit[1:], 1):
+            parent, t = walk.steps[k]
+            assert parent in orbit[:position] and walk.permutations[t][parent] == k
 
 
 @pytest.mark.parametrize("group", wide_catalog(), ids=_ids)
 def test_centralizer_orbits_partition_each_class(group):
-    classes = group.conjugacy_classes()
-    for pinned, scanned in itertools.product(classes, repeat=2):
-        r = pinned.representative
+    """The orbits of C(r), for every element r, on each orbit of cyclic
+    subgroups under conjugation, against conjugating each subgroup by every
+    member of C(r)."""
+    subgroups, index = _subgroup_index(group)
+    for r in range(group.order):
         centralizer = [x for x in range(group.order) if group.mul(r, x) == group.mul(x, r)]
-        expected = {frozenset(_conj(group, h, c) for c in centralizer) for h in scanned.members}
-        orbits = group.centralizer_orbits(r, scanned.members)
-        assert {frozenset(o) for o in orbits} == expected
-        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
-        assert all(o == tuple(sorted(o)) for o in orbits)
+        for scanned in group.cyclic_orbits().orbits:
+            expected = {
+                frozenset(_conj_subgroup(group, index, subgroups[k], c) for c in centralizer)
+                for k in scanned
+            }
+            orbits = group.centralizer_orbits(r, scanned)
+            assert {frozenset(o) for o in orbits} == expected
+            assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+            assert all(o == tuple(sorted(o)) for o in orbits)
 
 
 @pytest.mark.parametrize(
