@@ -24,19 +24,21 @@ partition are related under such a relation, for quotients and for both
 generating graphs (see `generation`), by one pinned scan over the orbits of
 cyclic subgroups under conjugation (`FiniteGroup.cyclic_orbits`). Of two
 orbits, the root of the larger is pinned and tested against the smaller's
-subgroups, once per orbit of the pinned element's centralizer for the
-kinds whose test closes a subgroup. On the equality partition every hit is
-kept and carried to the rest of the pinned orbit through the generators'
-recorded permutations of the subgroups: elements generating one cyclic
-subgroup are closed twins in every base graph, so the delta is the blow-up
-of a graph Gamma on the cyclic subgroups. On the conjugacy and order
-partitions a pair of orbits stops at its first hit and is pulled back onto
-the classes that the orbits meet, which are the classes of their roots'
-generators. Two shortcuts skip closures: if the whole group has the kind's
-property (`PROPERTY_OF_KIND`: abelian for commuting, cyclic for enhanced,
-nilpotent, solvable), a fact the group computes once, that kind's delta is
-complete and built as such, with no edge list; and a commuting pair is
-nilpotent- and solvable-adjacent.
+subgroups, once per orbit of the pinned element's centralizer for the tests
+that close a subgroup (the solvable kind and generation), and whether the
+root's own generators are related is one test of r against r^-1. The scan
+feeds one of two sinks. The every-hit sink, for the equality partition,
+keeps every hit and carries it to the rest of the pinned orbit through the
+generators' recorded permutations of the subgroups: elements generating one
+cyclic subgroup are closed twins in every base graph, so the delta is the
+blow-up of a graph Gamma on the cyclic subgroups. The first-hit sink, for
+the conjugacy and order partitions, stops a pair of orbits at its first hit
+and pulls it back onto the classes that the orbits meet, which are the
+classes of their roots' generators. Two shortcuts skip closures: if the
+whole group has the kind's property (`PROPERTY_OF_KIND`: abelian for
+commuting, cyclic for enhanced, nilpotent, solvable), a fact the group
+computes once, that kind's delta is complete and built as such, with no edge
+list; and a commuting pair is nilpotent- and solvable-adjacent.
 Only the solvable test closes the subgroup a pair generates
 (`FiniteGroup.pair_is_solvable`); the nilpotent test reads the pair's Sylow
 parts (`FiniteGroup.generates_nilpotent`).
@@ -116,11 +118,6 @@ def _pair_test(group: FiniteGroup, kind: str):
     return lambda g, h: commutes(g, h) or group.pair_is_solvable(g, h)
 
 
-# kinds whose test closes the subgroup a pair generates: worth one test per
-# centralizer orbit; the others cost less than the conjugations that find the orbits
-_CLOSURE_KINDS = ("solvable",)
-
-
 def base_adjacent(group: FiniteGroup, kind: str, g: int, h: int) -> bool:
     """Adjacency of two distinct elements in the chosen base graph."""
     kind = normalize_kind(kind)
@@ -177,100 +174,89 @@ def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition)
 
     This is the one place that decides which classes are related, by one
     pinned scan over the orbits of cyclic subgroups under conjugation
-    (`FiniteGroup.cyclic_orbits`) for every partition. The orbits are sorted
-    by size; of two orbits a <= b, b's root <r> is pinned, and r is tested
-    against one generator of each subgroup of a if per_orbit is not set, else
-    against one per orbit of the centralizer C(r) on a's subgroups, since
-    every pair of subgroups across the orbits is conjugate to one of these.
-    The equality partition takes every hit (`_subgroup_graph`). On the
-    conjugacy and order partitions, whose classes are unions of conjugacy
-    classes, the pair of orbits stops at its first hit: every conjugacy class
-    whose members generate subgroups of an orbit holds a generator of its
-    root, so an orbit meets exactly the partition classes of its root's
-    generators, and one hit relates every class a meets to every class b
-    meets. A pair is skipped when those classes are all related already, as
-    when both orbits meet one order class. Within one orbit, the root itself
-    is tested through a second generator, since two generators of <r> may
-    lie in different classes. The graph is one int mask per class, with no
+    (`FiniteGroup.cyclic_orbits`) that feeds one of two sinks. The orbits are
+    sorted by size; of two orbits a <= b, b's root <r> is pinned, and r is
+    tested against one generator of each other subgroup of a if per_orbit is
+    not set, else against one per orbit of the centralizer C(r) on a's
+    subgroups, since every pair of subgroups across the orbits is conjugate
+    to one of these. Whether the generators of <r> are related to each other
+    is one test of r against r^-1 per orbit.
+
+    The every-hit sink, for the equality partition, keeps every hit:
+    elements generating one cyclic subgroup are closed twins, so the graph
+    is the blow-up of a graph Gamma on the cyclic subgroups
+    (`FiniteGroup.cyclic_classes`). r's hits are carried to each other
+    subgroup of b along the step of the orbit walk that reaches it: a
+    subgroup k reached from p by the generator s has the hits of p moved by
+    s's permutation of the subgroups, so no element is conjugated. The
+    diagonal test always holds for the five base kinds, and for generation
+    only when the subgroup is the whole, cyclic, group; a subgroup whose
+    generators are apart has an empty factor.
+
+    The first-hit sink, for the conjugacy and order partitions, whose
+    classes are unions of conjugacy classes, stops a pair of orbits at its
+    first hit and pulls it back: every conjugacy class whose members
+    generate subgroups of an orbit holds a generator of its root, so an
+    orbit meets exactly the partition classes of its root's generators, and
+    one hit relates every class a meets to every class b meets. A pair is
+    skipped when those classes are all related already, as when both orbits
+    meet one order class. That graph is one int mask per class, with no
     edge list.
     """
-    generators = group.cyclic_classes().members
-    orbits = sorted(group.cyclic_orbits().orbits, key=len)
-    if partition.kind == "equality":
-        return _subgroup_graph(group, test, per_orbit, orbits)
-    part_of = partition.class_of
-    meets = [tuple({part_of[g] for g in generators[orbit[0]]}) for orbit in orbits]
+    walk, generators = group.cyclic_orbits(), group.cyclic_classes().members
+    orbits = sorted(walk.orbits, key=len)
+    every_hit = partition.kind == "equality"
+    # the first-hit sink: the classes each orbit meets, and one mask per class
+    meets = [() if every_hit else tuple({partition.class_of[g] for g in generators[orbit[0]]})
+             for orbit in orbits]
     reach = [sum(1 << i for i in classes) for classes in meets]
-    masks = [1 << i for i in range(len(partition.classes))]  # own bits cleared at the end
-    for b, orbit in enumerate(orbits):
-        r = generators[orbit[0]][0]
-        own = part_of[r]
-        related = reduce(and_, map(masks.__getitem__, meets[b]))  # to every class b meets
-        for a in range(b + 1):
-            if not reach[a] & ~related:
-                continue
-            for covered in _candidates(group, r, orbits[a], per_orbit):
-                gens = generators[covered[0]]
-                # within one orbit, a generator outside r's class: every subgroup of
-                # an orbit holds one of each class the orbit meets, two or more here
-                h = next(g for g in gens if part_of[g] != own) if a == b else gens[0]
-                if test(r, h):
-                    for i in meets[b]:
-                        masks[i] |= reach[a]
-                    for j in meets[a]:
-                        masks[j] |= reach[b]
-                    related = reduce(and_, map(masks.__getitem__, meets[b]))
-                    break
-    masks = [mask ^ 1 << i for i, mask in enumerate(masks)]
-    return Graph._from_masks(_class_labels(group, partition), masks)
+    masks = [] if every_hit else [1 << i for i in range(len(partition.classes))]
+    # the every-hit sink: Gamma, and the subgroups whose generators are apart
+    gamma, apart = [0] * len(generators), []
 
+    def relate(a: int, b: int) -> None:
+        """Relates every class that orbit a meets to every class b meets."""
+        for i in meets[b]:
+            masks[i] |= reach[a]
+        for j in meets[a]:
+            masks[j] |= reach[b]
 
-def _candidates(group: FiniteGroup, r: int, orbit: tuple[int, ...], per_orbit: bool):
-    """The subgroups of orbit that r is tested against, each with the
-    subgroups its test covers: one per orbit of C(r) if per_orbit, else
-    every one alone."""
-    return group.centralizer_orbits(r, orbit) if per_orbit else zip(orbit)
+    def related_to(b: int) -> int:
+        """The classes related to every class that orbit b meets."""
+        return reduce(and_, map(masks.__getitem__, meets[b]), -1)
 
-
-def _subgroup_graph(group: FiniteGroup, test, per_orbit: bool, orbits) -> Graph:
-    """The class graph on the equality partition: the blow-up of a graph
-    Gamma on the cyclic subgroups (`FiniteGroup.cyclic_classes`) with one
-    factor per subgroup on its generators.
-
-    r, pinned for orbit b, is tested against every subgroup of each orbit
-    a <= b but its own (`class_graph`), and all of its hits are kept. They
-    are carried to each other subgroup of b along the step of the orbit walk
-    that reaches it: a subgroup k reached from p by the generator s has the
-    hits of p moved by s's permutation of the subgroups, so no element is
-    conjugated. Whether a subgroup's generators are joined to each other is
-    one test of r against r^-1 per orbit: it always holds for the five base
-    kinds, and for generation only when the subgroup is the whole, cyclic,
-    group; a subgroup whose generators are apart has an empty factor.
-    """
-    walk = group.cyclic_orbits()
-    generators = group.cyclic_classes().members
-    gamma = [0] * len(generators)
-    apart = []
     for b, orbit in enumerate(orbits):
         root = orbit[0]
         r = generators[root][0]
-        hits = []
-        for other in orbits[:b + 1]:
-            for covered in _candidates(group, r, other, per_orbit):
-                if covered[0] != root and test(r, generators[covered[0]][0]):
-                    hits.extend(covered)
         if len(generators[root]) > 1 and not test(r, group.inv(r)):
             apart.extend(orbit)
-        rows = {root: hits}
-        for k in orbit[1:]:  # each reached from a subgroup listed before it
-            parent, t = walk.steps[k]
-            rows[k] = list(map(walk.permutations[t].__getitem__, rows[parent]))
-        for k, row in rows.items():
-            bit, mask = 1 << k, 0
-            for h in row:
-                gamma[h] |= bit
-                mask |= 1 << h
-            gamma[k] |= mask
+        else:
+            relate(b, b)
+        related, hits = related_to(b), []
+        for a in range(b + 1):
+            if not (every_hit or reach[a] & ~related):
+                continue
+            for covered in group.centralizer_orbits(r, orbits[a]) if per_orbit else zip(orbits[a]):
+                if covered[0] != root and test(r, generators[covered[0]][0]):
+                    hits.extend(covered)
+                    if not every_hit:
+                        relate(a, b)
+                        related = related_to(b)
+                        break
+        if every_hit:
+            rows = {root: hits}
+            for k in orbit[1:]:  # each reached from a subgroup listed before it
+                parent, t = walk.steps[k]
+                rows[k] = list(map(walk.permutations[t].__getitem__, rows[parent]))
+            for k, row in rows.items():
+                bit, mask = 1 << k, 0
+                for h in row:
+                    gamma[h] |= bit
+                    mask |= 1 << h
+                gamma[k] |= mask
+    if not every_hit:
+        masks = [mask ^ 1 << i for i, mask in enumerate(masks)]
+        return Graph._from_masks(_class_labels(group, partition), masks)
     labels = group.labels()
     delta = Graph._from_masks([labels[gens[0]] for gens in generators], gamma)
     graph = blow_up(delta, generators, labels, "complete")
@@ -309,7 +295,9 @@ def quotient_supergraph(group: FiniteGroup, kind: str, pkind: str) -> QuotientDe
     if _complete_on(group, kind):
         delta = Graph.complete(len(partition.classes), _class_labels(group, partition))
     else:
-        delta = class_graph(group, _pair_test(group, kind), kind in _CLOSURE_KINDS, partition)
+        # only the solvable test closes the subgroup a pair generates, worth one test
+        # per centralizer orbit; the others cost less than the conjugations that find them
+        delta = class_graph(group, _pair_test(group, kind), kind == "solvable", partition)
     return QuotientDecomposition(delta, partition.classes)
 
 
@@ -364,10 +352,12 @@ def hierarchy_report(group: FiniteGroup) -> HierarchyReport:
     between deltas on shared classes. For each kind they must grow along
     equality, conjugacy, same order, each partition refining the next: delta_B
     must be the contraction of delta_A onto B's classes (`graphs.contract`).
-    The equality delta keeps every hit of its scan, and each coarser delta
-    pulls back the first hit of each pair of orbits, so a link compares two
-    scans, not one graph on the cyclic subgroups with itself. Also checks
-    that the order-superenhanced and order-supercommuting graphs coincide.
+    The equality delta comes from the scan's every-hit sink and each
+    coarser delta from its first-hit sink, which pulls back the first hit of
+    each pair of orbits and never reads Gamma, so a link from equality to
+    conjugacy compares the two sinks, not one graph on the cyclic subgroups
+    with itself. Also checks that the order-superenhanced and
+    order-supercommuting graphs coincide.
     """
     deltas = {
         (kind, pkind): quotient_supergraph(group, kind, pkind).delta

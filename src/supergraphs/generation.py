@@ -11,15 +11,17 @@ complement of the conjugacy supergraph of the same kind.
 Generation depends only on the cyclic subgroups of a pair (it generates the
 group or not whatever generators of its two subgroups it holds) and is
 invariant under simultaneous conjugation, so both graphs come from the one
-scan over orbits of cyclic subgroups (`constructions.class_graph`): the
-generating graph is the class graph of "the pair generates" on the equality
-partition, decided once per orbit of pairs of cyclic subgroups under the
-pinned element's centralizer and blown up onto their generators, which join
-each other only in a cyclic group. The invariable generating graph is the
-complement, on the conjugacy classes, of the class graph of "some pair fails
-to generate", whose pairs of orbits stop at their first failure and are
-pulled back onto the classes they meet; it is blown up on the classes with
-empty factors (`graphs.blow_up`).
+scan over orbits of cyclic subgroups (`constructions.class_graph`), each
+pair of orbits decided once per orbit of the pinned element's centralizer.
+The generating graph is the class graph of "the pair generates" on the
+equality partition, from the scan's every-hit sink: the graph on the cyclic
+subgroups, blown up onto their generators, which join each other, by the
+one test of r against r^-1, only in a cyclic group. The invariable
+generating graph is the complement, on the conjugacy classes, of the class
+graph of "some pair fails to generate", from the scan's first-hit sink,
+which stops each pair of orbits at its first failure and pulls it back onto
+the classes they meet; it is blown up on the classes with empty factors
+(`graphs.blow_up`).
 
 The containment checks compare each check's relation on classes (on the
 equality partition, the generating graph itself) with the supergraph's delta

@@ -408,19 +408,26 @@ def _in_vertex_order(classes, n: int) -> bool:
 def contract(graph: Graph, classes, labels) -> Graph:
     """The inverse of `blow_up`: vertex i, labelled labels[i], merges the
     vertices of classes[i], which partition graph's vertices. Classes i != j
-    are joined when the OR of i's vertex masks, less i's vertices, meets j's.
+    are joined when the OR of i's vertex masks, less i's vertices, meets j's:
+    the classes that OR meets, less i, read once per distinct OR through a
+    table from vertex to class, as `blow_up` builds each distinct row once.
     When classes[i] is {i} for every i, the contraction is graph under the
     new labels."""
     if len(classes) != len(labels) or sorted(itertools.chain(*classes)) != list(range(graph.n)):
         raise ValueError("contraction needs a label per class and a partition of the vertices")
     if _in_vertex_order(classes, graph.n):
         return Graph._from_masks(labels, graph.masks)
-    class_masks = [sum(1 << v for v in members) for members in classes]
-    bits = [1 << j for j in range(len(classes))]
-    masks = []
-    for members, own in zip(classes, class_masks):
-        row = reduce(or_, map(graph.masks.__getitem__, members), 0) & ~own
-        masks.append(sum(itertools.compress(bits, map(and_, itertools.repeat(row), class_masks))))
+    class_of = [0] * graph.n
+    for i, members in enumerate(classes):
+        for v in members:
+            class_of[v] = i
+    met, masks = {}, []  # met: an OR of vertex masks -> the classes it meets
+    for i, members in enumerate(classes):
+        row = reduce(or_, map(graph.masks.__getitem__, members), 0)
+        classes_met = met.get(row)
+        if classes_met is None:
+            classes_met = met[row] = sum(1 << j for j in set(map(class_of.__getitem__, _bits(row))))
+        masks.append(classes_met & ~(1 << i))
     return Graph._from_masks(labels, masks)
 
 

@@ -12,18 +12,20 @@ passes the cap is refused before any permutation is built, and the closure of
 permutation generators checks the cap after each frontier member, so it holds
 at most cap + len(gens) elements when it stops.
 
-Conjugation is orbit-based, over cyclic subgroups where it can be. One
-breadth-first walk over the indices of the cyclic subgroups, under
-conjugation by the group's generators, records each generator's permutation
-of the subgroups and the step that reaches each subgroup
-(`FiniteGroup.cyclic_orbits`); `centralizer_orbits` splits one of those
-orbits into the orbits of an element's centralizer the same way. Together
+Conjugation is orbit-based, over cyclic subgroups where it can be, and
+every orbit walk is one breadth-first walker, `_orbit_walk`, over the points
+0..n-1 under a list of maps, each built by two products per point: the
+conjugacy classes walk the elements under each generator's conjugation;
+`FiniteGroup.cyclic_orbits` walks the indices of the cyclic subgroups under
+each generator's permutation of them, and records those permutations and
+the step that reaches each subgroup; `centralizer_orbits` splits one of
+those orbits under the generators of an element's centralizer. Together
 they let a relation that depends only on the cyclic subgroups two elements
 generate, and is invariant under simultaneous conjugation, be decided once
 per orbit of pairs, by the one pinned scan that serves every partition (see
-`constructions.class_graph`). The conjugacy classes, walked over elements,
-are built only for the conjugacy partition. Abelian groups and central
-elements cost no conjugation.
+`constructions.class_graph`). The conjugacy classes are built only for the
+conjugacy partition. An abelian group passes no maps, and a central element
+walks nothing, so neither costs a conjugation.
 """
 
 from __future__ import annotations
@@ -188,45 +190,31 @@ class FiniteGroup:
 
     def cyclic_orbits(self) -> CyclicOrbits:
         """The orbits of the cyclic subgroups under conjugation, found by one
-        breadth-first walk over subgroup indices from each least subgroup not
-        yet reached; computed once per group. Each generator s of the group
-        permutes the subgroups, k to the subgroup of s^-1 g s for one
-        generator g of k: two products per subgroup and generator. An
-        abelian group has one orbit per subgroup and conjugates nothing."""
+        orbit walk over subgroup indices (`_orbit_walk`); computed once per
+        group. Each generator s of the group permutes the subgroups, k to the
+        subgroup of s^-1 g s for one generator g of k: two products per
+        subgroup and generator. An abelian group conjugates nothing."""
         if self._cyclic_orbits is None:
             cyclic = self.cyclic_classes()
-            count = len(cyclic.members)
-            if self.is_abelian():
-                self._cyclic_orbits = CyclicOrbits(tuple((k,) for k in range(count)),
-                                                   (None,) * count, ())
-                return self._cyclic_orbits
-            mul, class_of, members = self.mul, cyclic.class_of, cyclic.members
+            class_of, members = cyclic.class_of, cyclic.members
             permutations = tuple(
-                tuple(class_of[mul(mul(s_inv, gens[0]), s)] for gens in members)
-                for s_inv, s in self._inverse_pairs(self.generators())
+                tuple(map(class_of.__getitem__, images))
+                for images in self._conjugates([gens[0] for gens in members])
             )
-            steps: list[tuple[int, int] | None] = [None] * count
-            reached = [False] * count
-            orbits = []
-            for root in range(count):
-                if reached[root]:
-                    continue
-                reached[root] = True
-                orbit = [root]
-                for k in orbit:  # grows while it is walked
-                    for t, permutation in enumerate(permutations):
-                        image = permutation[k]
-                        if not reached[image]:
-                            reached[image] = True
-                            steps[image] = (k, t)
-                            orbit.append(image)
-                orbits.append(tuple(orbit))
-            self._cyclic_orbits = CyclicOrbits(tuple(orbits), tuple(steps), permutations)
+            orbits, steps = _orbit_walk(len(members), permutations)
+            self._cyclic_orbits = CyclicOrbits(tuple(map(tuple, orbits)), tuple(steps),
+                                               permutations)
         return self._cyclic_orbits
 
-    def _inverse_pairs(self, gens) -> list[tuple[int, int]]:
-        """(s^-1, s) for each s of gens: conjugation by s is y -> s^-1 y s."""
-        return [(self.inv(s), s) for s in gens]
+    def _conjugates(self, elements, gens=None) -> list[list[int]]:
+        """For each s of gens, by default the group's generators or none in
+        an abelian group, the list of s^-1 y s over y of elements: two
+        products each."""
+        if gens is None:
+            gens = () if self.is_abelian() else self.generators()
+        mul = self.mul
+        return [[mul(mul(s_inv, y), s) for y in elements]
+                for s_inv, s in zip(map(self.inv, gens), gens)]
 
     def commutes(self, g: int, h: int) -> bool:
         return self.mul(g, h) == self.mul(h, g)
@@ -271,32 +259,15 @@ class FiniteGroup:
         """Classes sorted by (size, least member); representative = least member.
 
         Each class is the orbit of its least member under conjugation by the
-        group's generators, found breadth first. An abelian group has one
-        class per element and costs no conjugation.
+        group's generators (`_orbit_walk`). An abelian group has one class
+        per element and costs no conjugation.
         """
-        if self._classes is not None:
-            return self._classes
-        if self.is_abelian():
-            classes = [ConjugacyClass(g, (g,)) for g in range(self.order)]
-        else:
-            mul, pairs = self.mul, self._inverse_pairs(self.generators())
-            classes = []
-            seen = [False] * self.order
-            for g in range(self.order):
-                if seen[g]:
-                    continue
-                seen[g] = True
-                orbit = [g]
-                for y in orbit:  # grows while it is walked
-                    for s_inv, s in pairs:
-                        z = mul(mul(s_inv, y), s)
-                        if not seen[z]:
-                            seen[z] = True
-                            orbit.append(z)
-                classes.append(ConjugacyClass(g, tuple(sorted(orbit))))
-            classes.sort(key=lambda c: (c.size, c.representative))
-        self._classes = classes
-        return classes
+        if self._classes is None:
+            orbits = _orbit_walk(self.order, self._conjugates(self.elements()))[0]
+            # the roots increase, so a stable sort by size orders by (size, root)
+            self._classes = [ConjugacyClass(orbit[0], tuple(sorted(orbit)))
+                             for orbit in sorted(orbits, key=len)]
+        return self._classes
 
     def centralizer_orbits(self, g: int, subgroups: tuple[int, ...]) -> list[tuple[int, ...]]:
         """Orbits of the centralizer C(g), acting by conjugation, on one orbit
@@ -304,32 +275,20 @@ class FiniteGroup:
         orbit sorted, in order of least subgroup. A central g has C(g) = G,
         whose one orbit is the whole of subgroups, so it costs no
         conjugation; otherwise C(g) is generated by a small set found once
-        per g, and each of its generators moves each subgroup it reaches by
-        two products.
+        per g, and each of its generators moves each subgroup by two
+        products.
         """
-        commutes = self.commutes
-        if len(subgroups) == 1 or all(commutes(g, s) for s in self.generators()):
-            return [tuple(sorted(subgroups))]
+        points = sorted(subgroups)
+        if len(points) == 1 or all(self.commutes(g, s) for s in self.generators()):
+            return [tuple(points)]
         gens = self._centralizer_gens.get(g)
         if gens is None:
             gens = self._centralizer_gens[g] = _greedy_generators(self, self.centralizer(g))
-        cyclic = self.cyclic_classes()
-        mul, class_of, members = self.mul, cyclic.class_of, cyclic.members
-        pairs = self._inverse_pairs(gens)
-        unseen = set(subgroups)
-        orbits = []
-        for k in sorted(subgroups):
-            if k in unseen:
-                unseen.discard(k)
-                orbit = [k]
-                for j in orbit:  # grows while it is walked
-                    for s_inv, s in pairs:
-                        image = class_of[mul(mul(s_inv, members[j][0]), s)]
-                        if image in unseen:
-                            unseen.discard(image)
-                            orbit.append(image)
-                orbits.append(tuple(sorted(orbit)))
-        return orbits
+        cyclic, position = self.cyclic_classes(), dict(zip(points, range(len(points))))
+        maps = [list(map(position.__getitem__, map(cyclic.class_of.__getitem__, images)))
+                for images in self._conjugates([cyclic.members[k][0] for k in points], gens)]
+        orbits = _orbit_walk(len(points), maps)[0]
+        return [tuple(map(points.__getitem__, sorted(orbit))) for orbit in orbits]
 
     def pair_subgroup_members(self, g: int, h: int) -> tuple[int, ...]:
         """Members of the subgroup generated by {g, h}, cached per pair.
@@ -432,6 +391,29 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.label} order={self.order} rep={self.rep}>"
+
+
+def _orbit_walk(count, maps):
+    """The orbits of the points 0..count-1 under the maps (each a list from
+    point to point, together generating a group), walked breadth first from
+    each point not yet reached, in increasing order: each orbit lists its
+    points in the order reached, its root, the least, first, and steps[k] is
+    (p, t) with k = maps[t][p] for a point p listed before k, or None for a
+    root. With no maps every point is an orbit of its own."""
+    steps, orbits = [False] * count, []  # False: not reached yet
+    indexed = list(enumerate(maps))
+    for root in range(count):
+        if steps[root] is False:
+            steps[root] = None
+            orbit = [root]
+            for k in orbit:  # grows while it is walked
+                for t, images in indexed:
+                    image = images[k]
+                    if steps[image] is False:
+                        steps[image] = (k, t)
+                        orbit.append(image)
+            orbits.append(orbit)
+    return orbits, steps
 
 
 # --- closure (elements may be ints or tuples) and the derived series ---

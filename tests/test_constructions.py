@@ -259,7 +259,7 @@ def test_equality_deltas_match_base_adjacency_where_cyclic_classes_are_large(nam
                 if base_adjacent(group, kind, g, h)
             ])
         assert quotient_supergraph(group, kind, "equality").delta == expected, kind
-        per_orbit = kind in constructions._CLOSURE_KINDS
+        per_orbit = kind == "solvable"
         assert class_graph(group, _pair_test(group, kind), per_orbit, partition) == expected, kind
 
 
@@ -453,9 +453,10 @@ def test_hierarchy_catches_a_spurious_edge_of_the_graph_on_cyclic_subgroups(monk
     """One spurious edge in every graph on S4's cyclic subgroups, joining
     <(0 1 2)> and <(0 1)>, which generate S3: no base graph but the solvable
     one, complete on S4, joins them. Every equality delta blows up its
-    planted graph, while each coarser delta comes from its own first-hit
-    scan and pulls back the orbits' hits, so the contraction of the
-    equality delta onto the conjugacy classes breaks for each planted kind."""
+    planted graph, while each coarser delta comes from the first-hit sink of
+    the same scan, which pulls back the orbits' hits and never reads Gamma,
+    so the contraction of the equality delta onto the conjugacy classes
+    breaks for each planted kind."""
     s4 = sg.symmetric(4)
     cyclic = s4.cyclic_classes()
     u, v = (cyclic.class_of[index_of(s4, p)] for p in [(1, 2, 0, 3), (1, 0, 2, 3)])
@@ -614,24 +615,33 @@ def _cyclic_subgroup_orbits(group):
 
 def first_hit_scan(group, test, partition, per_orbit):
     """The element pairs that the scan of a coarse partition tests, derived
-    from the orbits above: orbits sorted by size; for a <= b, the least
-    generator r of b's first subgroup is tested against a generator of each
-    subgroup of a in walk order, or, with per_orbit, of the least subgroup of
-    each orbit of C(r) on a, up to the first hit; the generator is the least
-    one, or when a == b the least in a partition class other than r's. A
-    pair of orbits is skipped when every two classes that their elements
-    lie in are related already, and a hit relates all of them."""
+    from the orbits above: orbits sorted by size; for each orbit b, the
+    least generator r of b's first subgroup is tested against r^-1 when <r>
+    has two or more generators, and a hit relates every two classes that
+    b's elements lie in; then for a <= b, r is tested against the least
+    generator of each subgroup of a in walk order, or, with per_orbit, of
+    the least subgroup of each orbit of C(r) on a, <r> itself left out, up
+    to the first hit. A pair of orbits is skipped when every two classes
+    that their elements lie in are related already, and a hit relates all
+    of them."""
     generators = _cyclic_subgroups(group)
     orbits = sorted(_cyclic_subgroup_orbits(group), key=len)
     part_of = partition.class_of
     meets = [{part_of[g] for sub in orbit for g in generators[sub]} for orbit in orbits]
     related, calls = set(), []
+
+    def pairs(a, b):
+        return {frozenset((i, j)) for i in meets[b] for j in meets[a] if i != j}
+
     for b, orbit in enumerate(orbits):
         r = generators[orbit[0]][0]
+        if len(orbit[0]) > 2:
+            calls.append((r, group.inv(r)))
+            if test(r, group.inv(r)):
+                related |= pairs(b, b)
         centralizer = [x for x in range(group.order) if group.commutes(r, x)]
         for a in range(b + 1):
-            pairs = {frozenset((i, j)) for i in meets[b] for j in meets[a] if i != j}
-            if pairs <= related:
+            if pairs(a, b) <= related:
                 continue
             candidates, covered = [], set()
             scanned = sorted(orbits[a], key=generators.get) if per_orbit else orbits[a]
@@ -641,11 +651,11 @@ def first_hit_scan(group, test, partition, per_orbit):
                     if per_orbit:
                         covered |= {_conjugate_subgroup(group, sub, c) for c in centralizer}
             for sub in candidates:
-                h = next(g for g in generators[sub] if a < b or part_of[g] != part_of[r])
-                calls.append((r, h))
-                if test(r, h):
-                    related |= pairs
-                    break
+                if sub != orbit[0]:
+                    calls.append((r, generators[sub][0]))
+                    if test(*calls[-1]):
+                        related |= pairs(a, b)
+                        break
     return calls
 
 
@@ -694,19 +704,21 @@ def test_coarse_deltas_are_contractions_of_the_equality_delta(name):
 
 
 def _recorded_first_hits(group, kind, pkind):
-    """The coarse scan's tests of kind on the pkind partition, each asserted
-    to pair two partition classes that no earlier hit related, with the
-    tests `first_hit_scan` derives, the class pairs that hit, and delta."""
+    """The coarse scan's tests of kind on the pkind partition, each but the
+    diagonal tests of r against r^-1 asserted to pair two partition classes
+    that no earlier hit related, with the tests `first_hit_scan` derives,
+    the pairs of two classes that hit, and delta."""
     partition = build_partition(group, pkind)
     base = _pair_test(group, kind)
     calls, related = [], set()
 
     def recording_test(g, h):
         pair = frozenset((partition.class_of[g], partition.class_of[h]))
-        assert len(pair) == 2 and pair not in related, (g, h)
+        if h != group.inv(g):
+            assert len(pair) == 2 and pair not in related, (g, h)
         calls.append((g, h))
         ok = base(g, h)
-        if ok:
+        if ok and len(pair) == 2:
             related.add(pair)
         return ok
 
@@ -714,16 +726,18 @@ def _recorded_first_hits(group, kind, pkind):
     return calls, first_hit_scan(group, base, partition, False), related, delta
 
 
-@pytest.mark.parametrize("kind, pkind, tests", [("power", "order", 681),
-                                                ("commuting", "order", 530),
-                                                ("commuting", "conjugacy", 948)])
+@pytest.mark.parametrize("kind, pkind, tests", [("power", "order", 688),
+                                                ("commuting", "order", 537),
+                                                ("commuting", "conjugacy", 955)])
 def test_coarse_scan_stops_at_the_first_hit_of_each_class_pair(kind, pkind, tests):
-    """On S6, no test pairs two elements of one partition class, and no test
-    follows the first hit that relates its two partition classes. The tests
-    are exactly those that `first_hit_scan` derives from the orbits of
-    cyclic subgroups; scanning pairs of conjugacy classes took 1,280, 1,126
-    and 1,612. The generators of a cyclic subgroup of S6 are conjugate, so
-    each hit relates one pair of classes."""
+    """On S6, no test but the diagonal ones, r against r^-1 once per orbit
+    of subgroups with two or more generators (7 of S6's 11), pairs two
+    elements of one partition class, and no test follows the first hit that
+    relates its two partition classes. The tests are exactly those that
+    `first_hit_scan` derives from the orbits of cyclic subgroups; scanning
+    pairs of conjugacy classes took 1,280, 1,126 and 1,612. The generators
+    of a cyclic subgroup of S6 are conjugate, so each hit relates one pair
+    of classes."""
     calls, expected, related, delta = _recorded_first_hits(sg.symmetric(6), kind, pkind)
     assert len(expected) == tests
     assert calls == expected
@@ -734,11 +748,20 @@ def test_coarse_scan_stops_at_the_first_hit_of_each_class_pair(kind, pkind, test
 def test_coarse_scan_pairs_two_classes_where_generators_split(name):
     """The generators of a^k's subgroup lie in several conjugacy classes of
     D400 and Q400, and x and x^-1 of order 4 in two of Z5:Z4, so an orbit
-    of cyclic subgroups meets several classes: within one orbit the scan
-    still tests two elements of different classes, and one hit relates
-    every class of one orbit to every class of the other."""
+    of cyclic subgroups meets several classes: the one test of r against
+    r^-1, in r's class (D400, Q400) or not (Z5:Z4), relates every class the
+    orbit meets to each other, and one hit relates every class of one orbit
+    to every class of the other."""
     group = LARGE_CYCLIC_CLASS_GROUPS[name]()
+    part_of = build_partition(group, "conjugacy").class_of
+    generators = group.cyclic_classes().members
+    within = {frozenset((part_of[g], part_of[h]))
+              for orbit in group.cyclic_orbits().orbits
+              for g, h in itertools.combinations(generators[orbit[0]], 2)
+              if part_of[g] != part_of[h]}
+    assert within
     for kind in ("power", "commuting"):
         calls, expected, related, delta = _recorded_first_hits(group, kind, "conjugacy")
         assert calls == expected, kind
-        assert related < {frozenset(e) for e in delta.edges()}, kind
+        edges = {frozenset(e) for e in delta.edges()}
+        assert related < edges and within <= edges, kind

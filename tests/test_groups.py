@@ -420,3 +420,28 @@ def test_capped_closure_stops_within_one_frontier_member_of_the_limit():
         closure_set(mul, perms.identity_perm(degree), gens, limit=limit)
     assert len(products) <= (limit + 1) * len(gens)
     assert len(set(products)) <= limit + len(gens)
+
+
+@pytest.mark.parametrize("group", [
+    sg.symmetric(5), sg.dihedral(20), sg.quaternion(12), sg.product(sg.symmetric(3), sg.cyclic(4)),
+    sg.cyclic(12), sg.product(sg.cyclic(6), sg.cyclic(10)),
+], ids=lambda group: group.label)
+def test_orbit_walks_make_two_products_per_point_and_generator(group, monkeypatch):
+    """The conjugacy classes conjugate each element, and the orbits of cyclic
+    subgroups one generator of each subgroup, by each generator of the
+    group: two products each. An abelian group makes none."""
+    gens = () if group.is_abelian() else group.generators()
+    subgroups = len(group.cyclic_classes().members)
+    real, products = group.mul, []
+
+    def counting(i, j):
+        products.append((i, j))
+        return real(i, j)
+
+    monkeypatch.setattr(group, "mul", counting)
+    group.conjugacy_classes()
+    assert len(products) == 2 * group.order * len(gens)
+    products.clear()
+    group.cyclic_orbits()
+    assert len(products) == 2 * subgroups * len(gens)
+    assert group.is_abelian() == (group.label in ("C12", "C6xC10"))

@@ -255,5 +255,20 @@ def test_p_part_closures_hold_at_most_the_sylow_order_plus_two(group, monkeypatc
         assert limit in sylow and size <= limit + 2, (limit, size)
 
 
-def test_nilpotent_kind_scans_once_per_member():
-    assert "nilpotent" not in constructions._CLOSURE_KINDS
+def test_nilpotent_kind_scans_once_per_member(monkeypatch):
+    """The nilpotent test closes no subgroup, so its scan tests each member
+    of an orbit of cyclic subgroups and walks no centralizer orbits; the
+    solvable test, which closes one, is made once per centralizer orbit."""
+    group, calls = sg.alternating(5), []
+    real = group.centralizer_orbits
+
+    def recording(g, subgroups):
+        calls.append(g)
+        return real(g, subgroups)
+
+    monkeypatch.setattr(group, "centralizer_orbits", recording)
+    for pkind in constructions.PARTITIONS:
+        constructions.quotient_supergraph(group, "nilpotent", pkind)
+    assert not calls
+    constructions.quotient_supergraph(group, "solvable", "equality")
+    assert calls
