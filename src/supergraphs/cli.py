@@ -22,6 +22,7 @@ import json
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -72,13 +73,18 @@ def _render(value, pad: str) -> str:
     stands for its to_json_dict().
 
     A Graph is written from its adjacency masks, one Graph.edge_rows() row
-    at a time: each row is one str.join of vertex-number strings, with the
+    per vertex: each row is one str.join of vertex-number strings, with the
     row's fixed head and close as separator, and the whole object is one
-    final join. No list of edge pairs is made.
+    final join. No list of edge pairs is made. The reader maps each
+    distinct neighbourhood to its strings once and hands a twin the slice
+    above it, so a supergraph, whose complete factors are twin classes,
+    costs one join per vertex and one decoding per class of delta.
 
-    Lists of ints and of strings are each one join, so no per-item encoder
-    call is made for them; `type(x) is int` keeps bools, which json writes
-    as true/false, off those paths.
+    A list of ints is one join of str(); a list of strings is one join of
+    encode_basestring_ascii, the function json.dumps calls on a str, with
+    none of json.dumps's per-call set-up; dict keys go through it too.
+    Matching on the exact types keeps bools, which json writes as
+    true/false, off those paths.
     """
     if isinstance(value, Graph):
         return _render_graph(value, pad)
@@ -89,13 +95,14 @@ def _render(value, pad: str) -> str:
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_render(value[k], inner)}" for k in sorted(value)]
+        items = [f"{encode_basestring_ascii(k)}: {_render(value[k], inner)}"
+                 for k in sorted(value)]
         return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
     types = set(map(type, value))
     if types == {int}:
         body = sep.join(map(str, value))
     elif types == {str}:
-        body = sep.join(map(json.dumps, value))
+        body = sep.join(map(encode_basestring_ascii, value))
     else:
         body = sep.join([_render(v, inner) for v in value])
     return "[\n" + inner + body + "\n" + pad + "]"
@@ -107,11 +114,10 @@ def _render_graph(graph: Graph, pad: str) -> str:
     row = inner + "  "  # an edge's brackets
     cell = row + "  "  # an edge's two vertex numbers
     close = "\n" + row + "]"
-    names = list(map(str, range(graph.n)))
     parts = ["{\n", inner, '"edges": [']
-    for u, vs in graph.edge_rows():
+    for u, tails in graph.edge_rows(list(map(str, range(graph.n)))):
         head = f",\n{row}[\n{cell}{u},\n{cell}"
-        parts += [head, (close + head).join(map(names.__getitem__, vs)), close]
+        parts += [head, (close + head).join(tails), close]
     if len(parts) > 3:
         parts[3] = parts[3][1:]  # no comma before the first edge
         parts.append("\n" + inner)

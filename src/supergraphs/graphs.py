@@ -12,9 +12,15 @@ A graph holds its adjacency as one int bitmask per vertex: bit v of
 `masks[u]` is set iff u and v are adjacent. This module is the only one that
 knows that layout. Complement, intersection, the subgraph test, the edge
 difference, compositions, strong products and the blow-up are a few big-int
-operations per vertex. `edge_rows()` reads the bits back, one row of higher
-neighbours per vertex, in sorted order, for `edges()`, `to_dot` and the
-CLI's JSON writer.
+operations per vertex. `edge_rows()` is the one reader of the bits: one row
+of higher neighbours per vertex, in sorted order, for `edges()`, `to_dot`
+and the CLI's JSON writer, optionally mapped to the caller's names. It
+decodes each distinct neighbourhood once, and twins share the decoded row:
+true twins (a complete factor, as in every supergraph) by their closed
+neighbourhood, false twins (an empty factor, as in the invariable
+generating graph) by their open one, each vertex taking the suffix above
+it. A supergraph decodes at most one row per distinct closed neighbourhood
+in its quotient delta, not one per vertex.
 
 The Wiener index and the composition formula share one all-sources distance
 sum over radius balls held as int bitmasks, the module's only distance
@@ -60,18 +66,20 @@ _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 def _bits(mask: int, offset: int = 0) -> list[int]:
     """Positions of the set bits of mask, increasing, each plus offset.
 
-    Sparse masks are walked by str.find over the binary digits, dense ones
-    selected in one itertools.compress pass over them.
+    Sparse masks are walked by str.rfind over the binary digits, from the
+    least significant end, with no reversed copy; dense ones are selected
+    in one itertools.compress pass over the digits reversed.
     """
-    digits = bin(mask)[:1:-1]  # least significant first
-    if mask.bit_count() * 6 >= len(digits):
-        selectors = digits.encode().translate(_BIT_SELECTORS)
-        return list(itertools.compress(range(offset, offset + len(digits)), selectors))
+    digits = bin(mask)  # "0b", most significant first
+    if mask.bit_count() * 6 >= len(digits) - 2:
+        selectors = digits[:1:-1].encode().translate(_BIT_SELECTORS)
+        return list(itertools.compress(range(offset, offset + len(selectors)), selectors))
+    last = offset + len(digits) - 1  # the position of digit i is last - i
     out = []
-    i = digits.find("1")
+    i = digits.rfind("1")
     while i >= 0:
-        out.append(offset + i)
-        i = digits.find("1", i + 1)
+        out.append(last - i)
+        i = digits.rfind("1", 0, i)
     return out
 
 
@@ -141,13 +149,38 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return self.masks[u] >> v & 1 == 1
 
-    def edge_rows(self):
+    def edge_rows(self, names=None):
         """(u, [v, ...]) for each u with a neighbour v > u, those neighbours
-        increasing: the edges (u, v), u < v, grouped by u, in increasing order."""
+        increasing: the edges (u, v), u < v, grouped by u, in increasing
+        order. With names, each v is given as names[v].
+
+        Twins share one row, decoded once. True twins share a closed
+        neighbourhood (the vertices of a complete factor), false twins an
+        open one (those of an empty factor). One dict holds both kinds: the
+        closed N[u] is never an open N(w), for u in N(w) would put w in N(u),
+        a subset of N[u] = N(w), and graphs have no loops. The row is read
+        for the first vertex f with that neighbourhood, as its neighbours
+        above f, and a twin u > f gets the slice above u: its neighbours
+        above u are a suffix of f's, as many as the bits of its mask above
+        u. A row yielded whole is the shared one and must not be changed.
+        """
+        rows = {}  # a closed or open neighbourhood -> the row read for it
         for u, mask in enumerate(self.masks):
             above = mask >> u + 1
-            if above:
-                yield u, _bits(above, u + 1)
+            if not above:
+                continue
+            closed = mask | 1 << u
+            row = rows.get(closed)
+            if row is None:
+                row = rows.get(mask)
+            if row is None:
+                row = _bits(above, u + 1)
+                if names is not None:
+                    row = list(map(names.__getitem__, row))
+                rows[closed] = rows[mask] = row
+                yield u, row
+            else:
+                yield u, row[len(row) - above.bit_count():]
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges (u, v) with u < v, in increasing order."""
@@ -222,8 +255,9 @@ class Graph:
         for i, lbl in enumerate(self.labels):
             lbl = lbl.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  v{i} [label="{lbl}"];')
-        for u, vs in self.edge_rows():
-            lines.extend(f"  v{u} -- v{v};" for v in vs)
+        for u, ends in self.edge_rows([f"v{v};" for v in range(self.n)]):
+            head = f"  v{u} -- "
+            lines.append(head + ("\n" + head).join(ends))
         lines.append("}")
         return "\n".join(lines) + "\n"
 

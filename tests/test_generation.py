@@ -14,7 +14,7 @@ from supergraphs.generation import (
     generating_graph,
     invariable_generating_graph,
 )
-from supergraphs.constructions import QuotientDecomposition, build_partition
+from supergraphs.constructions import QuotientDecomposition, build_partition, hierarchy_report
 from supergraphs.graphs import Graph, blow_up, edge_difference
 from supergraphs.groups import closure_set, make_group
 
@@ -245,6 +245,31 @@ def test_centralizer_orbits_run_once_per_pinned_subgroup_and_orbit(build, monkey
     assert len(orbits) == 8
     assert 0 < len(keys) == len(set(keys)) <= 36
     assert {subgroups for _, subgroups in keys} <= set(orbits)
+
+
+@pytest.mark.parametrize("spec", [{"kind": "symmetric", "n": 5}, {"kind": "dihedral", "n": 20}])
+def test_centralizer_orbits_walked_once_per_group(spec, monkeypatch):
+    """The hierarchy and the containments ask for the centralizer orbits of
+    a pinned element on an orbit of cyclic subgroups once per scan that
+    closes subgroups; the group walks each such pair once and serves the
+    rest from its cache."""
+    group, asked, walked = make_group(spec), [], []
+    real_orbits, real_walk = group.centralizer_orbits, group._walk_centralizer
+
+    def asking(g, subgroups):
+        asked.append((g, subgroups))
+        return real_orbits(g, subgroups)
+
+    def walking(g, subgroups):
+        walked.append((g, subgroups))
+        return real_walk(g, subgroups)
+
+    monkeypatch.setattr(group, "centralizer_orbits", asking)
+    monkeypatch.setattr(group, "_walk_centralizer", walking)
+    hierarchy_report(group)
+    containment_checks(group)
+    assert sorted(walked) == sorted(set(asked))
+    assert len(asked) > len(walked)
 
 
 def test_containment_s3_minimal_non_abelian():

@@ -8,6 +8,10 @@ import time
 
 import pytest
 
+import supergraphs as sg
+from supergraphs import graphs
+from supergraphs.constructions import build_supergraph
+from supergraphs.generation import invariable_generating_graph
 from supergraphs.graphs import (
     Complete,
     Composition,
@@ -451,3 +455,30 @@ def test_dot_export_is_deterministic():
     assert dot == g.to_dot()
     assert 'v0 [label="0"];' in dot
     assert "v0 -- v1;" in dot
+
+
+@pytest.mark.parametrize("build, distinct", [
+    (lambda: build_supergraph(sg.symmetric(6), "commuting", "order"), 5),
+    (lambda: invariable_generating_graph(sg.dihedral(100)), 1),
+])
+def test_edge_rows_decode_each_neighbourhood_once(build, distinct, monkeypatch):
+    """Each row is decoded once per twin class, not once per vertex: the S6
+    commuting graph on the order partition has 5 classes of true twins with
+    a neighbour above them, and in D200's invariable generating graph every
+    such vertex is a rotation generating the rotations, adjacent to the 100
+    reflections, all false twins. The rows hold the edges of the masks."""
+    graph, decoded = build(), []
+    real = graphs._bits
+
+    def counting(mask, offset=0):
+        decoded.append(mask)
+        return real(mask, offset)
+
+    monkeypatch.setattr(graphs, "_bits", counting)
+    rows = list(graph.edge_rows())
+    closed = {mask | 1 << u for u, mask in enumerate(graph.masks) if mask >> u + 1}
+    opened = {mask for u, mask in enumerate(graph.masks) if mask >> u + 1}
+    assert len(decoded) == min(len(closed), len(opened)) == distinct < graph.n
+    monkeypatch.undo()
+    assert sum(map(len, (vs for _, vs in rows))) == graph.num_edges
+    assert all(graph.has_edge(u, v) and u < v for u, vs in rows for v in vs)

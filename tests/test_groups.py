@@ -10,6 +10,7 @@ from supergraphs import perms
 from supergraphs.groups import (
     InvalidGroupSpec,
     SizeCapError,
+    _greedy_generators,
     closure_set,
     make_group,
 )
@@ -284,6 +285,16 @@ def test_symmetric_and_alternating_groups_have_two_generators(n):
         gens = group.generators()
         assert len(gens) <= 2 and 0 not in gens
         assert len(closure_set(group.mul, 0, gens)) == group.order, group.label
+
+
+@pytest.mark.parametrize("n", range(1, 60))
+def test_presented_generators_are_the_greedy_ones(n):
+    """C_n, D_2n and Q_4n take their generators from the presentation, a
+    and b, with no closure; those are the set the greedy search picks."""
+    groups = [sg.cyclic(n), sg.dihedral(n)] + ([sg.quaternion(n)] if n > 1 else [])
+    for group in groups:
+        greedy = _greedy_generators(group, tuple(group.elements()))
+        assert group.generators() == greedy, group.label
 
 
 def test_generated_subgroups():
