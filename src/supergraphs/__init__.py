@@ -48,7 +48,6 @@ from .graphs import (
     wiener_via_composition,
 )
 from .groups import (
-    ConjugacyClass,
     FiniteGroup,
     InvalidGroupSpec,
     SizeCapError,

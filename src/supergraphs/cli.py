@@ -235,8 +235,7 @@ def cmd_verify(args) -> int:
                 records.append(record)
     elif args.suite == "hierarchy":
         for spec in _catalog_specs(args):
-            rep = hierarchy_report(make_group(spec))
-            records.append(rep.to_json_dict())
+            records.append(hierarchy_report(make_group(spec)).to_json_dict())
     elif args.suite == "strong-product":
         specs = _catalog_specs(args, PRODUCT_CATALOG)
         groups = [make_group(s) for s in specs]

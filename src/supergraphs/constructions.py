@@ -62,7 +62,7 @@ PARTITIONS = ("equality", "conjugacy", "order")
 PROPERTY_OF_KIND = {"commuting": "abelian", "enhanced": "cyclic",
                     "nilpotent": "nilpotent", "solvable": "solvable"}
 
-_PARTITION_ALIASES = {"same_order": "order", "same-order": "order"}
+_PARTITION_ALIASES = {"same_order": "order"}
 
 
 def normalize_partition(pkind: str) -> str:
@@ -83,14 +83,6 @@ class Partition:
     kind: str
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(c[0] for c in self.classes)
 
 
 def _pair_test(group: FiniteGroup, kind: str):
@@ -140,28 +132,27 @@ def build_partition(group: FiniteGroup, pkind: str) -> Partition:
     """
     pkind = normalize_partition(pkind)
     if pkind == "equality":
-        classes = [(g,) for g in range(group.order)]
+        classes = tuple((g,) for g in range(group.order))
     elif pkind == "conjugacy":
-        classes = [c.members for c in group.conjugacy_classes()]
+        classes = group.conjugacy_classes()  # already in this order
     else:
         by_order: dict[int, list[int]] = {}
         for g in range(group.order):
             by_order.setdefault(group.element_order(g), []).append(g)
-        classes = [tuple(sorted(v)) for v in by_order.values()]
-    classes.sort(key=lambda c: (len(c), c[0]))
+        classes = tuple(sorted(map(tuple, by_order.values()), key=lambda c: (len(c), c[0])))
     class_of = [0] * group.order
     for idx, members in enumerate(classes):
         for g in members:
             class_of[g] = idx
-    return Partition(pkind, tuple(classes), tuple(class_of))
+    return Partition(pkind, classes, tuple(class_of))
 
 
 def _class_labels(group: FiniteGroup, partition: Partition):
-    """Each class's representative label; one class per element takes the
-    group's cached labels, not one call per element."""
+    """Each class's label, that of its least member; one class per element
+    takes the group's cached labels, not one call per element."""
     if len(partition.classes) == group.order:
         return group.labels()
-    return [group.element_label(rep) for rep in partition.representatives]
+    return [group.element_label(members[0]) for members in partition.classes]
 
 
 def class_graph(group: FiniteGroup, test, per_orbit: bool, partition: Partition) -> Graph:

@@ -12,10 +12,13 @@ passes the cap is refused before any permutation is built, and the closure of
 permutation generators checks the cap after each frontier member, so it holds
 at most cap + len(gens) elements when it stops.
 
-Conjugation is orbit-based, over cyclic subgroups where it can be, and
-every orbit walk is one breadth-first walker, `_orbit_walk`, over the points
-0..n-1 under a list of maps, each built by two products per point: the
-conjugacy classes walk the elements under each generator's conjugation;
+A group keeps each cyclic subgroup once, as one set beside the tuple of its
+generators (`FiniteGroup.cyclic_classes`): the first cyclic query walks the
+powers of every subgroup, once each. Conjugation is orbit-based, over cyclic
+subgroups where it can be, and every orbit walk is one breadth-first walker,
+`_orbit_walk`, over the points 0..n-1 under a list of maps, each built by two
+products per point: the conjugacy classes, each kept as the increasing tuple
+of its members, walk the elements under each generator's conjugation;
 `FiniteGroup.cyclic_orbits` walks the indices of the cyclic subgroups under
 each generator's permutation of them, and records those permutations and
 the step that reaches each subgroup; `centralizer_orbits` splits one of
@@ -61,23 +64,15 @@ class SizeCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConjugacyClass:
-    representative: int
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class CyclicClasses:
     """The classes of g ~ h when <g> = <h>: members[k] holds the generators
     of the k-th cyclic subgroup, increasing, subgroups in order of least
-    generator, and class_of[g] is the index of <g>."""
+    generator; subgroups[k] is the set of that subgroup's elements; and
+    class_of[g] is the index of <g>."""
 
     class_of: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
+    subgroups: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -99,28 +94,26 @@ class FiniteGroup:
 
     Cache policy: a group caches per instance, without bound, and frees its
     caches with itself. It caches only facts that cost a closure, a
-    conjugation walk or repeated products: cyclic subgroups, centralizer
-    generators, the centralizer orbits of an element on an orbit of cyclic
-    subgroups (keyed by the element and the orbit's tuple), the members of
-    the subgroup a pair generates (all pairs that generate the group share
-    one tuple), whether each such proper subgroup is solvable (keyed by its
-    members tuple), each element's Sylow parts, the whole group's facts
-    (abelian, cyclic, nilpotent, solvable), and the conjugacy classes,
-    cyclic classes, orbits of cyclic subgroups under conjugation (with each
+    conjugation walk or repeated products: centralizer generators, the
+    centralizer orbits of an element on an orbit of cyclic subgroups (keyed
+    by the element and the orbit's tuple), the members of the subgroup a
+    pair generates (all pairs that generate the group share one tuple),
+    whether each such proper subgroup is solvable (keyed by its members
+    tuple), each element's Sylow parts, the whole group's facts (abelian,
+    cyclic, nilpotent, solvable), and the conjugacy classes, cyclic classes
+    (with one set per cyclic subgroup, every subgroup walked at the first
+    cyclic query), orbits of cyclic subgroups under conjugation (with each
     generator's permutation of them), generators and labels, computed once
-    each. One frozenset per cyclic subgroup, stored under each of its
-    generators, not one per element. The centralizer orbits read 245 hits
-    against 379 walks over the benchmark's element-graphs operations, each
-    in a group of its own; the hierarchy and the containments of one group
-    ask up to five times for a walk (S5: 163 asks, 28 walks).
+    each. The centralizer orbits read 245 hits against 379 walks over the
+    benchmark's element-graphs operations, each in a group of its own; the
+    hierarchy and the containments of one group ask up to five times for a
+    walk (S5: 163 asks, 28 walks).
     """
-
-    rep = "cayley"
 
     def __init__(self, order: int, label: str):
         self.order = order
         self.label = label
-        self._classes: list[ConjugacyClass] | None = None
+        self._classes: tuple[tuple[int, ...], ...] | None = None
         self._generators: tuple[int, ...] | None = None
         self._centralizer_gens: dict[int, tuple[int, ...]] = {}
         self._centralizer_orbits: dict[tuple, tuple[tuple[int, ...], ...]] = {}
@@ -129,7 +122,6 @@ class FiniteGroup:
         self._parts: dict[int, tuple[tuple[int, int], ...]] = {}
         self._solvable: dict[tuple[int, ...], bool] = {}
         self._facts: dict[str, bool] = {}
-        self._cyclic_cache: dict[int, frozenset[int]] = {}
         self._cyclic_classes: CyclicClasses | None = None
         self._cyclic_orbits: CyclicOrbits | None = None
         self._labels: tuple[str, ...] | None = None
@@ -158,40 +150,34 @@ class FiniteGroup:
         return len(self.cyclic_subgroup(g))
 
     def cyclic_subgroup(self, g: int) -> frozenset[int]:
-        """<g>, walked once and stored under each generator g^k, k prime to |g|."""
-        cached = self._cyclic_cache.get(g)
-        return cached if cached is not None else self._walk_powers(g)[0]
-
-    def _walk_powers(self, g: int) -> tuple[frozenset[int], list[int]]:
-        """<g> from g's powers, and its generators g^k, k prime to |g|, in
-        order of k; <g> is stored under each of them."""
-        powers = [0]
-        acc = g
-        while acc != 0:
-            powers.append(acc)
-            acc = self.mul(acc, g)
-        result = frozenset(powers)
-        # k = 0 is prime to |g| only for the identity
-        gens = [power for k, power in enumerate(powers) if math.gcd(k, len(powers)) == 1]
-        for power in gens:
-            self._cyclic_cache[power] = result
-        return result, gens
+        """<g>: the one set of its cyclic subgroup (`cyclic_classes`)."""
+        # no call once built: every power and enhanced pair test reads this
+        cyclic = self._cyclic_classes or self.cyclic_classes()
+        return cyclic.subgroups[cyclic.class_of[g]]
 
     def cyclic_classes(self) -> CyclicClasses:
-        """The elements grouped by the cyclic subgroup they generate: the
-        least element not yet placed generates the next subgroup, whose
-        generators are placed from one walk of its powers; computed once per
-        group."""
+        """The elements grouped by the cyclic subgroup they generate, and
+        each subgroup's set, computed once per group, at the first cyclic
+        query: the least element g not yet placed generates the next
+        subgroup, walked once from g's powers, |<g>| - 1 products, and its
+        generators are the powers g^k with k prime to |g|."""
         if self._cyclic_classes is None:
-            class_of = [-1] * self.order
-            members = []
+            mul, class_of = self.mul, [-1] * self.order
+            members, subgroups = [], []
             for g in range(self.order):
                 if class_of[g] < 0:
-                    gens = sorted(self._walk_powers(g)[1])
+                    powers, acc = [0], g
+                    while acc != 0:
+                        powers.append(acc)
+                        acc = mul(acc, g)
+                    # k = 0 is prime to |g| only for the identity
+                    gens = sorted(power for k, power in enumerate(powers)
+                                  if math.gcd(k, len(powers)) == 1)
                     for h in gens:
                         class_of[h] = len(members)
                     members.append(tuple(gens))
-            self._cyclic_classes = CyclicClasses(tuple(class_of), tuple(members))
+                    subgroups.append(frozenset(powers))
+            self._cyclic_classes = CyclicClasses(tuple(class_of), tuple(members), tuple(subgroups))
         return self._cyclic_classes
 
     def cyclic_orbits(self) -> CyclicOrbits:
@@ -261,8 +247,9 @@ class FiniteGroup:
         return self._fact("solvable", lambda: self.is_abelian() or is_solvable_gens(
             self, self.generators(), self.order))
 
-    def conjugacy_classes(self) -> list[ConjugacyClass]:
-        """Classes sorted by (size, least member); representative = least member.
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugacy classes, each the increasing tuple of its members, in
+        order of (size, least member); computed once per group.
 
         Each class is the orbit of its least member under conjugation by the
         group's generators (`_orbit_walk`). An abelian group has one class
@@ -270,9 +257,10 @@ class FiniteGroup:
         """
         if self._classes is None:
             orbits = _orbit_walk(self.order, self._conjugates(self.elements()))[0]
+            for orbit in orbits:  # in place: a sorted copy of each costs C20000 a third more
+                orbit.sort()
             # the roots increase, so a stable sort by size orders by (size, root)
-            self._classes = [ConjugacyClass(orbit[0], tuple(sorted(orbit)))
-                             for orbit in sorted(orbits, key=len)]
+            self._classes = tuple(map(tuple, sorted(orbits, key=len)))
         return self._classes
 
     def centralizer_orbits(self, g: int, subgroups: tuple) -> tuple[tuple[int, ...], ...]:
@@ -403,7 +391,7 @@ class FiniteGroup:
         return _prime_power_part(size, p) == size
 
     def __repr__(self) -> str:
-        return f"<FiniteGroup {self.label} order={self.order} rep={self.rep}>"
+        return f"<FiniteGroup {self.label} order={self.order}>"
 
 
 def _orbit_walk(count, maps):
@@ -646,8 +634,6 @@ class PermutationGroup(FiniteGroup):
     """Group whose elements are explicitly enumerated permutations; gens, if
     given, are permutations that generate it, and become its generators."""
 
-    rep = "permutation"
-
     def __init__(self, degree: int, elements: list[tuple[int, ...]], label: str, gens=None):
         ident = perms.identity_perm(degree)
         if elements[0] != ident:
@@ -676,9 +662,6 @@ class PermutationGroup(FiniteGroup):
 
     def element_label(self, i):
         return perms.cycle_notation(self.perm_elements[i])
-
-    def perm(self, i) -> tuple[int, ...]:
-        return self.perm_elements[i]
 
 
 class ProductGroup(FiniteGroup):

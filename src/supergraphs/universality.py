@@ -55,9 +55,9 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
 
     The commuting and enhanced kinds are decided by arithmetic. Commuting
     cycles of distinct lengths are disjoint, so the classes hold a commuting
-    pair iff p + q <= N (`arithmetic_adjacency`), and such a pair generates
-    C_p x C_q, which is cyclic iff gcd(p, q) = 1. A 1-cycle is the identity,
-    so its class is adjacent to every class, for every kind.
+    pair iff p + q <= N, and such a pair generates C_p x C_q, which is
+    cyclic iff gcd(p, q) = 1. A 1-cycle is the identity, so its class is
+    adjacent to every class, for every kind.
 
     For two distinct primes p < q the nilpotent and solvable kinds are
     decided by arithmetic too: the classes are adjacent iff p + q <= N, save
@@ -94,20 +94,15 @@ def class_adjacency(degree: int, p: int, q: int, kind: str) -> bool:
     if min(p, q) == 1:
         return True
     if kind in ("commuting", "enhanced"):
-        return arithmetic_adjacency(degree, p, q) and (kind == "commuting" or math.gcd(p, q) == 1)
+        return p + q <= degree and (kind == "commuting" or math.gcd(p, q) == 1)
     if not (_is_prime(p) and _is_prime(q)):
         raise ValueError(f"{kind} class adjacency is decided for prime cycle lengths only; "
                          f"got {p} and {q}")
-    return arithmetic_adjacency(degree, p, q) or (kind == "solvable" and {p, q} == {2, 3})
+    return p + q <= degree or (kind == "solvable" and {p, q} == {2, 3})
 
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def arithmetic_adjacency(degree: int, p: int, q: int) -> bool:
-    """Disjointness criterion: representatives can commute iff p + q <= N."""
-    return p + q <= degree
 
 
 @dataclass(frozen=True)
@@ -257,8 +252,8 @@ def strong_product_identity_check(left: FiniteGroup, right: FiniteGroup, kind: s
     left_of = build_partition(left, "conjugacy").class_of
     right_of = build_partition(right, "conjugacy").class_of
     mapping = []
-    for cls in prod.conjugacy_classes():
-        g, h = divmod(cls.representative, right.order)
+    for members in prod.conjugacy_classes():
+        g, h = divmod(members[0], right.order)
         mapping.append(left_of[g] * right_c.n + right_of[h])
     if sorted(mapping) != list(range(boxed.n)):
         return False

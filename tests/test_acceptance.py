@@ -281,11 +281,8 @@ def test_criterion_9_property_suites():
                 for b in range(n):
                     assert rows[ra[b]] == [ra[rows[b][c]] for c in range(n)]
             # orbit-stabilizer
-            for cls in group.conjugacy_classes():
-                assert (
-                    cls.size * len(group.centralizer(cls.representative))
-                    == group.order
-                )
+            for members in group.conjugacy_classes():
+                assert len(members) * len(group.centralizer(members[0])) == group.order
             # cyclic => abelian => nilpotent => solvable on pair subgroups
             pairs = list(itertools.combinations(range(n), 2))
             for g, h in rng.sample(pairs, min(25, len(pairs))):

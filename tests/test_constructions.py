@@ -6,7 +6,7 @@ import math
 import tracemalloc
 
 import pytest
-from test_groups import index_of
+from test_groups import catalog, index_of
 from test_power_edge_counts import cyclic_power_edges
 
 import supergraphs as sg
@@ -33,7 +33,7 @@ from supergraphs.graphs import (
     eval_expr,
     is_subgraph,
 )
-from supergraphs.groups import make_group
+from supergraphs.groups import FiniteGroup, make_group
 
 
 def small_catalog():
@@ -104,19 +104,19 @@ def test_solvable_graph_dihedral3_complete():
 
 def test_equality_partition():
     part = build_partition(sg.dihedral(3), "equality")
-    assert part.sizes == (1,) * 6
+    assert tuple(map(len, part.classes)) == (1,) * 6
     assert part.classes == tuple((g,) for g in range(6))
 
 
 def test_conjugacy_partition_d8():
     part = build_partition(sg.dihedral(4), "conjugacy")
-    assert sorted(part.sizes) == [1, 1, 2, 2, 2]
+    assert sorted(map(len, part.classes)) == [1, 1, 2, 2, 2]
     assert part.classes[0] == (0,)  # identity class first
 
 
 def test_order_partition_d6():
     part = build_partition(sg.dihedral(3), "order")
-    assert part.sizes == (1, 2, 3)
+    assert tuple(map(len, part.classes)) == (1, 2, 3)
     assert part.classes == ((0,), (1, 2), (3, 4, 5))
 
 
@@ -576,6 +576,45 @@ def test_cyclic_subgroup_is_one_object_for_its_generators(group):
                 assert group.cyclic_subgroup(power) is sub
 
 
+def _products(group, monkeypatch, *queries):
+    """The products that the queries make, in turn, on group."""
+    real, products = group.mul, []
+
+    def counting(i, j):
+        products.append((i, j))
+        return real(i, j)
+
+    monkeypatch.setattr(group, "mul", counting)
+    for query in queries:
+        query(group)
+    monkeypatch.undo()
+    return len(products)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sg.symmetric(5), lambda: sg.dihedral(20), lambda: sg.quaternion(12),
+    lambda: sg.cyclic(360), lambda: sg.product(sg.symmetric(3), sg.cyclic(4)),
+], ids=["S5", "D40", "Q48", "C360", "S3xC4"])
+@pytest.mark.parametrize("first", [lambda group: group.cyclic_subgroup(group.order - 1),
+                                   lambda group: group.is_nilpotent()],
+                         ids=["cyclic_subgroup", "is_nilpotent"])
+def test_cyclic_classes_walk_each_subgroup_once(make, first, monkeypatch):
+    """Each cyclic subgroup <k> is walked once per group, by |<k>| - 1
+    products, whether a query that reads one subgroup comes before
+    cyclic_classes or not: that query then adds only its own products."""
+    group = make()
+    walks = _products(group, monkeypatch, FiniteGroup.cyclic_classes)
+    assert walks == sum(len(sub) - 1 for sub in group.cyclic_classes().subgroups)
+    rest = _products(group, monkeypatch, first)
+    assert _products(make(), monkeypatch, first, FiniteGroup.cyclic_classes) == walks + rest
+
+
+def test_conjugacy_partition_is_the_group_classes():
+    """The conjugacy partition takes the group's classes as they come."""
+    for group in catalog():
+        assert build_partition(group, "conjugacy").classes == group.conjugacy_classes()
+
+
 def _cyclic_subgroups(group):
     """{cyclic subgroup: its generators, increasing}, in order of least
     generator: each element's subgroup is walked from its powers."""
@@ -668,7 +707,7 @@ def test_equality_scan_tests_each_class_pair_from_its_larger_class(group, elemen
     test per orbit of subgroups with two or more generators, whether those
     are joined. Testing every member of every smaller conjugacy class took
     element_tests: sum over a <= b of |C_a|, less one per class."""
-    sizes = [c.size for c in group.conjugacy_classes()]
+    sizes = list(map(len, group.conjugacy_classes()))
     assert element_tests == sum(sizes[a] for b in range(len(sizes)) for a in range(b + 1)) - len(sizes)
     orbits = sorted(_cyclic_subgroup_orbits(group), key=len)
     tests = sum(len(orbit) * (len(orbits) - a) for a, orbit in enumerate(orbits)) - len(orbits)

@@ -229,15 +229,14 @@ def test_conjugacy_classes_and_conjugators(group):
     is conjugation by it, the orbits are those under conjugation by every
     element, and each subgroup is reached by its recorded step."""
     classes = group.conjugacy_classes()
-    assert {frozenset(c.members) for c in classes} == {
+    assert set(map(frozenset, classes)) == {
         _conjugates(group, g) for g in range(group.order)
     }
-    assert [(c.size, c.representative) for c in classes] == sorted(
-        (c.size, c.representative) for c in classes
+    assert [(len(members), members[0]) for members in classes] == sorted(
+        (len(members), members[0]) for members in classes
     )
-    for cls in classes:
-        assert cls.members == tuple(sorted(cls.members))
-        assert cls.representative == cls.members[0]
+    for members in classes:
+        assert members == tuple(sorted(members))
     subgroups, index = _subgroup_index(group)
     assert len(index) == len(subgroups)
     walk = group.cyclic_orbits()
@@ -281,10 +280,10 @@ def test_centralizer_orbits_partition_each_class(group):
 )
 def test_permutation_multiplication_matches_perms(group):
     for i in range(group.order):
-        p = group.perm(i)
-        assert group.perm(group.inv(i)) == perms.invert(p)
+        p = group.perm_elements[i]
+        assert group.perm_elements[group.inv(i)] == perms.invert(p)
         for j in range(group.order):
-            assert group.perm(group.mul(i, j)) == perms.compose(p, group.perm(j))
+            assert group.perm_elements[group.mul(i, j)] == perms.compose(p, group.perm_elements[j])
 
 
 @pytest.mark.parametrize("group", wide_catalog(), ids=_ids)

@@ -124,9 +124,9 @@ def test_generates_nilpotent_matches_sympy_on_drawn_sets_of_s6():
     seen = collections.Counter()
     for gens in _draw_sets(rng, s6, 300):
         expected = combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(s6.perm(g))) for g in gens]
+            [combinatorics.Permutation(list(s6.perm_elements[g])) for g in gens]
         ).is_nilpotent
-        assert s6.generates_nilpotent(gens) == expected, [s6.perm(g) for g in gens]
+        assert s6.generates_nilpotent(gens) == expected, [s6.perm_elements[g] for g in gens]
         seen[expected, len(set(gens)) > 2] += 1
     assert len(seen) == 4
 
@@ -198,9 +198,9 @@ def test_nilpotent_pair_test_matches_sympy_on_drawn_pairs_of_s6():
     for _ in range(400):
         g, h = rng.sample(range(s6.order), 2)
         expected = combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(s6.perm(g))), combinatorics.Permutation(list(s6.perm(h)))]
+            [combinatorics.Permutation(list(s6.perm_elements[x])) for x in (g, h)]
         ).is_nilpotent
-        assert s6.generates_nilpotent((g, h)) == expected, (s6.perm(g), s6.perm(h))
+        assert s6.generates_nilpotent((g, h)) == expected, (s6.perm_elements[g], s6.perm_elements[h])
         seen.add(expected)
     assert seen == {True, False}
 

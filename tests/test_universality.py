@@ -16,7 +16,6 @@ from supergraphs.graphs import Graph
 from supergraphs.groups import SizeCapError
 from supergraphs.universality import (
     SCAN_KINDS,
-    arithmetic_adjacency,
     class_adjacency,
     embed_graph,
     primes_first,
@@ -86,7 +85,6 @@ def test_commuting_scan_equals_disjointness_criterion():
                 perms.compose(x, y) == perms.compose(y, x) for y in all_cycles(degree, small)
             )
             assert class_adjacency(degree, p, q, "commuting") == exists, (degree, p, q)
-            assert arithmetic_adjacency(degree, p, q) == exists, (degree, p, q)
 
 
 def test_commuting_and_enhanced_scans_are_arithmetic():
