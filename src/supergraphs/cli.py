@@ -80,12 +80,22 @@ def _render(value, pad: str) -> str:
     above it, so a supergraph, whose complete factors are twin classes,
     costs one join per vertex and one decoding per class of delta.
 
-    A list of ints is one join of str(); a list of strings is one join of
-    encode_basestring_ascii, the function json.dumps calls on a str, with
-    none of json.dumps's per-call set-up; dict keys go through it too.
-    Matching on the exact types keeps bools, which json writes as
-    true/false, off those paths.
+    An int is written by str() and a string by encode_basestring_ascii,
+    the function json.dumps calls on a str, with none of json.dumps's
+    per-call set-up: alone, as a dict key, or joined once for a whole list
+    of either. Matching on the exact types keeps bools, which json writes
+    as true/false, off those paths. Only floats and other types still call
+    json.dumps.
     """
+    leaf = type(value)
+    if leaf is int:
+        return str(value)
+    if leaf is str:
+        return encode_basestring_ascii(value)
+    if leaf is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     if isinstance(value, Graph):
         return _render_graph(value, pad)
     if not isinstance(value, (dict, list, tuple)):
@@ -151,14 +161,14 @@ def _load_spec(raw: str) -> dict:
 
 
 def _parse_range(raw: str) -> range:
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        ns = range(int(lo), int(hi) + 1)
-        if not ns:
-            raise UsageError(f"empty range {raw!r}: the lower end exceeds the upper")
-        return ns
-    value = int(raw)
-    return range(value, value + 1)
+    """--n as N or A..B, both ends included."""
+    try:
+        lo, hi = map(int, raw.split("..", 1)) if ".." in raw else (int(raw),) * 2
+    except ValueError:
+        raise UsageError(f"argument --n: expected N or A..B with integers, got {raw!r}") from None
+    if lo > hi:
+        raise UsageError(f"empty range {raw!r}: the lower end exceeds the upper")
+    return range(lo, hi + 1)
 
 
 def _render_table(rows: list[dict]) -> str:

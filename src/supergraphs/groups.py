@@ -29,6 +29,14 @@ per orbit of pairs, by the one pinned scan that serves every partition (see
 `constructions.class_graph`). The conjugacy classes are built only for the
 conjugacy partition. An abelian group passes no maps, and a central element
 walks nothing, so neither costs a conjugation.
+
+The cyclic, dihedral and quaternion groups read their cyclic subgroups and
+conjugacy classes, and the conjugations by their own generators, from the
+presentation <a, b | a^m, b^2 = a^s, b^-1 a b = a^-1>, with no product
+(`CyclicGroup` and `MetacyclicGroup` override `cyclic_classes`,
+`conjugacy_classes` and `_conjugates`). The walks above are the reference
+path: the tests compare each closed form with them, and they serve every
+other group.
 """
 
 from __future__ import annotations
@@ -104,7 +112,8 @@ class FiniteGroup:
     (with one set per cyclic subgroup, every subgroup walked at the first
     cyclic query), orbits of cyclic subgroups under conjugation (with each
     generator's permutation of them), generators and labels, computed once
-    each. The centralizer orbits read 245 hits against 379 walks over the
+    each, whether walked by products or read from a presentation. The
+    centralizer orbits read 245 hits against 379 walks over the
     benchmark's element-graphs operations, each in a group of its own; the
     hierarchy and the containments of one group ask up to five times for a
     walk (S5: 163 asks, 28 walks).
@@ -527,11 +536,45 @@ def is_solvable_gens(group: FiniteGroup, gens, order: int) -> bool:
 # --- concrete representations ---
 
 
+def _power_subgroups(m: int):
+    """The subgroups of <a> = C_m, a^r at index r, as cyclic_classes lists
+    them, in order of least generator: class_of[r] for r < m, and each
+    subgroup's generators and set. The subgroups are <a^d> for d | m, of
+    order m/d, whose generators are the a^r with gcd(r, m) = d; e = <a^m>
+    comes first, then d increasing."""
+    divisors = [d for d in range(1, m) if m % d == 0]
+    class_of = [0] * m
+    for k, d in enumerate(divisors, 1):
+        # the last divisor written over a multiple r of d is gcd(r, m)
+        class_of[d::d] = [k] * (m // d - 1)
+    members = [[0]] + [[] for _ in divisors]
+    for r in range(1, m):
+        members[class_of[r]].append(r)
+    subgroups = [frozenset(range(0, m, d)) for d in [m] + divisors]
+    return class_of, members, subgroups
+
+
 class CyclicGroup(FiniteGroup):
+    """C_n = <a | a^n = e>, a^r at index r. Its cyclic subgroups and its
+    conjugacy classes, one per element, come from the presentation, with no
+    product."""
+
     def __init__(self, n: int):
         super().__init__(n, f"C{n}")
         self.n = n
         self._generators = (1,) if n > 1 else ()  # the presentation's a
+
+    def cyclic_classes(self) -> CyclicClasses:
+        if self._cyclic_classes is None:
+            class_of, members, subgroups = _power_subgroups(self.n)
+            self._cyclic_classes = CyclicClasses(tuple(class_of), tuple(map(tuple, members)),
+                                                 tuple(subgroups))
+        return self._cyclic_classes
+
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        if self._classes is None:
+            self._classes = tuple(zip(range(self.n)))
+        return self._classes
 
     def mul(self, i, j):
         return (i + j) % self.n
@@ -557,6 +600,52 @@ class MetacyclicGroup(FiniteGroup):
         self.m = m
         self.s = s
         self._generators = (1, m) if m > 1 else (m,)  # a and b; D2 is <b>
+
+    def cyclic_classes(self) -> CyclicClasses:
+        """The subgroups of <a> (`_power_subgroups`), then those that hold an
+        a^j b, in order of j: {e, a^j b} in D_2n, where every a^j b has order
+        2, and {e, a^j b, a^s, a^(j+s) b}, j < s, in Q_4n, where a^j b has
+        order 4, square a^s and inverse a^(j+s) b."""
+        if self._cyclic_classes is None:
+            m, s = self.m, self.s
+            class_of, members, subgroups = _power_subgroups(m)
+            if s == 0:
+                class_of += range(len(members), len(members) + m)
+                members += [(m + j,) for j in range(m)]
+                subgroups += [frozenset((0, m + j)) for j in range(m)]
+            else:
+                class_of += range(len(members), len(members) + s)
+                class_of += class_of[m:]
+                members += [(m + j, m + j + s) for j in range(s)]
+                subgroups += [frozenset((0, s, m + j, m + j + s)) for j in range(s)]
+            self._cyclic_classes = CyclicClasses(tuple(class_of), tuple(map(tuple, members)),
+                                                 tuple(subgroups))
+        return self._cyclic_classes
+
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """{a^r, a^-r} for each r, and the a^j b: one class for odd m, two
+        (j even, j odd) for even m, as a and b conjugate them (`_conjugates`)."""
+        if self._classes is None:
+            m = self.m
+            classes = [(0,)] + [(r, m - r) if 2 * r < m else (r,) for r in range(1, m // 2 + 1)]
+            if m % 2:
+                classes.append(tuple(range(m, 2 * m)))
+            else:
+                classes += [tuple(range(m, 2 * m, 2)), tuple(range(m + 1, 2 * m, 2))]
+            # built in order of least member: a stable sort by size orders by (size, least)
+            self._classes = tuple(sorted(classes, key=len))
+        return self._classes
+
+    def _conjugates(self, elements, gens=None) -> list[list[int]]:
+        """By the group's generators a and b, read from the presentation:
+        a^-1 a^r a = a^r and a^-1 (a^j b) a = a^(j-2) b; b^-1 a^r b = a^-r
+        and b^-1 (a^j b) b = a^-j b. Other gens, and D2 and D4, which are
+        abelian, take the generic products."""
+        m = self.m
+        if gens is not None or m <= 2:
+            return super()._conjugates(elements, gens)
+        return [[y if y < m else m + (y - 2) % m for y in elements],
+                [(-y) % m if y < m else m + (-y) % m for y in elements]]
 
     def mul(self, i, j):
         m = self.m

@@ -225,6 +225,31 @@ def test_verify_empty_range_exit_2(capsys, suite):
     assert "empty range" in err
 
 
+def test_report_leaves_call_no_json_dumps(capsys, monkeypatch):
+    """The default-catalog hierarchy report, hundreds of int, bool and
+    string leaves, is written with no json.dumps call: each leaf is written
+    directly, and only floats and other types would call it."""
+    real, calls = json.dumps, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    code = main(["verify", "hierarchy"])
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    assert code == 0 and calls == []
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", ["3..", "abc"])
+def test_verify_bad_n_names_the_option_exit_2(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "structure", "--family", "escom-d", "--n", n)
+    assert code == 2 and not out
+    assert err == f"error: argument --n: expected N or A..B with integers, got {n!r}\n"
+
+
 @pytest.mark.parametrize("suite", ["structure", "wiener"])
 @pytest.mark.parametrize("family,n,order", [("escom-d", 33, 66), ("cscom-q", 17, 68)])
 def test_verify_runs_past_64_vertices(capsys, suite, family, n, order):

@@ -33,7 +33,7 @@ from supergraphs.graphs import (
     eval_expr,
     is_subgraph,
 )
-from supergraphs.groups import FiniteGroup, make_group
+from supergraphs.groups import CyclicGroup, MetacyclicGroup, make_group
 
 
 def small_catalog():
@@ -601,12 +601,17 @@ def _products(group, monkeypatch, *queries):
 def test_cyclic_classes_walk_each_subgroup_once(make, first, monkeypatch):
     """Each cyclic subgroup <k> is walked once per group, by |<k>| - 1
     products, whether a query that reads one subgroup comes before
-    cyclic_classes or not: that query then adds only its own products."""
+    cyclic_classes or not: that query then adds only its own products.
+    C, D and Q groups read their subgroups from the presentation, with no
+    product."""
     group = make()
-    walks = _products(group, monkeypatch, FiniteGroup.cyclic_classes)
-    assert walks == sum(len(sub) - 1 for sub in group.cyclic_classes().subgroups)
+    walks = _products(group, monkeypatch, lambda group: group.cyclic_classes())
+    if isinstance(group, (CyclicGroup, MetacyclicGroup)):
+        assert walks == 0
+    else:
+        assert walks == sum(len(sub) - 1 for sub in group.cyclic_classes().subgroups)
     rest = _products(group, monkeypatch, first)
-    assert _products(make(), monkeypatch, first, FiniteGroup.cyclic_classes) == walks + rest
+    assert _products(make(), monkeypatch, first, lambda group: group.cyclic_classes()) == walks + rest
 
 
 def test_conjugacy_partition_is_the_group_classes():

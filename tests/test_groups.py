@@ -1,14 +1,19 @@
 """Group construction, element structure, and subgroup classification."""
 
+import functools
 import itertools
 import random
+import types
 
 import pytest
 
 import supergraphs as sg
 from supergraphs import perms
 from supergraphs.groups import (
+    CyclicGroup,
+    FiniteGroup,
     InvalidGroupSpec,
+    MetacyclicGroup,
     SizeCapError,
     _greedy_generators,
     closure_set,
@@ -438,8 +443,10 @@ def test_capped_closure_stops_within_one_frontier_member_of_the_limit():
 def test_orbit_walks_make_two_products_per_point_and_generator(group, monkeypatch):
     """The conjugacy classes conjugate each element, and the orbits of cyclic
     subgroups one generator of each subgroup, by each generator of the
-    group: two products each. An abelian group makes none."""
-    gens = () if group.is_abelian() else group.generators()
+    group: two products each. An abelian group makes none, and neither do
+    C, D and Q groups, which read both from the presentation."""
+    presented = isinstance(group, (CyclicGroup, MetacyclicGroup))
+    gens = () if presented or group.is_abelian() else group.generators()
     subgroups = len(group.cyclic_classes().members)
     real, products = group.mul, []
 
@@ -454,3 +461,32 @@ def test_orbit_walks_make_two_products_per_point_and_generator(group, monkeypatc
     group.cyclic_orbits()
     assert len(products) == 2 * subgroups * len(gens)
     assert group.is_abelian() == (group.label in ("C12", "C6xC10"))
+
+
+def _walked(group):
+    """group with FiniteGroup's generic walks in place of its own cyclic
+    classes, conjugacy classes and conjugations: the oracle of the
+    presentations' closed forms."""
+    for name in ("cyclic_classes", "conjugacy_classes", "_conjugates"):
+        setattr(group, name, types.MethodType(getattr(FiniteGroup, name), group))
+    return group
+
+
+@pytest.mark.parametrize("makes", [
+    [functools.partial(sg.cyclic, n) for n in range(1, 201)],
+    [functools.partial(sg.dihedral, n) for n in range(1, 201)],
+    [functools.partial(sg.quaternion, n) for n in range(2, 151)],
+    [functools.partial(sg.cyclic, 20000), functools.partial(sg.dihedral, 10000),
+     functools.partial(sg.quaternion, 5000)],
+], ids=["C1-C200", "D2-D400", "Q8-Q600", "order-20000"])
+def test_presentations_equal_the_generic_walks(makes):
+    """C_n, D_2n and Q_4n read their cyclic classes, conjugacy classes and
+    generators' conjugations from the presentation; each equals what the
+    generic walks find by products, and so do the orbits of cyclic
+    subgroups, with their steps and permutations."""
+    for make in makes:
+        group, walked = make(), _walked(make())
+        assert group.cyclic_classes() == walked.cyclic_classes(), group.label
+        assert group.conjugacy_classes() == walked.conjugacy_classes(), group.label
+        assert group._conjugates(group.elements()) == walked._conjugates(group.elements()), group.label
+        assert group.cyclic_orbits() == walked.cyclic_orbits(), group.label
