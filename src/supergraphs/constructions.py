@@ -25,8 +25,8 @@ generating graphs (see `generation`), by one pinned scan over the orbits of
 cyclic subgroups under conjugation (`FiniteGroup.cyclic_orbits`). Of two
 orbits, the root of the larger is pinned and tested against the smaller's
 subgroups, once per orbit of the pinned element's centralizer for the tests
-that close a subgroup (the solvable kind and generation), and whether the
-root's own generators are related is one test of r against r^-1. The scan
+that may close a subgroup (the solvable kind and generation), and whether
+the root's own generators are related is one test of r against r^-1. The scan
 feeds one of two sinks. The every-hit sink, for the equality partition,
 keeps every hit and carries it to the rest of the pinned orbit through the
 generators' recorded permutations of the subgroups: elements generating one
@@ -41,7 +41,10 @@ computes once, that kind's delta is complete and built as such, with no edge
 list; and a commuting pair is nilpotent- and solvable-adjacent.
 Only the solvable test closes the subgroup a pair generates
 (`FiniteGroup.pair_is_solvable`); the nilpotent test reads the pair's Sylow
-parts (`FiniteGroup.generates_nilpotent`).
+parts (`FiniteGroup.generates_nilpotent`). C_n, D_2n and Q_4n read
+commutation, nilpotency and generation from their presentation, and as
+solvable groups never ask the solvable test, so none of their pair tests
+makes a product or closes a subgroup.
 """
 
 from __future__ import annotations
@@ -92,9 +95,11 @@ def _pair_test(group: FiniteGroup, kind: str):
     solvable. A pair that does not commute is nilpotent-adjacent by a test on
     the Sylow parts of g and h (see `FiniteGroup.generates_nilpotent`), which
     closes only pairs of p-elements, within |G|_p elements; only the solvable
-    test closes the subgroup the pair generates. Commuting g and h generate a
-    group of order |<g>||<h>| / |<g> & <h>|, which is cyclic exactly when
-    that is lcm(|g|, |h|), that is when |<g> & <h>| = gcd(|g|, |h|).
+    test closes the subgroup the pair generates. C_n, D_2n and Q_4n answer
+    both commutation and the nilpotent test by arithmetic on exponents,
+    with no product. Commuting g and h generate a group of order
+    |<g>||<h>| / |<g> & <h>|, which is cyclic exactly when that is
+    lcm(|g|, |h|), that is when |<g> & <h>| = gcd(|g|, |h|).
     """
     commutes, cyclic = group.commutes, group.cyclic_subgroup
     if kind == "commuting":

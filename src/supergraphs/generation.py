@@ -8,6 +8,10 @@ inside the complement of the matching base graph (equality exactly for the
 minimal non-A groups), and the invariable generating graph sits inside the
 complement of the conjugacy supergraph of the same kind.
 
+Whether a pair generates is `FiniteGroup.pair_generates`: a closure of the
+pair, cached with its members, in general, and arithmetic on exponents in
+C_n, D_2n and Q_4n, which close no pair.
+
 Generation depends only on the cyclic subgroups of a pair (it generates the
 group or not whatever generators of its two subgroups it holds) and is
 invariant under simultaneous conjugation, so both graphs come from the one
@@ -46,15 +50,16 @@ _CHECKS = (("generating-vs-base", "equality"), ("invariable-vs-super", "conjugac
 
 
 def _generates(group: FiniteGroup):
-    """Test of whether two elements generate the whole group. In a
-    non-abelian group a commuting pair never does, and needs no closure."""
-    order, commutes = group.order, group.commutes
+    """Test of whether two elements generate the whole group
+    (`FiniteGroup.pair_generates`). In a non-abelian group a commuting pair
+    never does, and needs no closure."""
+    commutes, pair_generates = group.commutes, group.pair_generates
     abelian = group.is_abelian()
 
     def generates(g: int, h: int) -> bool:
         if not abelian and commutes(g, h):
             return False
-        return len(group.pair_subgroup_members(g, h)) == order
+        return pair_generates(g, h)
 
     return generates
 

@@ -62,16 +62,30 @@ FACTOR_KINDS = ("complete", "empty")
 # bytes.translate table turning the digits of bin() into 0/1 selectors
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
+# at most this many set bits are read one lowest bit at a time, with no bin()
+_WALKED_BITS = 10
+
 
 def _bits(mask: int, offset: int = 0) -> list[int]:
     """Positions of the set bits of mask, increasing, each plus offset.
 
-    Sparse masks are walked by str.rfind over the binary digits, from the
-    least significant end, with no reversed copy; dense ones are selected
-    in one itertools.compress pass over the digits reversed.
+    A mask of at most _WALKED_BITS set bits is read lowest bit first, by
+    mask & -mask, with no string: each step costs a pass over the mask, so
+    it beats bin() only while the bits are few. Other sparse masks are
+    walked by str.rfind over the binary digits, from the least significant
+    end, with no reversed copy; dense ones are selected in one
+    itertools.compress pass over the digits reversed.
     """
+    count = mask.bit_count()
+    if count <= _WALKED_BITS:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() + offset - 1)
+            mask ^= low
+        return out
     digits = bin(mask)  # "0b", most significant first
-    if mask.bit_count() * 6 >= len(digits) - 2:
+    if count * 6 >= len(digits) - 2:
         selectors = digits[:1:-1].encode().translate(_BIT_SELECTORS)
         return list(itertools.compress(range(offset, offset + len(selectors)), selectors))
     last = offset + len(digits) - 1  # the position of digit i is last - i

@@ -34,9 +34,13 @@ The cyclic, dihedral and quaternion groups read their cyclic subgroups and
 conjugacy classes, and the conjugations by their own generators, from the
 presentation <a, b | a^m, b^2 = a^s, b^-1 a b = a^-1>, with no product
 (`CyclicGroup` and `MetacyclicGroup` override `cyclic_classes`,
-`conjugacy_classes` and `_conjugates`). The walks above are the reference
-path: the tests compare each closed form with them, and they serve every
-other group.
+`conjugacy_classes` and `_conjugates`). They answer the pair tests of the
+scans the same way, by arithmetic on exponents: whether two elements
+commute, whether a set generates a nilpotent subgroup and whether a pair
+generates the group (`commutes`, `generates_nilpotent`, `pair_generates`),
+with no product and no closure. The walks, products and closures are the
+reference path: the tests compare each closed form with them, and they
+serve every other group.
 """
 
 from __future__ import annotations
@@ -105,18 +109,20 @@ class FiniteGroup:
     conjugation walk or repeated products: centralizer generators, the
     centralizer orbits of an element on an orbit of cyclic subgroups (keyed
     by the element and the orbit's tuple), the members of the subgroup a
-    pair generates (all pairs that generate the group share one tuple),
-    whether each such proper subgroup is solvable (keyed by its members
-    tuple), each element's Sylow parts, the whole group's facts (abelian,
-    cyclic, nilpotent, solvable), and the conjugacy classes, cyclic classes
-    (with one set per cyclic subgroup, every subgroup walked at the first
-    cyclic query), orbits of cyclic subgroups under conjugation (with each
-    generator's permutation of them), generators and labels, computed once
-    each, whether walked by products or read from a presentation. The
-    centralizer orbits read 245 hits against 379 walks over the
-    benchmark's element-graphs operations, each in a group of its own; the
-    hierarchy and the containments of one group ask up to five times for a
-    walk (S5: 163 asks, 28 walks).
+    pair generates (all pairs that generate the group share one tuple; C,
+    D and Q decide generation from the presentation and fill it only
+    through `pair_is_solvable`, which no scan asks of these solvable
+    groups), whether each such proper subgroup is solvable (keyed by its
+    members tuple), each element's Sylow parts, the whole group's facts
+    (abelian, cyclic, nilpotent, solvable), and the conjugacy classes,
+    cyclic classes (with one set per cyclic subgroup, every subgroup walked
+    at the first cyclic query), orbits of cyclic subgroups under
+    conjugation (with each generator's permutation of them), generators and
+    labels, computed once each, whether walked by products or read from a
+    presentation. The centralizer orbits read 245 hits against 379 walks
+    over the benchmark's element-graphs operations, each in a group of its
+    own; the hierarchy and the containments of one group ask up to five
+    times for a walk (S5: 163 asks, 28 walks).
     """
 
     def __init__(self, order: int, label: str):
@@ -320,6 +326,11 @@ class FiniteGroup:
                 cached = self._whole
             self._pair_members[key] = cached
         return cached
+
+    def pair_generates(self, g: int, h: int) -> bool:
+        """Whether g and h generate the whole group: the closure of the pair
+        (`pair_subgroup_members`), cached with its members."""
+        return len(self.pair_subgroup_members(g, h)) == self.order
 
     def pair_is_solvable(self, g: int, h: int) -> bool:
         """Whether <g, h> is solvable: the group's fact for a generating
@@ -555,9 +566,9 @@ def _power_subgroups(m: int):
 
 
 class CyclicGroup(FiniteGroup):
-    """C_n = <a | a^n = e>, a^r at index r. Its cyclic subgroups and its
-    conjugacy classes, one per element, come from the presentation, with no
-    product."""
+    """C_n = <a | a^n = e>, a^r at index r. Its cyclic subgroups, its
+    conjugacy classes, one per element, and its pair tests come from the
+    presentation, with no product."""
 
     def __init__(self, n: int):
         super().__init__(n, f"C{n}")
@@ -575,6 +586,17 @@ class CyclicGroup(FiniteGroup):
         if self._classes is None:
             self._classes = tuple(zip(range(self.n)))
         return self._classes
+
+    def commutes(self, g: int, h: int) -> bool:
+        return True
+
+    def generates_nilpotent(self, gens) -> bool:
+        """Every subgroup of a cyclic group is cyclic, hence nilpotent."""
+        return True
+
+    def pair_generates(self, g: int, h: int) -> bool:
+        """<a^g, a^h> = <a^gcd(g, h, n)>, the whole group iff that is a."""
+        return math.gcd(g, h, self.n) == 1
 
     def mul(self, i, j):
         return (i + j) % self.n
@@ -646,6 +668,58 @@ class MetacyclicGroup(FiniteGroup):
             return super()._conjugates(elements, gens)
         return [[y if y < m else m + (y - 2) % m for y in elements],
                 [(-y) % m if y < m else m + (-y) % m for y in elements]]
+
+    def commutes(self, g: int, h: int) -> bool:
+        """Read from the presentation: powers of a commute; a^r a^j b =
+        a^(r+j) b and a^j b a^r = a^(j-r) b agree iff 2r = 0 mod m; a^i b a^j b
+        = a^(i-j+s) and a^j b a^i b = a^(j-i+s) agree iff 2(i - j) = 0 mod m."""
+        m = self.m
+        if g < m:
+            return h < m or 2 * g % m == 0
+        return 2 * (h if h < m else g - h) % m == 0
+
+    def _rotation_step(self, gens) -> int | None:
+        """None if every element of gens is a power of a; otherwise the d
+        with <gens> = <a^d> u <a^d> a^j b, a^j b any element of gens outside
+        <a>: d = gcd(m, s, every r of an a^r in gens, every i - j of two
+        a^i b, a^j b in gens), where the differences from one a^j b suffice.
+
+        Proof. Let H = <gens>. H & <a> holds each a^r of gens, (a^j b)^2 =
+        a^s, and a^i b (a^j b)^-1 = a^i b a^(j+s) b = a^(i-j), so it holds
+        <a^d>. Conversely <a^d> is normal in G (a subgroup of the cyclic
+        normal <a>), a^j b normalizes it and squares into it (d | s), so K =
+        <a^d> u <a^d> a^j b is a subgroup; it holds each a^r of gens (d | r)
+        and each a^i b = a^(i-j) a^j b (d | i - j), hence K = H.
+        """
+        m, d, flip = self.m, math.gcd(self.m, self.s), None
+        for g in gens:
+            if g < m:
+                d = math.gcd(d, g)
+            elif flip is None:
+                flip = g
+            else:
+                d = math.gcd(d, g - flip)
+        return None if flip is None else d
+
+    def generates_nilpotent(self, gens) -> bool:
+        """Whether <gens> is nilpotent, read from the presentation with no
+        product and no closure. If gens lie in <a>, <gens> is cyclic.
+        Otherwise <gens> = <a^d> u <a^d> a^j b (`_rotation_step`), of order
+        2m/d. If m/d is a power of 2, so is that order, and a p-group is
+        nilpotent. If an odd prime p divides m/d, x = a^(m/p) of order p lies
+        in <gens>, and y = a^j b, of order 2 or 4, inverts it: y^-1 x y = x^-1
+        != x. In a nilpotent group elements of coprime orders commute, so
+        <gens> is not nilpotent."""
+        d = self._rotation_step(gens)
+        if d is None:
+            return True
+        e = self.m // d
+        return e & (e - 1) == 0
+
+    def pair_generates(self, g: int, h: int) -> bool:
+        """The pair generates G iff it holds an a^j b and <a^d> = <a>, that is
+        d = 1 (`_rotation_step`): <a^d> has index 2 in <g, h>."""
+        return self._rotation_step((g, h)) == 1
 
     def mul(self, i, j):
         m = self.m

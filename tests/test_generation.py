@@ -16,7 +16,7 @@ from supergraphs.generation import (
 )
 from supergraphs.constructions import QuotientDecomposition, build_partition, hierarchy_report
 from supergraphs.graphs import Graph, blow_up, edge_difference
-from supergraphs.groups import closure_set, make_group
+from supergraphs.groups import MetacyclicGroup, closure_set, make_group
 
 
 def test_generating_graph_cyclic5_complete():
@@ -183,6 +183,23 @@ def test_generating_graph_matches_generation_where_cyclic_classes_are_large(name
     assert not _generation_mismatches(group, generating_graph(group), generates)
 
 
+@pytest.mark.parametrize("family, n", [("dihedral", 999), ("dihedral", 1000), ("quaternion", 495),
+                                       ("quaternion", 500)],
+                         ids=["D1998", "D2000", "Q1980", "Q2000"])
+def test_presented_generation_matches_arithmetic_up_to_order_2000(family, n):
+    """D_2n and Q_4n read generation from the presentation
+    (`pair_generates`); the generating graph and the invariable generating
+    graph's classes equal what `_generates_metacyclic` derives pair by pair,
+    for odd and even n (in Q_4n with odd n, s = n is all that makes a^2
+    and b generate)."""
+    group, generates = _generates_by_arithmetic(family, n)
+    assert not _generation_mismatches(group, generating_graph(group), generates)
+    classes = build_partition(group, "conjugacy").classes
+    expected = {(x, y) for x, y in itertools.combinations(range(len(classes)), 2)
+                if all(generates(g, h) for g in classes[x] for h in classes[y])}
+    assert expected and set(generation._invariable_classes(group).edges()) == expected
+
+
 def test_generation_oracle_catches_joined_generators_of_one_subgroup(monkeypatch):
     """A generating graph that joins the 8 generators of one cyclic
     subgroup of order 30 in C6 x C10, which is not cyclic, is caught on
@@ -208,24 +225,32 @@ def test_generation_oracle_catches_joined_generators_of_one_subgroup(monkeypatch
                                              (sg.dihedral(20), 11)], ids=["S4", "A5", "D40"])
 def test_invariable_generating_graph_closes_a_fixed_number_of_pairs(group, requests, monkeypatch):
     """The class scan for a pair that fails to generate stops where a scan
-    for every pair generating would: it closes the pairs, none of them
-    commuting, that `first_hit_scan` derives from the orbits of cyclic
-    subgroups. Scanning pairs of conjugacy classes closed 7, 16 and 21."""
+    for every pair generating would: it asks `pair_generates` for the pairs,
+    none of them commuting, that `first_hit_scan` derives from the orbits of
+    cyclic subgroups. Scanning pairs of conjugacy classes asked 7, 16 and
+    21. S4 and A5 close each pair asked; D40 reads each from its
+    presentation and closes none."""
     def fails(g, h):
         return len(closure_set(group.mul, 0, [g, h])) < group.order
 
     scanned = first_hit_scan(group, fails, build_partition(group, "conjugacy"), True)
-    closed = [(g, h) for g, h in scanned if not group.commutes(g, h)]
-    assert len(closed) == requests
-    members, calls = group.pair_subgroup_members, []
+    asked = [(g, h) for g, h in scanned if not group.commutes(g, h)]
+    assert len(asked) == requests
+    generates, members, asks, closes = group.pair_generates, group.pair_subgroup_members, [], []
 
-    def counting(g, h):
-        calls.append((g, h))
+    def asking(g, h):
+        asks.append((g, h))
+        return generates(g, h)
+
+    def closing(g, h):
+        closes.append((g, h))
         return members(g, h)
 
-    monkeypatch.setattr(group, "pair_subgroup_members", counting)
+    monkeypatch.setattr(group, "pair_generates", asking)
+    monkeypatch.setattr(group, "pair_subgroup_members", closing)
     invariable_generating_graph(group)
-    assert calls == closed
+    assert asks == asked
+    assert closes == ([] if isinstance(group, MetacyclicGroup) else asked)
 
 
 @pytest.mark.parametrize("build", [generating_graph, invariable_generating_graph])

@@ -482,3 +482,16 @@ def test_edge_rows_decode_each_neighbourhood_once(build, distinct, monkeypatch):
     monkeypatch.undo()
     assert sum(map(len, (vs for _, vs in rows))) == graph.num_edges
     assert all(graph.has_edge(u, v) and u < v for u, vs in rows for v in vs)
+
+
+def test_bits_reads_every_set_bit_on_each_path():
+    """_bits against a bit-by-bit read, on masks of widths up to 20,000
+    whose bit counts sit on both sides of the lowest-bit walk's threshold
+    and reach the sparse and the dense bin() paths."""
+    rng, walked = random.Random(7), graphs._WALKED_BITS
+    for width in (1, 7, 64, 720, 20000):
+        for count in {0, 1, walked, walked + 1, 40, width // 3, width}:
+            count = min(count, width)
+            mask = sum(1 << b for b in rng.sample(range(width), count))
+            offset = rng.randrange(5)
+            assert graphs._bits(mask, offset) == [b + offset for b in range(width) if mask >> b & 1]

@@ -1,14 +1,16 @@
 """Group construction, element structure, and subgroup classification."""
 
 import functools
+import inspect
 import itertools
 import random
+import textwrap
 import types
 
 import pytest
 
 import supergraphs as sg
-from supergraphs import perms
+from supergraphs import groups, perms
 from supergraphs.groups import (
     CyclicGroup,
     FiniteGroup,
@@ -490,3 +492,113 @@ def test_presentations_equal_the_generic_walks(makes):
         assert group.conjugacy_classes() == walked.conjugacy_classes(), group.label
         assert group._conjugates(group.elements()) == walked._conjugates(group.elements()), group.label
         assert group.cyclic_orbits() == walked.cyclic_orbits(), group.label
+
+
+def _multiplied(group):
+    """group with FiniteGroup's generic pair tests in place of its own
+    commutation, nilpotency and generation: two products, closures of
+    p-parts and the pair's closure, the oracle of the presentations'
+    arithmetic."""
+    for name in ("commutes", "generates_nilpotent", "pair_generates"):
+        setattr(group, name, types.MethodType(getattr(FiniteGroup, name), group))
+    return group
+
+
+def _pair_test_mismatches(group, oracle, pairs, sets):
+    """The pairs on which group's commutes or pair_generates, and the sets
+    on which its generates_nilpotent, disagree with oracle's, lazily."""
+    for pair in pairs:
+        for name in ("commutes", "pair_generates"):
+            if getattr(group, name)(*pair) != getattr(oracle, name)(*pair):
+                yield group.label, name, pair
+    for gens in sets:
+        if group.generates_nilpotent(gens) != oracle.generates_nilpotent(gens):
+            yield group.label, "generates_nilpotent", gens
+
+
+def _first_exhaustive_mismatch(makes):
+    """The first mismatch of _pair_test_mismatches over every pair of each
+    group, each pair also a generator set, or None."""
+    for make in makes:
+        group, oracle = make(), _multiplied(make())
+        pairs = list(itertools.combinations_with_replacement(range(group.order), 2))
+        for wrong in _pair_test_mismatches(group, oracle, pairs, pairs):
+            return wrong
+    return None
+
+
+PRESENTED_PAIR_RANGES = {
+    "C1-C60": [functools.partial(sg.cyclic, n) for n in range(1, 61)],
+    "D2-D120": [functools.partial(sg.dihedral, n) for n in range(1, 61)],
+    "Q8-Q120": [functools.partial(sg.quaternion, n) for n in range(2, 31)],
+}
+
+
+@pytest.mark.parametrize("name", PRESENTED_PAIR_RANGES)
+def test_presented_pair_tests_equal_the_generic_ones(name):
+    """C_n, D_2n and Q_4n decide commutation, nilpotency and generation of
+    every pair from the presentation, as the generic tests do by products
+    and closures."""
+    assert _first_exhaustive_mismatch(PRESENTED_PAIR_RANGES[name]) is None
+
+
+def _drawn_in_subgroups(rng, group, count):
+    """count sets of 1 to 4 elements, each drawn from one subgroup <a^d> or
+    <a^d> u <a^d> a^j b, d = 1 half the time and otherwise a divisor of m
+    drawn at random, so that the sets generate subgroups of every kind:
+    cyclic, nilpotent or not, the whole group or not."""
+    m = group.order if isinstance(group, CyclicGroup) else group.m
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    sets = []
+    for _ in range(count):
+        d, j = rng.choice([1, rng.choice(divisors)]), rng.randrange(m)
+        pool = list(range(0, m, d))
+        if not isinstance(group, CyclicGroup) and rng.random() < 0.8:
+            pool += [m + (j + r) % m for r in pool]
+        sets.append(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
+    return sets
+
+
+@pytest.mark.parametrize("make", [functools.partial(sg.cyclic, 20000),
+                                  functools.partial(sg.dihedral, 10000),
+                                  functools.partial(sg.quaternion, 5000)],
+                         ids=["C20000", "D20000", "Q20000"])
+def test_presented_pair_tests_equal_the_generic_ones_on_drawn_sets(make):
+    """The presentations' arithmetic against the generic tests on drawn
+    pairs and generator sets of order-20000 groups, both verdicts of each
+    test seen (but commutation and nilpotency in C20000, always true)."""
+    group, oracle, rng = make(), _multiplied(make()), random.Random(31)
+    pairs = [gens[:2] * (3 - len(gens[:2])) for gens in _drawn_in_subgroups(rng, group, 60)]
+    sets = _drawn_in_subgroups(rng, group, 200)
+    assert next(_pair_test_mismatches(group, oracle, pairs, sets), None) is None
+    expected = {True} if isinstance(group, CyclicGroup) else {True, False}
+    assert {group.commutes(*pair) for pair in pairs} == expected
+    assert {group.pair_generates(*pair) for pair in pairs} == {True, False}
+    assert {group.generates_nilpotent(gens) for gens in sets} == expected
+
+
+def _mutant(cls, name, old, new):
+    """cls's method name compiled from its source with old put as new, in
+    the module namespace of groups."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    assert old in source, (name, old)
+    namespace = {}
+    exec(source.replace(old, new), vars(groups), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("_rotation_step", "math.gcd(self.m, self.s)", "math.gcd(self.m, self.m)"),
+    ("_rotation_step", "return None if flip is None else d", "return d"),
+    ("generates_nilpotent", "e & (e - 1) == 0", "e % 2 == 0"),
+    ("commutes", "2 * g % m", "g % m"),
+    ("commutes", "2 * (h if h < m else g - h) % m", "(h if h < m else g - h) % m"),
+], ids=["m-for-s", "rotations-generate", "m/d-even", "commutes-g-no-2", "commutes-h-no-2"])
+def test_presented_pair_oracle_catches_planted_defects(name, old, new, monkeypatch):
+    """Each defect planted in MetacyclicGroup's source: m in place of s in
+    Q's gcd, two rotations that generate, m/d even in place of a power of 2,
+    and commutation without the factor 2, fails the exhaustive comparison
+    on Q8-Q120 and D2-D120 (m in place of s only on Q, where s != 0)."""
+    monkeypatch.setattr(MetacyclicGroup, name, _mutant(MetacyclicGroup, name, old, new))
+    makes = PRESENTED_PAIR_RANGES["Q8-Q120"] + PRESENTED_PAIR_RANGES["D2-D120"]
+    assert _first_exhaustive_mismatch(makes) is not None
